@@ -1,23 +1,32 @@
-"""Collect sets of benchmark runs and compare them against BENCHMARK.json's bounds.
+"""Compare two checkouts of levycal on this benchmark, in alternating pairs.
 
-    python3 perfbench/compare.py collect A --seeds 1-10 [--workloads w1,w2] [--trace 0|1]
-    python3 perfbench/compare.py check A             # spreads of one set
-    python3 perfbench/compare.py check A B           # B against A
+    python3 perfbench/compare.py collect PARENT CHANGE   # checkout directories
+    python3 perfbench/compare.py check
 
-`collect` runs perfbench/run.py once per workload and seed, with the
-benchmark's run_seconds, and keeps each run's record under
-.bench_work/sets/<set>/.  `check` reports, per workload and end-to-end
-metric, each set's median and its spread (quartile distance over the median,
-as statistics.quantiles(n=4) gives them).  It fails when a spread other than
-setup_s exceeds the metric's bound, when B's median is worse than A's by more
-than the bound, when a run was not correct, when the exact counts of the
-traced runs differ between the sets for the same seed, or when two reps of
-one seed, in any run of either set, left different outputs.
+`collect` runs every workload of BENCHMARK.json at seeds 1-10 with the
+benchmark's run_seconds, one pair of runs per workload and seed: the parent
+first on odd seeds, the change first on even ones, so that a slow spell of
+the shared machine falls on both sides alike.  Then each side makes traced
+runs at seeds 1 and 2 for the exact counts.  Records go under
+.bench_work/pairs/{parent,change}/ of this checkout.  To check the benchmark
+against itself, give one checkout twice.
+
+`check` prints per workload and end-to-end metric each side's median and
+spread (quartile distance over the median, as statistics.quantiles(n=4) gives
+them), the median and spread of the per-seed ratios change/parent, and the
+pairs the change won.  It fails when a run was not correct, when a metric's
+median ratio is worse than its bound (a regression), when either side's
+spread exceeds the bound (unresolved: the run-to-run noise is wider than the
+bound), or when the reps of one seed on one side left different outputs.
+When both sides hold the same sources, their outputs and exact counts must
+also match seed by seed; otherwise differences there are printed as
+information, since a change may alter them on purpose.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import shutil
 import statistics
@@ -27,39 +36,58 @@ from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETS = ROOT / ".bench_work" / "sets"
+PAIRS = ROOT / ".bench_work" / "pairs"
 BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+SEEDS = range(1, 11)
+TRACED_SEEDS = (1, 2)
+SIDES = ("parent", "change")
 
 
-def seeds(text):
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+def sources_digest(checkout):
+    """sha256 over the program's sources in a checkout."""
+    h = hashlib.sha256()
+    for f in sorted((checkout / "src").rglob("*")):
+        if f.is_file() and "__pycache__" not in f.parts:
+            h.update(str(f.relative_to(checkout)).encode() + b"\0" + f.read_bytes())
+    return h.hexdigest()
+
+
+def run(side, checkout, workload, seed, trace):
+    cmd = [*BENCH["command"], "--workload", workload, "--seed", str(seed),
+           "--seconds", str(BENCH["run_seconds"]), "--trace", str(trace)]
+    done = subprocess.run([sys.executable, *cmd[1:]], cwd=checkout, capture_output=True,
+                          text=True)
+    if done.returncode:
+        sys.exit(f"{side}: {' '.join(cmd)} exited {done.returncode}:\n{done.stderr[-2000:]}")
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    record = f"{workload}-seed{seed}-trace{trace}.json"
+    shutil.copy(checkout / ".bench_work" / "results" / record, PAIRS / side / record)
+    shown = ", ".join(f"{k}={m['value']:.6g}" for k, m in result["metrics"].items()
+                      if trace == 0)
+    print(f"{side} {workload} seed {seed} trace {trace}: correct={result['correct']} "
+          f"failed={result['failed']}/{result['attempted']} {shown}", flush=True)
 
 
 def collect(args):
-    out = SETS / args.set
-    out.mkdir(parents=True, exist_ok=True)
-    names = args.workloads.split(",") if args.workloads else [w["name"] for w in BENCH["workloads"]]
-    for seed in seeds(args.seeds):
-        for name in names:
-            cmd = [*BENCH["command"], "--workload", name, "--seed", str(seed),
-                   "--seconds", str(BENCH["run_seconds"]), "--trace", str(args.trace)]
-            run = subprocess.run([sys.executable, *cmd[1:]], cwd=ROOT, capture_output=True,
-                                 text=True)
-            if run.returncode:
-                sys.exit(f"{' '.join(cmd)} exited {run.returncode}:\n{run.stderr[-2000:]}")
-            result = json.loads(run.stdout.strip().splitlines()[-1])
-            record = f"{name}-seed{seed}-trace{args.trace}.json"
-            shutil.copy(ROOT / ".bench_work" / "results" / record, out / record)
-            shown = ", ".join(f"{k}={m['value']:.6g} {m['unit']}"
-                              for k, m in result["metrics"].items())
-            print(f"{args.set} {name} seed {seed} trace {args.trace}: correct={result['correct']} "
-                  f"failed={result['failed']}/{result['attempted']}: {shown}", flush=True)
+    checkouts = dict(zip(SIDES, (Path(args.parent).resolve(), Path(args.change).resolve())))
+    shutil.rmtree(PAIRS, ignore_errors=True)
+    for side in SIDES:
+        (PAIRS / side).mkdir(parents=True)
+    (PAIRS / "sources.json").write_text(json.dumps(
+        {side: sources_digest(path) for side, path in checkouts.items()}) + "\n")
+    for workload in (w["name"] for w in BENCH["workloads"]):
+        for seed in SEEDS:
+            for side in SIDES if seed % 2 else SIDES[::-1]:
+                run(side, checkouts[side], workload, seed, 0)
+    for workload in (w["name"] for w in BENCH["workloads"]):
+        for seed in TRACED_SEEDS:
+            for side in SIDES:
+                run(side, checkouts[side], workload, seed, 1)
 
 
-def load(set_name):
+def load(side):
     runs = defaultdict(dict)  # (workload, trace) -> seed -> record
-    for path in sorted((SETS / set_name).glob("*.json")):
+    for path in sorted((PAIRS / side).glob("*.json")):
         rec = json.loads(path.read_text())
         runs[rec["workload"], rec["trace"]][rec["environment"]["seed"]] = rec
     return runs
@@ -67,57 +95,78 @@ def load(set_name):
 
 def spread(values):
     q1, q2, q3 = statistics.quantiles(values, n=4)
-    return (q3 - q1) / q2 if q2 else float("inf")
+    return (q3 - q1) / q2
 
 
-def check(args):
-    sets = [load(name) for name in args.sets]
-    problems = []
-    for name, runs in zip(args.sets, sets):
-        for (workload, trace), by_seed in runs.items():
+def check():
+    sides = {side: load(side) for side in SIDES}
+    digests = json.loads((PAIRS / "sources.json").read_text())
+    same = digests["parent"] == digests["change"]
+    problems, notes = [], []
+    for side, runs in sides.items():
+        for (workload, _), by_seed in runs.items():
             for seed, rec in by_seed.items():
                 if rec["failures"]:
-                    problems.append(f"{name} {workload} seed {seed}: {rec['failures'][:3]}")
+                    problems.append(f"{side} {workload} seed {seed}: {rec['failures'][:3]}")
 
-    print(f"{'workload':22} {'metric':16} " + " ".join(
-        f"{n + ' median':>14} {n + ' spread':>10}" for n in args.sets) + "  bound")
-    for workload in [w["name"] for w in BENCH["workloads"]]:
-        per_set = [s.get((workload, 0), {}) for s in sets]
-        if not all(len(runs) >= 2 for runs in per_set):
+    print(f"{'workload':20} {'metric':15} {'parent':>10} {'spread':>7} {'change':>10} "
+          f"{'spread':>7} {'ratio':>7} {'spread':>7} {'won':>5}  bound  verdict")
+    for workload in (w["name"] for w in BENCH["workloads"]):
+        a, b = (sides[side].get((workload, 0), {}) for side in SIDES)
+        seeds = sorted(set(a) & set(b))
+        if len(seeds) < 2:
+            problems.append(f"{workload}: fewer than two pairs collected")
             continue
         for metric in BENCH["end_to_end"]:
-            key, bound = metric["name"], metric["bound"]
-            cells, medians = [], []
-            for runs in per_set:
-                values = [rec["metrics"][key]["value"] for rec in runs.values()]
-                medians.append(statistics.median(values))
-                width = spread(values)
-                cells.append(f"{medians[-1]:14.6g} {width:10.4f}")
-                if key != "setup_s" and width > bound:
-                    problems.append(f"{workload} {key}: spread {width:.4f} > bound {bound}")
-            if len(medians) == 2:
-                a, b = medians
-                worse = (b - a) / a if metric["better"] == "lower" else (a - b) / a
-                if worse > bound:
-                    problems.append(f"{workload} {key}: median worse by {worse:.4f} > {bound}")
-            print(f"{workload:22} {key:16} " + " ".join(cells) + f"  {bound}")
+            key, bound, lower = metric["name"], metric["bound"], metric["better"] == "lower"
+            va = [a[s]["metrics"][key]["value"] for s in seeds]
+            vb = [b[s]["metrics"][key]["value"] for s in seeds]
+            ratios = [y / x for x, y in zip(va, vb)]
+            ratio = statistics.median(ratios)
+            won = sum(y < x if lower else y > x for x, y in zip(va, vb))
+            widths = [spread(va), spread(vb), spread(ratios)]
+            worse = ratio - 1 if lower else 1 - ratio
+            if worse > bound:
+                verdict = "regression"
+            elif max(widths[:2]) > bound:
+                verdict = "unresolved"
+            else:
+                verdict = "ok"
+            if verdict != "ok":
+                problems.append(f"{workload} {key}: {verdict} (ratio {ratio:.4f}, "
+                                f"spreads {', '.join(f'{w:.4f}' for w in widths)}, bound {bound})")
+            print(f"{workload:20} {key:15} {statistics.median(va):10.5g} {widths[0]:7.4f} "
+                  f"{statistics.median(vb):10.5g} {widths[1]:7.4f} {ratio:7.4f} {widths[2]:7.4f} "
+                  f"{won:2}/{len(seeds):<2}  {bound:5}  {verdict}")
 
-    # every rep of one seed must leave the same bytes, in every run of every set
-    outputs = defaultdict(set)
-    for runs in sets:
+    # outputs: every rep of one seed on one side, and both sides when the sources match
+    outputs = defaultdict(lambda: defaultdict(set))  # (workload, rep seed) -> side -> digests
+    for side, runs in sides.items():
         for (workload, _), by_seed in runs.items():
             for rec in by_seed.values():
                 for rep_seed, digest in rec.get("digests", {}).items():
-                    outputs[workload, rep_seed].add(digest)
+                    outputs[workload, rep_seed][side].add(digest)
     for (workload, rep_seed), found in sorted(outputs.items()):
-        if len(found) > 1:
-            problems.append(f"{workload}: reps of seed {rep_seed} left different outputs")
-    if len(sets) == 2:
-        for (workload, trace), runs in sets[0].items():
-            for seed, rec in runs.items():
-                other = sets[1].get((workload, trace), {}).get(seed)
-                if other is not None and rec.get("counts") != other.get("counts"):
-                    problems.append(f"{workload} seed {seed}: exact counts differ")
+        for side, got in found.items():
+            if len(got) > 1:
+                problems.append(f"{side} {workload}: reps of seed {rep_seed} left different "
+                                "outputs")
+        if len(found) == 2 and found["parent"] != found["change"]:
+            (problems if same else notes).append(
+                f"{workload}: outputs of seed {rep_seed} differ between the sides")
+    for (workload, trace), runs in sides["parent"].items():
+        for seed, rec in runs.items():
+            other = sides["change"].get((workload, trace), {}).get(seed)
+            if other is None or "counts" not in rec:
+                continue
+            moved = {k: (v, other["counts"][k]) for k, v in rec["counts"].items()
+                     if other["counts"][k] != v}
+            if moved:
+                (problems if same else notes).append(
+                    f"{workload} seed {seed}: exact counts differ {moved}")
+    print("sources:", "identical" if same else "differ")
+    for note in notes:
+        print("NOTE", note)
     for problem in problems:
         print("FAIL", problem)
     print("OK" if not problems else f"{len(problems)} problem(s)")
@@ -128,19 +177,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="cmd", required=True)
     p = sub.add_parser("collect")
-    p.add_argument("set")
-    p.add_argument("--seeds", default="1-10")
-    p.add_argument("--workloads")
-    p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p = sub.add_parser("check")
-    p.add_argument("sets", nargs="+")
+    p.add_argument("parent")
+    p.add_argument("change")
+    sub.add_parser("check")
     args = parser.parse_args()
     if args.cmd == "collect":
         collect(args)
         return 0
-    if len(args.sets) > 2:
-        parser.error("check takes one or two sets")
-    return check(args)
+    return check()
 
 
 if __name__ == "__main__":

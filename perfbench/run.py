@@ -12,12 +12,12 @@ the last line carries the per-layer metrics.
 A --trace 0 run is: set-up (input files plus an interpreter/import probe,
 three times, median reported), then reps of the whole command sequence,
 alternating the fixed quality seed and --seed, until --seconds have passed
-and at least two have run.  Each timing is the median over the reps; the
-quality record comes from the fits of the first quality-seed rep, so it is
-exact and the same on every run.  Every command's exit code and outputs are
-checked, and every rep's outputs must be byte-identical, apart from
-manifest.json, to those of the first rep of the same seed and sources in this
-checkout.
+and at least two have run.  Each timing is the median over the reps, in
+reference seconds (see PROBE_REFERENCE_S); the quality record comes from the
+fits of the first quality-seed rep, so it is exact and the same on every run.
+Every command's exit code and outputs are checked, and every rep's outputs
+must be byte-identical, apart from manifest.json, to those of the first rep
+of the same seed in this run.
 """
 
 from __future__ import annotations
@@ -52,6 +52,15 @@ CHILD_ENV = {
 THREAD_VARS = ("ELNN_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 SETUP_REPEATS = 3
 
+# The speed of one thread on the shared machines this runs on drifts by up to
+# 1.7x over minutes, which no amount of work inside a run averages out.  So a
+# fixed pure-Python loop runs around every timed command, and times are
+# reported in reference seconds: wall seconds times PROBE_REFERENCE_S over
+# the loop's mean time in the rep, i.e. wall seconds on a machine that runs
+# the loop in PROBE_REFERENCE_S.  Raw wall seconds stay in the run record.
+PROBE_LOOPS = 2_000_000
+PROBE_REFERENCE_S = 0.1
+
 PROBE = """
 import json, time
 t0 = time.perf_counter()
@@ -64,20 +73,27 @@ print(json.dumps({"import_s": import_s, "numpy": numpy.__version__,
                   "blas": f"{blas.get('name')} {blas.get('version')}"}))
 """
 
+TIMINGS = ("pipeline_s", "calibrate_s", "simulate_s", "peak_rss_mb")
 UNITS = {"setup_s": "s", "pipeline_s": "s", "calibrate_s": "s", "simulate_s": "s",
          "peak_rss_mb": "MB"} | wl.QUALITY_METRICS
 
 
 def setup(seed):
-    """Write the inputs and probe a fresh interpreter; returns (median s, probes)."""
+    """Write the inputs and probe a fresh interpreter; returns (median s, probes).
+
+    Each repeat is timed in reference seconds, scaled by speed probes run
+    just before and just after it.
+    """
     times, probes = [], []
     for _ in range(SETUP_REPEATS):
+        before = speed_probe()
         t0 = time.perf_counter()
         shutil.rmtree(INPUTS, ignore_errors=True)
         wl.write_inputs(INPUTS, {seed, wl.QUALITY_SEED})
         out = subprocess.run([sys.executable, "-c", PROBE], cwd=ROOT, env=CHILD_ENV,
                              capture_output=True, text=True, check=True)
-        times.append(time.perf_counter() - t0)
+        seconds = time.perf_counter() - t0
+        times.append(seconds * 2 * PROBE_REFERENCE_S / (before + speed_probe()))
         probes.append(json.loads(out.stdout))
     return statistics.median(times), probes
 
@@ -102,49 +118,34 @@ def run_command(argv):
     return proc.returncode, wall, usage.ru_maxrss / 1024.0
 
 
-def sources_digest():
-    """sha256 over the program's and the benchmark's sources."""
-    files = sorted((ROOT / "src").rglob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
-    return wl.tree_digest({str(f.relative_to(ROOT)): f.read_text() for f in files})
-
-
-class References:
-    """Output digests of the first complete rep of each seed in this checkout.
-
-    They are keyed by the sources, so a rep is compared with the first rep of
-    the same code and inputs, whether that ran earlier in this run or in an
-    earlier run: reruns must be byte-identical apart from manifest.json.
-    """
-
-    def __init__(self, workload):
-        self.prefix = f"{workload}-{sources_digest()[:16]}"
-        (WORK / "references").mkdir(exist_ok=True)
-
-    def path(self, seed):
-        return WORK / "references" / f"{self.prefix}-seed{seed}.json"
-
-    def get(self, seed):
-        path = self.path(seed)
-        return json.loads(path.read_text()) if path.exists() else None
-
-    def keep(self, seed, digests):
-        if not self.path(seed).exists():
-            self.path(seed).write_text(json.dumps(digests, indent=0) + "\n")
+def speed_probe():
+    """Seconds a fixed pure-Python loop takes now: the machine's current speed."""
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i
+    return time.perf_counter() - t0
 
 
 def run_rep(workload, seed, name, checker, reference):
-    """Run one rep's commands in sequence; returns (timings, digests, quality record)."""
+    """Run one rep's commands in sequence; returns (timings, digests, quality record).
+
+    A speed probe runs before the first command and after each one, and the
+    rep's wall times are scaled by PROBE_REFERENCE_S over the probes' mean.
+    """
     root = WORK / "reps" / name
     shutil.rmtree(root, ignore_errors=True)
     root.mkdir(parents=True)
-    timings = {"pipeline_s": 0.0, "calibrate_s": 0.0, "simulate_s": 0.0, "peak_rss_mb": 0.0}
+    wall = {"pipeline_s": 0.0, "calibrate_s": 0.0, "simulate_s": 0.0}
+    peak_rss, probes = 0.0, [speed_probe()]
     digests, fits, failed = {}, [], len(checker.failures)
     for step in wl.steps(workload, INPUTS, seed, root):
-        rc, wall, rss = run_command(step.argv)
-        timings["pipeline_s"] += wall
+        rc, seconds, rss = run_command(step.argv)
+        probes.append(speed_probe())
+        wall["pipeline_s"] += seconds
         if step.command in ("calibrate", "simulate"):
-            timings[f"{step.command}_s"] += wall
-        timings["peak_rss_mb"] = max(timings["peak_rss_mb"], rss)
+            wall[f"{step.command}_s"] += seconds
+        peak_rss = max(peak_rss, rss)
         digests.update(checker.command(step, rc, root, reference))
         fits.extend(step.fits)
     try:
@@ -152,28 +153,34 @@ def run_rep(workload, seed, name, checker, reference):
     except (OSError, ValueError, KeyError, TypeError):
         quality = None
     shutil.rmtree(root)
+    scale = PROBE_REFERENCE_S / statistics.mean(probes)
+    timings = {k: v * scale for k, v in wall.items()} | {"peak_rss_mb": peak_rss}
+    record = timings | {"seed": seed, "wall": wall, "probes_s": probes}
     complete = len(checker.failures) == failed
-    return timings, digests if complete else None, quality
+    return record, digests if complete else None, quality
 
 
 def timed_run(args, checker):
-    """Reps alternating the quality seed and --seed; returns (metrics, record extras)."""
-    references = References(args.workload)
-    reps, digests, quality = [], {}, None
+    """Reps alternating the quality seed and --seed; returns (metrics, record extras).
+
+    Every rep's outputs must be byte-identical, apart from manifest.json, to
+    those of the first complete rep of the same seed in this run.
+    """
+    reps, first, quality = [], {}, None
     t0 = time.perf_counter()
     while len(reps) < 2 or time.perf_counter() - t0 < args.seconds:
         seed = (wl.QUALITY_SEED, args.seed)[len(reps) % 2]
-        timings, got, record = run_rep(args.workload, seed, f"rep-{len(reps)}", checker,
-                                       references.get(seed))
-        reps.append(timings | {"seed": seed})
+        rep, got, record = run_rep(args.workload, seed, f"rep-{len(reps)}", checker,
+                                   first.get(seed))
+        reps.append(rep)
         if got is not None:
-            references.keep(seed, got)
-            digests.setdefault(seed, wl.tree_digest(got))
+            first.setdefault(seed, got)
         if seed == wl.QUALITY_SEED:
             quality = quality or record
     if quality is None:
         raise SystemExit("no quality rep left readable fits:\n" + "\n".join(checker.failures))
-    metrics = {k: statistics.median(r[k] for r in reps) for k in reps[0] if k != "seed"}
+    metrics = {k: statistics.median(r[k] for r in reps) for k in TIMINGS}
+    digests = {seed: wl.tree_digest(d) for seed, d in first.items()}
     return metrics | quality, {"reps": reps, "digests": digests}
 
 
