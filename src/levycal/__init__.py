@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .levy_models import (CumulantSet, CustomModel, KouModel, LevyTriplet, MertonModel,
                           char_fn, cumulants, f_exponent, kou_density, martingale_drift,
                           merton_density, parametric_char_shifted)
-from .spectral import (SpectralCurve, SpectralGrid, TimeValuePoint, call_price,
+from .spectral import (SpectralCurve, SpectralGrid, call_price,
                        phi_from_time_values, plancherel_gap, regrid_time_values,
                        time_value_curve, time_values_from_phi, zeta)
 from .elnn import (Adam, ElnnParams, TrainConfig, ann_i, ann_r, implied_lambda,

@@ -1,17 +1,20 @@
 """End-to-end calibration drivers, bucketed error reports and stability tables.
 
+Network and parametric fits share one pooled target.  Raw daily slices are
+amplified into large synthetic groups, each group is regridded onto the k
+nodes, and the mean of the regridded curves is Fourier-transformed once into
+Phi*(w - i).  That equals the average of the groups' own transforms because
+the transform is affine in z, and training against the group average carries
+exactly the full-batch gradient of training on every group at once.
 Parametric fits minimize the same trapezoid L2 spectral loss as the network
 (without the regularizer) with a restarted Nelder-Mead simplex under box
-penalties.  The network driver amplifies raw daily slices into large synthetic
-groups, Fourier-transforms each group, and trains against the group-averaged
-spectral curve, which carries exactly the full-batch gradient of training on
-every group at once.
+penalties.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -21,7 +24,8 @@ from . import elnn
 from .errors import LengthMismatch, NoConvergence
 from .levy_models import KouModel, MertonModel, parametric_char_shifted
 from .market import MarketSlice, amplify
-from .spectral import SpectralCurve, SpectralGrid, phi_from_time_values, regrid_time_values, time_values_from_phi
+from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, time_values_from_phi,
+                       trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,6 @@ class CalibrationReport:
     im_table: BucketTable
     final_loss: float
     loss_trace: np.ndarray | None = None
-    extra: dict = field(default_factory=dict)
 
 
 def bucketed_errors(coords, predicted, target, spec=None, kind="time_value"):
@@ -170,10 +173,7 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0,
         raise ValueError("market slice has no spectral data")
     box = _BOXES[family]
     w = curve.w
-    dw = w[1] - w[0]
-    wts = np.full(len(w), dw)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
+    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
     target = curve.values
     T = market_slice.T
 
@@ -234,34 +234,46 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0,
 
 
 def spectral_target(slices, grid, n_groups=1000, group_size=10_000, seed=0):
-    """Amplify raw slices and average the per-group spectral curves.
+    """Phi*(w - i) of the amplified groups, averaged over groups.
 
-    The averaged curve is an exact stand-in for full-batch training over all
-    groups: the L2 loss against it differs from the group-averaged loss only
-    by a parameter-independent constant.
+    Every group is regridded onto the k nodes and the mean curve is
+    transformed once.  phi_from_time_values is affine in z, so this equals
+    the mean of the groups' own transforms.  The averaged curve is an exact
+    stand-in for full-batch training over all groups: the L2 loss against it
+    differs from the group-averaged loss only by a parameter-independent
+    constant.
     """
     groups = amplify(slices, n_groups, group_size, seed=seed)
-    T, r = groups[0].T, groups[0].r
-    acc = np.zeros(grid.n, dtype=complex)
+    z_sum = np.zeros(grid.n)
     for g in groups:
-        z_nodes = regrid_time_values(g.k, g.z, grid)
-        acc += phi_from_time_values(z_nodes, r, T, grid).values
-    return SpectralCurve(grid.w.copy(), acc / len(groups))
+        z_sum += regrid_time_values(g.k, g.z, grid)
+    return phi_from_time_values(z_sum / len(groups), groups[0].r, groups[0].T, grid)
 
 
-def model_z_curve(phi_shifted_values, T, r, grid):
-    """Time-value curve implied by Phi(w - i) samples on the grid."""
-    return grid.k.copy(), time_values_from_phi(phi_shifted_values, r, T, grid)
+def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
+    """One slice holding every quote of `slices` and the pooled spectral target.
+
+    The target is amplified from seed + 1 and clipped to |w| <= 4 * m_cutoff.
+    """
+    target = spectral_target(slices, grid, n_groups, group_size, seed=seed + 1)
+    return MarketSlice("pooled", slices[0].T, slices[0].r,
+                       np.concatenate([s.k for s in slices]),
+                       np.concatenate([s.z for s in slices]),
+                       spectral=target.clip(4.0 * m_cutoff))
 
 
-def evaluate_report(label, sigma, lam, phi_on_grid, pool_k, pool_z, target_curve,
-                    grid, T, r, final_loss, loss_trace=None, spec=None):
-    """Assemble the bucketed z and spectral error tables for one fitted model."""
-    spec = spec or BucketSpec()
-    k_nodes, z_model = model_z_curve(phi_on_grid, T, r, grid)
-    z_pred = CubicSpline(k_nodes, z_model)(pool_k)
-    z_table = bucketed_errors(pool_k, z_pred, pool_z, spec, kind="time_value")
+def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss, loss_trace=None):
+    """Assemble the bucketed z and spectral error tables for one fitted model.
 
+    phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
+    is the slice from pooled_slice that the model was fitted to.
+    """
+    spec = BucketSpec()
+    z_model = time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid)
+    z_pred = CubicSpline(grid.k, z_model)(pooled.k)
+    z_table = bucketed_errors(pooled.k, z_pred, pooled.z, spec, kind="time_value")
+
+    target_curve = pooled.spectral
     keep = np.abs(target_curve.w) < spec.freq_edges[-1]
     w_rep = target_curve.w[keep]
     tgt_rep = target_curve.values[keep]
@@ -274,41 +286,26 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pool_k, pool_z, target_curve
                              final_loss, loss_trace)
 
 
-def run_elnn(market_slices, config, grid=None, n_groups=1000, group_size=10_000,
-             init_params=None, label="elnn"):
+def run_elnn(market_slices, config, grid=None, n_groups=1000, group_size=10_000):
     """Amplify, transform, train and evaluate; deterministic for fixed seeds.
 
-    Returns (params, report).  The training target is the group-averaged
-    spectral curve truncated to |w| <= 4 * m_cutoff.
+    Returns (params, report).  The training target is the pooled slice's
+    spectral curve, truncated to |w| <= 4 * m_cutoff.
     """
     grid = grid or SpectralGrid()
-    T, r = market_slices[0].T, market_slices[0].r
-    target = spectral_target(market_slices, grid, n_groups, group_size, seed=config.seed + 1)
-    clipped = target.clip(4.0 * config.m_cutoff)
-
-    pool_k = np.concatenate([s.k for s in market_slices])
-    pool_z = np.concatenate([s.z for s in market_slices])
-    composite = MarketSlice(label, T, r, pool_k, pool_z, spectral=clipped)
-
-    params, losses = elnn.train(composite, config, init_params=init_params)
-    phi_grid = elnn.phi_model(grid.w, params, T)
-    report = evaluate_report(label, params.sigma, elnn.implied_lambda(params),
-                             phi_grid, pool_k, pool_z, clipped, grid, T, r,
-                             float(losses[-1]) if len(losses) else math.nan, losses)
-    report.extra["target_curve"] = clipped
-    return params, report
+    pooled = pooled_slice(market_slices, grid, config.m_cutoff, n_groups, group_size, config.seed)
+    params, losses = elnn.train(pooled, config)
+    phi_grid = elnn.phi_model(grid.w, params, pooled.T)
+    return params, evaluate_report("elnn", params.sigma, elnn.implied_lambda(params), phi_grid,
+                                   pooled, grid, float(losses[-1]) if len(losses) else math.nan,
+                                   losses)
 
 
-def parametric_report(model, market_slices, target_curve, grid=None, label=None,
-                      final_loss=math.nan):
-    """Evaluate a fitted parametric model against the same pooled data."""
+def parametric_report(model, pooled, grid=None, final_loss=math.nan):
+    """Evaluate a fitted parametric model against the pooled slice it was fitted to."""
     grid = grid or SpectralGrid()
-    T, r = market_slices[0].T, market_slices[0].r
-    pool_k = np.concatenate([s.k for s in market_slices])
-    pool_z = np.concatenate([s.z for s in market_slices])
-    phi_grid = parametric_char_shifted(model, grid.w, T)
-    return evaluate_report(label or model.kind, model.sigma, model.lam, phi_grid,
-                           pool_k, pool_z, target_curve, grid, T, r, final_loss)
+    phi_grid = parametric_char_shifted(model, grid.w, pooled.T)
+    return evaluate_report(model.kind, model.sigma, model.lam, phi_grid, pooled, grid, final_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, serialize
-from .calibrate import calibrate_parametric, parametric_report, run_elnn
+from .calibrate import calibrate_parametric, parametric_report, pooled_slice, run_elnn
 from .elnn import TrainConfig, implied_levy_density
 from .errors import (DivergedLoss, DivisionNearZero, LevycalError, NoConvergence,
                      NonFinite, ResidueTooLarge)
@@ -69,7 +67,10 @@ def _merge_config(args, keys):
     """defaults < config file < explicit flags."""
     cfg = dict(getattr(args, "_defaults", {}))
     if args.config:
-        cfg.update(json.loads(Path(args.config).read_text()))
+        doc = json.loads(Path(args.config).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+        cfg.update(doc)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -145,15 +146,11 @@ def _calibrate_one(market_dir, out, cfg):
         serialize.save_params(params, out / "params.json")
         serialize.save_loss_trace(out / "loss.csv", report.loss_trace)
     elif method in ("merton", "kou"):
-        from .calibrate import spectral_target
-        target = spectral_target(slices, grid, int(cfg["n_groups"]), int(cfg["group_size"]),
-                                 seed=int(cfg["seed"]) + 1).clip(4.0 * float(cfg["m_cutoff"]))
-        composite = MarketSlice("pooled", slices[0].T, slices[0].r,
-                                np.concatenate([s.k for s in slices]),
-                                np.concatenate([s.z for s in slices]), spectral=target)
-        model, loss = calibrate_parametric(method, composite, budget=int(cfg["budget"]),
+        pooled = pooled_slice(slices, grid, float(cfg["m_cutoff"]), int(cfg["n_groups"]),
+                              int(cfg["group_size"]), int(cfg["seed"]))
+        model, loss = calibrate_parametric(method, pooled, budget=int(cfg["budget"]),
                                            seed=int(cfg["seed"]))
-        report = parametric_report(model, slices, target, grid=grid, final_loss=loss)
+        report = parametric_report(model, pooled, grid=grid, final_loss=loss)
         serialize.save_model(model, out / "params.json")
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -164,6 +161,9 @@ def _calibrate_one(market_dir, out, cfg):
 def cmd_calibrate(args):
     cfg = _merge_config(args, _CAL_DEFAULTS.keys())
     markets = args.market
+    names = [Path(m).name for m in markets]
+    if len(set(names)) < len(names):
+        raise ValueError(f"market directories must have distinct names, got {names}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if len(markets) == 1:
@@ -188,7 +188,7 @@ def cmd_density(args):
     cfg = _merge_config(args, _DEN_DEFAULTS.keys() | {"params"})
     doc = json.loads(Path(cfg["params"]).read_text())
     grid = SpectralGrid(int(cfg["grid_n"]), float(cfg["grid_dw"]))
-    if "model" in doc:
+    if isinstance(doc, dict) and "model" in doc:
         model = serialize.model_from_dict(doc)
         x = grid.k
         dvdx = model.density(x)

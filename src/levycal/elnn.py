@@ -25,13 +25,13 @@ an analytic gradient (including the chain rule through c0 and c1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DivergedLoss, LengthMismatch
-from .spectral import SpectralGrid, _inverse_nodes
+from .spectral import SpectralGrid, _inverse_nodes, trapezoid_weights
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
 
@@ -112,9 +112,6 @@ class TrainConfig:
     seed: int = 0
     n_nodes: int = 20
     learning_rate: float = 1e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
         if self.m_cutoff <= 0:
@@ -125,53 +122,52 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
 
 
+def _forward(w, params):
+    """Both networks at w, scalar or array, real or complex: (ann_r(w), ann_i(w))."""
+    w = np.asarray(w)
+    annr = _bump(np.multiply.outer(w, params.wr1)) @ params.wr0
+    anni = (_bump(np.multiply.outer(w, params.wi1)) @ params.wi0) * w
+    return annr, anni
+
+
 def ann_r(w, params):
     """Even real-part network; scalar or array w, real or complex."""
-    w = np.asarray(w)
-    a = np.multiply.outer(w, params.wr1)
-    return _bump(a) @ params.wr0
+    return _forward(w, params)[0]
 
 
 def ann_i(w, params):
     """Odd imaginary-part network (trailing factor w)."""
-    w = np.asarray(w)
-    a = np.multiply.outer(w, params.wi1)
-    return (_bump(a) @ params.wi0) * w
+    return _forward(w, params)[1]
 
 
 def phi_model(w, params, T):
     """Model Phi(w - i) for real frequencies w."""
     w = np.asarray(w, dtype=float)
+    annr, anni = _forward(w, params)
     sig2 = params.sigma**2
-    R = T * (-0.5 * sig2 * w**2 + ann_r(w, params) - params.c0)
-    arg = T * (0.5 * sig2 * w + ann_i(w, params) - params.c1 * w)
+    R = T * (-0.5 * sig2 * w**2 + annr - params.c0)
+    arg = T * (0.5 * sig2 * w + anni - params.c1 * w)
     return np.exp(R) * (np.cos(arg) + 1j * np.sin(arg))
 
 
 def regularizer(params, grid, m_cutoff, alpha_reg=4.0):
-    """Trapezoid value of integral |w/M|^alpha (ann_r^2 + ann_i^2) dw."""
-    w, wts = _nodes_and_weights(grid)
-    rho = np.abs(w / m_cutoff) ** alpha_reg
-    return float(np.sum(wts * rho * (ann_r(w, params) ** 2 + ann_i(w, params) ** 2)))
+    """Trapezoid value of integral |w/M|^alpha (ann_r^2 + ann_i^2) dw.
 
-
-def _nodes_and_weights(grid):
-    """Uniform w nodes and trapezoid quadrature weights from a grid or node array."""
+    grid is a SpectralGrid or an array of uniform frequency nodes.
+    """
     w = grid.w if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
-    if len(w) < 2:
-        raise ValueError("need at least two frequency nodes")
-    dw = w[1] - w[0]
-    wts = np.full(len(w), dw)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    return w, wts
+    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
+    rho = np.abs(w / m_cutoff) ** alpha_reg
+    annr, anni = _forward(w, params)
+    return float(np.sum(wts * rho * (annr**2 + anni**2)))
 
 
 def _target_arrays(market_slice):
     curve = market_slice.spectral
     if curve is None:
         raise ValueError("market slice has no spectral data; transform it first")
-    w, wts = _nodes_and_weights(curve.w)
+    w = curve.w
+    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
     return w, wts, curve.values.real.copy(), curve.values.imag.copy()
 
 
@@ -332,7 +328,7 @@ def train(market_slice, config, init_params=None):
     params = init_params.as_dict()
     _guard_pole(params["wr1"])
     _guard_pole(params["wi1"])
-    adam = Adam(config.learning_rate, config.adam_beta1, config.adam_beta2, config.adam_eps)
+    adam = Adam(config.learning_rate)
     losses = np.empty(config.epochs)
     for epoch in range(config.epochs):
         loss, grads = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config)
@@ -354,7 +350,8 @@ def implied_levy_density(params, grid=None):
     from .errors import ResidueTooLarge
 
     grid = grid or SpectralGrid()
-    h = ann_r(grid.w, params) + 1j * ann_i(grid.w, params)
+    annr, anni = _forward(grid.w, params)
+    h = annr + 1j * anni
     g = _inverse_nodes(grid, h)
     residue = float(np.max(np.abs(g.imag)))
     if residue > 1e-6:

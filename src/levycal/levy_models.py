@@ -379,9 +379,6 @@ class CustomModel:
         return LevyTriplet.martingale(self.sigma, self.density, self.support)
 
 
-ParametricModel = MertonModel | KouModel
-
-
 def parametric_char_shifted(model, w, T):
     """Closed-form Phi(w - i) for a parametric model, bypassing quadrature.
 
@@ -412,8 +409,3 @@ def kou_density(x, model):
     out[pos] = model.p * model.lam * model.lam_plus * np.exp(-model.lam_plus * x[pos])
     out[neg] = (1.0 - model.p) * model.lam * model.lam_minus * np.exp(model.lam_minus * x[neg])
     return float(out[0]) if scalar else out
-
-
-# Reference parameter sets used throughout the virtual-market experiments.
-MERTON_REFERENCE = MertonModel(sigma=0.2, lam=1.0, mu=-0.05, delta=0.05)
-KOU_REFERENCE = KouModel(sigma=0.21, lam=1.4, p=0.04, lam_plus=3.7, lam_minus=1.8)

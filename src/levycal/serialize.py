@@ -14,11 +14,16 @@ import numpy as np
 from .calibrate import BucketTable, CalibrationReport
 from .elnn import ElnnParams
 from .levy_models import CustomModel, KouModel, MertonModel
-from .spectral import SpectralCurve, SpectralGrid
+from .spectral import SpectralGrid
 
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+def _require_object(doc, what):
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
 
 
 # --- models -----------------------------------------------------------------
@@ -36,6 +41,7 @@ def model_to_dict(model):
 
 
 def model_from_dict(doc):
+    _require_object(doc, "model document")
     kind = doc.get("model")
     sigma = float(doc["sigma"])
     p = doc.get("params", {})
@@ -72,6 +78,7 @@ def params_to_dict(params):
 
 
 def params_from_dict(doc):
+    _require_object(doc, "params document")
     return ElnnParams(
         s=float(doc["sigma"]),
         wr0=np.asarray(doc["wr0"], dtype=float),
@@ -118,15 +125,6 @@ def save_time_values(path, k, z):
 def load_time_values(path):
     _, data = load_columns(path, ["k", "z"])
     return data[:, 0], data[:, 1]
-
-
-def save_spectral(path, curve):
-    save_columns(path, ["w", "re", "im"], [curve.w, curve.values.real, curve.values.imag])
-
-
-def load_spectral(path):
-    _, data = load_columns(path, ["w", "re", "im"])
-    return SpectralCurve(data[:, 0], data[:, 1] + 1j * data[:, 2])
 
 
 def save_grid(path, grid):

@@ -65,18 +65,14 @@ class SpectralGrid:
         """Log-moneyness nodes, k = 0 included."""
         return (np.arange(self.n) - self.n / 2) * self.dk
 
-    def trapezoid(self):
-        wts = np.ones(self.n)
-        wts[0] = wts[-1] = 0.5
-        return wts
 
-
-@dataclass(frozen=True)
-class TimeValuePoint:
-    """A single (log-moneyness, time value) observation."""
-
-    k: float
-    z: float
+def trapezoid_weights(n):
+    """Trapezoid weights on n unit-spaced nodes; scale by the spacing for a quadrature."""
+    if n < 2:
+        raise ValueError("need at least two nodes")
+    wts = np.ones(n)
+    wts[0] = wts[-1] = 0.5
+    return wts
 
 
 @dataclass
@@ -100,7 +96,7 @@ def _inverse_nodes(grid, values):
     w0 = grid.w[0]
     k0 = grid.k[0]
     j = np.arange(grid.n)
-    pre = values * grid.trapezoid() * np.exp(-1j * k0 * j * grid.dw)
+    pre = values * trapezoid_weights(grid.n) * np.exp(-1j * k0 * j * grid.dw)
     spec = np.fft.fft(pre)
     return (grid.dw / (2.0 * math.pi)) * np.exp(-1j * grid.k * w0) * spec
 
@@ -110,7 +106,7 @@ def _forward_nodes(grid, values):
     w0 = grid.w[0]
     k0 = grid.k[0]
     m = np.arange(grid.n)
-    pre = values * grid.trapezoid() * np.exp(1j * m * grid.dk * w0)
+    pre = values * trapezoid_weights(grid.n) * np.exp(1j * m * grid.dk * w0)
     spec = grid.n * np.fft.ifft(pre)
     return grid.dk * np.exp(1j * k0 * grid.w) * spec
 
@@ -257,15 +253,12 @@ def plancherel_gap(phi_a, phi_b, grid=None, x_window=10.0):
     w = grid.w
     shift_a = phi_a(w - 1j)
     shift_b = phi_b(w - 1j)
-    wts = grid.trapezoid()
-    lhs = float(np.sum(wts * np.abs(shift_a - shift_b) ** 2) * grid.dw)
+    lhs = float(np.sum(trapezoid_weights(grid.n) * np.abs(shift_a - shift_b) ** 2) * grid.dw)
 
     rho_a = _inverse_nodes(grid, phi_a(w + 0j)).real
     rho_b = _inverse_nodes(grid, phi_b(w + 0j)).real
     x = grid.k
     keep = np.abs(x) <= x_window
     diff = np.exp(x[keep]) * (rho_a[keep] - rho_b[keep])
-    xwts = np.ones(keep.sum())
-    xwts[0] = xwts[-1] = 0.5
-    rhs = float(2.0 * math.pi * np.sum(xwts * diff**2) * grid.dk)
+    rhs = float(2.0 * math.pi * np.sum(trapezoid_weights(len(diff)) * diff**2) * grid.dk)
     return lhs, rhs

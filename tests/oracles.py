@@ -2,12 +2,16 @@
 
 Nothing here shares code with the library paths under test: prices come from
 the Poisson-mixture closed form or Monte Carlo, transforms from scipy.quad,
-and simulation from a standalone compound-Poisson sampler.
+and simulation from a standalone compound-Poisson sampler.  The one exception
+is spectral_target_per_group, which reuses the library's amplification,
+regridding and transform and checks only the order of averaging.
 """
 
 import numpy as np
 from scipy import integrate
 from scipy.stats import norm
+
+from levycal import amplify, phi_from_time_values, regrid_time_values
 
 
 def bs_call(k, sigma, T, r):
@@ -96,3 +100,14 @@ def mc_call_price(model, k, T, r, n_paths=10**6, seed=11):
     x = simulate_terminal(model, T, n_paths, seed)
     payoff = np.exp(-r * T) * np.maximum(np.exp(r * T + x) - np.exp(k), 0.0)
     return payoff.mean(), payoff.std(ddof=1) / np.sqrt(n_paths)
+
+
+def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
+    """Group-averaged Phi*(w - i) with one transform per amplified group."""
+    groups = amplify(slices, n_groups, group_size, seed=seed)
+    T, r = groups[0].T, groups[0].r
+    acc = np.zeros(grid.n, dtype=complex)
+    for g in groups:
+        z_nodes = regrid_time_values(g.k, g.z, grid)
+        acc += phi_from_time_values(z_nodes, r, T, grid).values
+    return acc / len(groups)

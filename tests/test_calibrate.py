@@ -10,6 +10,8 @@ from levycal import (BucketSpec, KouModel, MarketSlice, MertonModel, NoiseSpec, 
 from levycal.calibrate import PeriodEstimate
 from levycal.errors import LengthMismatch
 
+import oracles
+
 T, R = 0.05, 0.02
 
 
@@ -191,3 +193,13 @@ def test_spectral_target_averages_groups(merton_model):
     truth = char_fn(grid.w - 1j, merton_model.triplet(), T)
     mask = np.abs(grid.w) <= 30
     assert np.max(np.abs(target.values - truth)[mask]) < 0.02
+
+
+def test_spectral_target_matches_per_group_reference(merton_model):
+    grid = SpectralGrid(n=2**12, dw=0.2)
+    slices = generate_virtual_market(merton_model, 10, 200, T, R,
+                                     noise=NoiseSpec(scale=0.05, seed=4), grid=grid)
+    target = spectral_target(slices, grid, n_groups=8, group_size=500, seed=5)
+    want = oracles.spectral_target_per_group(slices, grid, 8, 500, seed=5)
+    np.testing.assert_array_equal(target.w, grid.w)
+    assert np.max(np.abs(target.values - want)) <= 1e-9 * np.max(np.abs(want))

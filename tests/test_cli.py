@@ -82,6 +82,18 @@ def test_calibrate_parametric_method(tmp_path, model_file):
     assert (out / "report_z.csv").exists()
 
 
+def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file):
+    # fan-out outputs go to out/<market name>, so two markets named alike would clash
+    m1 = tiny_simulate(tmp_path, model_file, "a/mkt", seed=1)
+    m2 = tiny_simulate(tmp_path, model_file, "b/mkt", seed=2)
+    out = tmp_path / "clash"
+    code = main(["calibrate", "--market", str(m1), str(m2), "--out", str(out),
+                 "--method", "elnn", "--epochs", "5", "--m-cutoff", "60",
+                 "--n-groups", "2", "--group-size", "100"])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_calibrate_fans_out_multiple_markets(tmp_path, model_file, monkeypatch):
     monkeypatch.setenv("ELNN_THREADS", "2")
     m1 = tiny_simulate(tmp_path, model_file, "ma", seed=1)
@@ -178,6 +190,19 @@ def test_exit_code_on_bad_config(tmp_path, model_file):
     code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "y"),
                  "--grid-n", "1000"])  # not a power of two
     assert code == 2
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    code = main(["simulate", "--model", str(model_file), "--config", str(cfg),
+                 "--out", str(tmp_path / "z")])
+    assert code == 2
+
+
+def test_exit_code_on_non_object_model_and_params(tmp_path):
+    for i, text in enumerate(["[1]", "null"]):
+        doc = tmp_path / f"doc{i}.json"
+        doc.write_text(text)
+        assert main(["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")]) == 2
+        assert main(["density", "--params", str(doc), "--out", str(tmp_path / "dens")]) == 2
 
 
 def test_exit_code_on_divergence(tmp_path, model_file):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from levycal import (MertonModel, SpectralCurve, SpectralGrid, call_price, char_fn,
                      phi_from_time_values, plancherel_gap, regrid_time_values,
@@ -136,6 +138,29 @@ def test_phi_conjugate_symmetry(merton_triplet, default_grid):
     _, z = time_value_curve(merton_triplet, T, R, default_grid)
     curve = phi_from_time_values(z, R, T, default_grid)
     np.testing.assert_allclose(curve.values[::-1], np.conj(curve.values), atol=1e-6)
+
+
+@st.composite
+def curves_and_convex_weights(draw, n):
+    m = draw(st.integers(1, 5))
+    z = draw(arrays(np.float64, (m, n), elements=st.floats(-1.0, 1.0)))
+    raw = draw(arrays(np.float64, m, elements=st.floats(0.0, 1.0)).filter(lambda v: v.sum() > 0))
+    return z, raw / raw.sum()
+
+
+@settings(max_examples=60, deadline=None)
+@given(curves_and_convex_weights(64))
+def test_transform_of_weighted_mean_is_weighted_mean_of_transforms(case):
+    # phi_from_time_values is affine in z, which lets spectral_target transform
+    # the averaged group curve once
+    z, wts = case
+    grid = SpectralGrid(n=64, dw=0.5)
+    for dealias in (True, False):
+        each = [phi_from_time_values(zi, R, T, grid, dealias_kink=dealias).values for zi in z]
+        of_mean = phi_from_time_values(wts @ z, R, T, grid, dealias_kink=dealias).values
+        mean_of = sum(c * v for c, v in zip(wts, each))
+        scale = 1.0 + max(np.max(np.abs(v)) for v in each)
+        assert np.max(np.abs(of_mean - mean_of)) <= 1e-12 * scale
 
 
 def test_length_mismatch(default_grid):
