@@ -114,6 +114,7 @@ def cmd_simulate(args):
 def _load_market(market_dir):
     market_dir = Path(market_dir)
     meta = json.loads((market_dir / "market.json").read_text())
+    serialize._require_object(meta, market_dir / "market.json")
     grid = serialize.load_grid(market_dir / "grid.json")
     slices = []
     for f in sorted((market_dir / "slices").glob("*.csv")):

@@ -6,6 +6,11 @@ sigmoid-product nodes: an even real part and an odd imaginary part,
     ann_r(w) = sum_j wr0_j sig(wr1_j w) sig(-wr1_j w),
     ann_i(w) = sum_j wi0_j sig(wi1_j w) sig(-wi1_j w) w.
 
+For real w every node bump is evaluated as e(1 - e) with e = sig(-|a|),
+a = w * scale: exactly even in w, and free of the cancellation in
+1 - sig(a) deep in the tails.  Its slope in the scale weight is
+-sgn(scale) |w| (1 - 2e) e(1 - e).
+
 The derived constants
     c0 = sum_j wr0_j / 4                      (= ann_r(0), total e^x jump mass)
     c1 = sum_j [wr0_j/4 - wr0_j/(2(1+cos wr1_j)) + wi0_j/(2(1+cos wi1_j))]
@@ -19,7 +24,9 @@ intensity.  The shifted characteristic function of the model is
 
 Training minimizes the trapezoid L2 distance to a target Phi*(w - i) curve
 plus beta times the spectral regularizer Lambda, using full-batch ADAM with
-an analytic gradient (including the chain rule through c0 and c1).
+an analytic gradient (including the chain rule through c0 and c1).  The
+optimizer steps one flat parameter vector laid out as [s, wr0, wr1, wi0, wi1]
+(ElnnParams.vector); the gradient comes back in the same layout.
 """
 
 from __future__ import annotations
@@ -30,18 +37,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .errors import DivergedLoss, LengthMismatch
+from .errors import DivergedLoss, ResidueTooLarge
 from .spectral import SpectralGrid, _inverse_nodes, trapezoid_weights
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
-
-
-def _bump(a):
-    """sig(a) * sig(-a); accepts real or complex arrays."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a)))
-    return expit(a) * expit(-a)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator floor
 
 
 @dataclass
@@ -64,20 +64,17 @@ class ElnnParams:
 
     @property
     def c0(self):
-        return 0.25 * float(np.sum(self.wr0))
+        return _constants(self)[0]
 
     @property
     def c1(self):
-        return self.c0 - float(
-            np.sum(self.wr0 / (2.0 * (1.0 + np.cos(self.wr1))))
-            - np.sum(self.wi0 / (2.0 * (1.0 + np.cos(self.wi1))))
-        )
+        return _constants(self)[1]
 
     @classmethod
-    def init_random(cls, n_nodes=20, seed=0, rng=None):
+    def init_random(cls, n_nodes=20, seed=0):
         """Small near-diffusion start: outer weights ~ U(-0.05, 0.05), scales
         ~ U(0.02, 0.5) which keeps 1 + cos(.) far from the pole."""
-        rng = rng if rng is not None else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return cls(
             s=0.15,
             wr0=rng.uniform(-0.05, 0.05, n_nodes),
@@ -86,19 +83,15 @@ class ElnnParams:
             wi1=rng.uniform(0.02, 0.5, n_nodes),
         )
 
-    def as_dict(self):
-        return {
-            "s": np.array([self.s]),
-            "wr0": self.wr0.copy(),
-            "wr1": self.wr1.copy(),
-            "wi0": self.wi0.copy(),
-            "wi1": self.wi1.copy(),
-        }
+    def vector(self):
+        """A new flat array [s, wr0, wr1, wi0, wi1]."""
+        return np.concatenate(([self.s], self.wr0, self.wr1, self.wi0, self.wi1))
 
     @classmethod
-    def from_dict(cls, d):
-        return cls(float(d["s"][0]), d["wr0"].copy(), d["wr1"].copy(),
-                   d["wi0"].copy(), d["wi1"].copy())
+    def from_vector(cls, theta):
+        """Parameters whose weight groups are views into the flat array theta."""
+        wr0, wr1, wi0, wi1 = np.split(theta[1:], 4)
+        return cls(float(theta[0]), wr0, wr1, wi0, wi1)
 
 
 @dataclass
@@ -122,12 +115,50 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
 
 
+def _bump(w, scale):
+    """Node bumps sig(a) sig(-a) at a = w * scale, and e = sig(-|a|) for real w.
+
+    Complex w takes the direct formula and returns e as None.
+    """
+    if np.iscomplexobj(w):
+        a = np.multiply.outer(w, scale)
+        return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a))), None
+    e = expit(np.multiply.outer(-np.abs(w), np.abs(scale)))
+    return e * (1.0 - e), e
+
+
 def _forward(w, params):
-    """Both networks at w, scalar or array, real or complex: (ann_r(w), ann_i(w))."""
+    """Both networks at w, scalar or array, real or complex.
+
+    Returns (ann_r(w), ann_i(w), r-group (bump, e), i-group (bump, e)).
+    """
     w = np.asarray(w)
-    annr = _bump(np.multiply.outer(w, params.wr1)) @ params.wr0
-    anni = (_bump(np.multiply.outer(w, params.wi1)) @ params.wi0) * w
-    return annr, anni
+    bump_r = _bump(w, params.wr1)
+    bump_i = _bump(w, params.wi1)
+    return bump_r[0] @ params.wr0, (bump_i[0] @ params.wi0) * w, bump_r, bump_i
+
+
+def _constants(params):
+    """(c0, c1, ur, ui) with the per-node pole factors u = 1 / (2(1 + cos scale))."""
+    ur = 1.0 / (2.0 * (1.0 + np.cos(params.wr1)))
+    ui = 1.0 / (2.0 * (1.0 + np.cos(params.wi1)))
+    c0 = 0.25 * float(np.sum(params.wr0))
+    c1 = c0 - float(np.sum(params.wr0 * ur) - np.sum(params.wi0 * ui))
+    return c0, c1, ur, ui
+
+
+def _phi_parts(w, annr, anni, sigma, c0, c1, T):
+    """Real and imaginary parts of Phi(w - i) = exp(R) (cos Arg + i sin Arg)."""
+    sig2 = sigma * sigma
+    R = T * (-0.5 * sig2 * w**2 + annr - c0)
+    arg = T * (0.5 * sig2 * w + anni - c1 * w)
+    expR = np.exp(R)
+    return expR * np.cos(arg), expR * np.sin(arg)
+
+
+def _reg_weights(w, wts, m_cutoff, alpha_reg):
+    """Quadrature weights of the regularizer: trapezoid weights times |w / M|^alpha."""
+    return wts * np.abs(w / m_cutoff) ** alpha_reg
 
 
 def ann_r(w, params):
@@ -143,11 +174,10 @@ def ann_i(w, params):
 def phi_model(w, params, T):
     """Model Phi(w - i) for real frequencies w."""
     w = np.asarray(w, dtype=float)
-    annr, anni = _forward(w, params)
-    sig2 = params.sigma**2
-    R = T * (-0.5 * sig2 * w**2 + annr - params.c0)
-    arg = T * (0.5 * sig2 * w + anni - params.c1 * w)
-    return np.exp(R) * (np.cos(arg) + 1j * np.sin(arg))
+    annr, anni, _, _ = _forward(w, params)
+    c0, c1, _, _ = _constants(params)
+    pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T)
+    return pr + 1j * pi
 
 
 def regularizer(params, grid, m_cutoff, alpha_reg=4.0):
@@ -156,10 +186,9 @@ def regularizer(params, grid, m_cutoff, alpha_reg=4.0):
     grid is a SpectralGrid or an array of uniform frequency nodes.
     """
     w = grid.w if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
-    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
-    rho = np.abs(w / m_cutoff) ** alpha_reg
-    annr, anni = _forward(w, params)
-    return float(np.sum(wts * rho * (annr**2 + anni**2)))
+    wrho = _reg_weights(w, trapezoid_weights(len(w)) * (w[1] - w[0]), m_cutoff, alpha_reg)
+    annr, anni, _, _ = _forward(w, params)
+    return float(np.sum(wrho * (annr**2 + anni**2)))
 
 
 def _target_arrays(market_slice):
@@ -179,54 +208,31 @@ def objective(params, market_slice, config):
 
 
 def gradient(params, market_slice, config):
-    """Exact gradient of the objective w.r.t. {s, wr0, wr1, wi0, wi1}."""
+    """Exact gradient of the objective, laid out like ElnnParams.vector()."""
     w, wts, tr, ti = _target_arrays(market_slice)
-    _, grads = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
-    return grads
+    _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
+    return grad
 
 
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True):
     """Fused forward/backward pass over the given quadrature nodes.
 
-    params may be an ElnnParams or the dict layout used by the optimizer.
+    Returns the loss and its gradient as a flat vector laid out like
+    ElnnParams.vector() (None when want_grad is False).
     """
-    if isinstance(params, dict):
-        s = float(params["s"][0])
-        wr0, wr1, wi0, wi1 = params["wr0"], params["wr1"], params["wi0"], params["wi1"]
-    else:
-        s, wr0, wr1, wi0, wi1 = params.s, params.wr0, params.wr1, params.wi0, params.wi1
-    sigma = abs(s)
-
-    # One sigmoid per group covers both the bump e(1-e) and, for the gradient,
-    # the factor sig(-a) - sig(a) = 1 - 2e.
-    er = expit(np.multiply.outer(w, wr1))
-    ei = expit(np.multiply.outer(w, wi1))
-    P = er * (1.0 - er)
-    Q = ei * (1.0 - ei)
-    annr = P @ wr0
-    anni = (Q @ wi0) * w
-
-    ur = 1.0 / (2.0 * (1.0 + np.cos(wr1)))
-    ui = 1.0 / (2.0 * (1.0 + np.cos(wi1)))
-    c0 = 0.25 * float(np.sum(wr0))
-    c1 = c0 - float(np.sum(wr0 * ur) - np.sum(wi0 * ui))
-
-    sig2 = sigma * sigma
-    R = T * (-0.5 * sig2 * w**2 + annr - c0)
-    arg = T * (0.5 * sig2 * w + anni - c1 * w)
-    expR = np.exp(R)
-    pr = expR * np.cos(arg)
-    pi = expR * np.sin(arg)
+    wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
+    annr, anni, (P, er), (Q, ei) = _forward(w, params)
+    c0, c1, ur, ui = _constants(params)
+    pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T)
     dr = pr - target_re
     di = pi - target_im
 
-    rho = np.abs(w / config.m_cutoff) ** config.alpha_reg
-    reg = float(np.sum(wts * rho * (annr**2 + anni**2)))
+    wrho = _reg_weights(w, wts, config.m_cutoff, config.alpha_reg)
+    reg = float(np.sum(wrho * (annr**2 + anni**2)))
     loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
     if not want_grad:
         return loss, None
 
-    beta = config.beta_reg
     GR = 2.0 * wts * (dr * pr + di * pi)      # coefficient of dR/dtheta
     GA = 2.0 * wts * (-dr * pi + di * pr)     # coefficient of dArg/dtheta
     GAw = GA * w
@@ -238,10 +244,10 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
 
     # regularizer residuals
-    LR = (2.0 * beta) * wts * rho * annr
-    LI = (2.0 * beta) * wts * rho * anni
+    LR = (2.0 * config.beta_reg) * wrho * annr
+    LI = (2.0 * config.beta_reg) * wrho * anni
 
-    g_s = np.sign(s) * T * sigma * (-float(np.sum(GR * w**2)) + sum_GA_w)
+    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * w**2)) + sum_GA_w)
 
     left_r = np.vstack((GR, LR))              # shared GEMM pair for the r-group
     left_i = np.vstack((GAw, LI * w))
@@ -250,41 +256,32 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]
     g_wi0 = T * (dot_Q[0] - ui * sum_GA_w) + dot_Q[1]
 
-    PW = P * (1.0 - 2.0 * er) * w[:, None]    # d bump / d wr1 per node
-    QW = Q * (1.0 - 2.0 * ei) * w[:, None]
-    dot_PW = left_r @ PW
-    dot_QW = left_i @ QW
+    # scale slopes without their per-node sign -sgn(scale), applied after the GEMM
+    aw = np.abs(w)[:, None]
+    dot_PW = (left_r @ (P * (1.0 - 2.0 * er) * aw)) * -np.sign(wr1)
+    dot_QW = (left_i @ (Q * (1.0 - 2.0 * ei) * aw)) * -np.sign(wi1)
     g_wr1 = wr0 * (T * (dot_PW[0] + vr * sum_GA_w) + dot_PW[1])
     g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
 
-    grads = {"s": np.array([g_s]), "wr0": g_wr0, "wr1": g_wr1, "wi0": g_wi0, "wi1": g_wi1}
-    return loss, grads
+    return loss, np.concatenate(([g_s], g_wr0, g_wr1, g_wi0, g_wi1))
 
 
 class Adam:
-    """Plain ADAM over a dict of parameter arrays."""
+    """Plain ADAM over one flat parameter vector, stepped in place."""
 
-    def __init__(self, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.m = {}
-        self.v = {}
+        self.m = 0.0
+        self.v = 0.0
         self.t = 0
 
-    def step(self, params, grads):
+    def step(self, theta, grad):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        for key, g in grads.items():
-            if key not in self.m:
-                self.m[key] = np.zeros_like(params[key])
-                self.v[key] = np.zeros_like(params[key])
-            self.m[key] = self.beta1 * self.m[key] + (1.0 - self.beta1) * g
-            self.v[key] = self.beta2 * self.v[key] + (1.0 - self.beta2) * (g * g)
-            step = self.lr * (self.m[key] / bc1) / (np.sqrt(self.v[key] / bc2) + self.eps)
-            params[key] = params[key] - step
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
+        self.m = _BETA1 * self.m + (1.0 - _BETA1) * grad
+        self.v = _BETA2 * self.v + (1.0 - _BETA2) * (grad * grad)
+        theta -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + _EPS)
 
 
 def _guard_pole(angles):
@@ -325,20 +322,20 @@ def train(market_slice, config, init_params=None):
         ti_fold = 0.5 * (ti[half:] - ti[::-1][half:])
         w, wts, tr, ti = w_fold, wts_fold, tr_fold, ti_fold
 
-    params = init_params.as_dict()
-    _guard_pole(params["wr1"])
-    _guard_pole(params["wi1"])
+    theta = init_params.vector()
+    scales = theta[1:].reshape(4, init_params.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta
+    _guard_pole(scales)
     adam = Adam(config.learning_rate)
     losses = np.empty(config.epochs)
     for epoch in range(config.epochs):
-        loss, grads = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config)
+        loss, grad = _loss_and_grad(ElnnParams.from_vector(theta), w, wts, tr, ti,
+                                    market_slice.T, config)
         if not math.isfinite(loss):
             raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
         losses[epoch] = loss
-        adam.step(params, grads)
-        _guard_pole(params["wr1"])
-        _guard_pole(params["wi1"])
-    return ElnnParams.from_dict(params), losses
+        adam.step(theta, grad)
+        _guard_pole(scales)
+    return ElnnParams.from_vector(theta), losses
 
 
 def implied_levy_density(params, grid=None):
@@ -347,12 +344,9 @@ def implied_levy_density(params, grid=None):
     Values far out in |x| sit below the transform's rounding floor once the
     e^{-x} factor is applied; restrict attention to the region of interest.
     """
-    from .errors import ResidueTooLarge
-
     grid = grid or SpectralGrid()
-    annr, anni = _forward(grid.w, params)
-    h = annr + 1j * anni
-    g = _inverse_nodes(grid, h)
+    annr, anni, _, _ = _forward(grid.w, params)
+    g = _inverse_nodes(grid, annr + 1j * anni)
     residue = float(np.max(np.abs(g.imag)))
     if residue > 1e-6:
         raise ResidueTooLarge(f"imaginary residue {residue:.3e} in density recovery")

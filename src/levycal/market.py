@@ -112,6 +112,8 @@ def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
     When group_size equals the pool size and a single group is requested the
     pool is permuted instead, so nothing is lost or duplicated.
     """
+    if n_groups < 1:
+        raise ValueError(f"n_groups must be at least 1, got {n_groups}")
     if not slices:
         raise EmptyPool("no slices to amplify")
     T, r = slices[0].T, slices[0].r
@@ -255,8 +257,12 @@ def moment_table(price_series, horizons, triplet=None, r=0.0, delta_unit=1.0 / T
     (same mean and std, zero skewness and excess kurtosis).
     """
     prices = np.asarray(price_series, dtype=float)
+    if min(horizons) < 1:
+        raise ValueError(f"horizons must be at least one step, got {min(horizons)}")
     if prices.ndim != 1 or prices.size <= max(horizons):
         raise ValueError("price series shorter than the largest horizon")
+    if not np.all(np.isfinite(prices) & (prices > 0)):
+        raise ValueError("prices must be finite and positive")
     logp = np.log(prices)
     rows = []
     for h in horizons:

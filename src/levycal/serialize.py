@@ -109,12 +109,17 @@ def save_columns(path, header, columns):
 
 def load_columns(path, expected_header=None):
     lines = Path(path).read_text().strip().splitlines()
+    if not lines:
+        raise ValueError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
     data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float)
     if data.size == 0:
         data = data.reshape(0, len(header))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value")
     return header, data
 
 
@@ -134,6 +139,7 @@ def save_grid(path, grid):
 
 def load_grid(path):
     doc = json.loads(Path(path).read_text())
+    _require_object(doc, path)
     return SpectralGrid(n=int(doc["n"]), dw=float(doc["dw"]))
 
 
@@ -175,7 +181,9 @@ def save_report(report, path):
 
 
 def load_report(path):
-    return report_from_dict(json.loads(Path(path).read_text()))
+    doc = json.loads(Path(path).read_text())
+    _require_object(doc, path)
+    return report_from_dict(doc)
 
 
 def save_report_tables(report_or_reports, out_dir):

@@ -195,14 +195,60 @@ def test_exit_code_on_bad_config(tmp_path, model_file):
     code = main(["simulate", "--model", str(model_file), "--config", str(cfg),
                  "--out", str(tmp_path / "z")])
     assert code == 2
+    market = tiny_simulate(tmp_path, model_file)
+    code = main(["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
+                 "--epochs", "1", "--n-groups", "0", "--group-size", "100"])
+    assert code == 2
 
 
-def test_exit_code_on_non_object_model_and_params(tmp_path):
+def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
     for i, text in enumerate(["[1]", "null"]):
         doc = tmp_path / f"doc{i}.json"
         doc.write_text(text)
         assert main(["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")]) == 2
         assert main(["density", "--params", str(doc), "--out", str(tmp_path / "dens")]) == 2
+    # the same for a market's market.json and grid.json, and for a run's report.json
+    for name in ("market.json", "grid.json"):
+        market = tiny_simulate(tmp_path, model_file, f"mkt-{name}")
+        (market / name).write_text("[1]")
+        capsys.readouterr()
+        assert main(["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
+                     "--epochs", "1", "--n-groups", "2", "--group-size", "100"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "report.json").write_text("[1]")
+    assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
+    # empty or non-finite slice and price files, and horizons or prices moments cannot use
+    market = tiny_simulate(tmp_path, model_file)
+    slice_csv = sorted((market / "slices").glob("*.csv"))[0]
+    good_slice = slice_csv.read_text()
+    prices = tmp_path / "prices.csv"
+    good_prices = "close\n" + "".join(f"{100.0 + i}\n" for i in range(30))
+    calibrate = ["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
+                 "--epochs", "1", "--n-groups", "2", "--group-size", "100"]
+    moments = ["moments", "--prices", str(prices), "--out", str(tmp_path / "mom")]
+    cases = [(calibrate, "", good_prices, None),
+             (calibrate, good_slice.replace("\n", "\nnan,nan\n", 1), good_prices, "line 2"),
+             (calibrate, good_slice + "0.1,inf\n", good_prices, "line 42"),
+             (moments, good_slice, "", None),
+             (moments, good_slice, good_prices + "nan\n", "line 32"),
+             (moments + ["--horizons", "1,-1"], good_slice, good_prices, None),
+             (moments + ["--horizons", "0"], good_slice, good_prices, None),
+             (moments, good_slice, good_prices.replace("\n101.0", "\n-101.0"), None)]
+    for argv, slice_text, price_text, where in cases:
+        slice_csv.write_text(slice_text)
+        prices.write_text(price_text)
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:"), err
+        assert where is None or where in err, err
+    assert not (tmp_path / "mom" / "moments.csv").exists()
 
 
 def test_exit_code_on_divergence(tmp_path, model_file):

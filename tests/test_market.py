@@ -236,5 +236,10 @@ def test_moment_table_includes_theory(merton_model, merton_triplet):
 
 
 def test_moment_table_rejects_short_series():
-    with pytest.raises(ValueError):
-        moment_table(np.ones(5), [10])
+    # also horizons below one step, and prices whose logarithm is not a finite number
+    good = np.linspace(100.0, 110.0, 20)
+    for prices, horizons in ((np.ones(5), [10]), (good, [1, -1]), (good, [0]),
+                             (np.r_[good, 0.0], [1]), (np.r_[good, -1.0], [1]),
+                             (np.r_[good, np.nan], [1]), (np.r_[good, np.inf], [1])):
+        with pytest.raises(ValueError):
+            moment_table(prices, horizons)
