@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import minimize
 
 from . import elnn
 from .errors import LengthMismatch, NoConvergence
@@ -203,6 +201,9 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0,
         best = min(starts, key=loss_fn)
         return _to_model(family, best), loss_fn(best)
 
+    # imported here because scipy.optimize adds start-up time to every CLI command
+    from scipy.optimize import minimize
+
     best_theta, best_loss = None, np.inf
     per_start = max(200, budget // (len(starts) + 4))
     spent = 0
@@ -268,6 +269,9 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss, lo
     phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
     is the slice from pooled_slice that the model was fitted to.
     """
+    # imported here because scipy.interpolate adds start-up time to every CLI command
+    from scipy.interpolate import CubicSpline
+
     spec = BucketSpec()
     z_model = time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid)
     z_pred = CubicSpline(grid.k, z_model)(pooled.k)

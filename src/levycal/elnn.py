@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DivergedLoss, ResidueTooLarge
 from .spectral import SpectralGrid, _inverse_nodes, trapezoid_weights
@@ -120,6 +119,9 @@ def _bump(w, scale):
 
     Complex w takes the direct formula and returns e as None.
     """
+    # imported here because scipy.special adds start-up time to every CLI command
+    from scipy.special import expit
+
     if np.iscomplexobj(w):
         a = np.multiply.outer(w, scale)
         return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a))), None

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
-from scipy.stats import norm
 
 from .errors import NonFinite
 
@@ -53,7 +51,9 @@ class LevyTriplet:
 
     support is the finite interval outside which the density is numerically
     negligible; all quadratures run over it.  jump_exponent, when present,
-    is a closed form for f(w) used instead of quadrature.
+    is a closed form for f(w) used instead of quadrature.  mass, when
+    present, is the jump intensity of a parametric model, and the density's
+    finiteness is then taken from that model instead of checked by quadrature.
     """
 
     sigma: float
@@ -69,10 +69,13 @@ class LevyTriplet:
         lo, hi = self.support
         if not lo < hi:
             raise ValueError("empty support interval")
+        # [a3] and [a1**]: finite activity and a finite second exponential moment.
+        # A supplied mass comes from a parametric model whose constructor
+        # already keeps e^{2x} nu integrable, so only a bare density is integrated.
+        m2 = 0.0
         if self.mass is None:
             self.mass = total_mass(self.density, self.support)
-        # [a3] and [a1**]: finite activity and a finite second exponential moment.
-        m2 = exp_moment(self.density, self.support, 2.0)
+            m2 = exp_moment(self.density, self.support, 2.0)
         if not (np.isfinite(self.mass) and np.isfinite(m2)):
             raise NonFinite("Levy density violates finiteness assumptions")
 
@@ -83,16 +86,25 @@ class LevyTriplet:
         return cls(sigma, density, b, support, jump_exponent=jump_exponent)
 
 
+def _quad(f, a, b):
+    """integral( f(x) dx ) over [a, b] by adaptive quadrature."""
+    # imported here, not at the top: scipy.integrate adds start-up time to
+    # every CLI command, and only the quadrature paths need it
+    from scipy.integrate import quad
+
+    return quad(f, a, b, **_QUAD_KW)[0]
+
+
 def total_mass(density, support):
     """Jump intensity lambda = integral of the Levy density."""
-    return sum(integrate.quad(density, a, b, **_QUAD_KW)[0] for a, b in _quad_pieces(*support))
+    return sum(_quad(density, a, b) for a, b in _quad_pieces(*support))
 
 
 def exp_moment(density, support, order):
     """integral( e^{order * x} nu(dx) ) over the truncated support."""
     val = 0.0
     for a, b in _quad_pieces(*support):
-        val += integrate.quad(lambda x: math.exp(order * x) * density(x), a, b, **_QUAD_KW)[0]
+        val += _quad(lambda x: math.exp(order * x) * density(x), a, b)
     return val
 
 
@@ -100,7 +112,7 @@ def power_moment(density, support, n):
     """integral( x^n nu(dx) ) over the truncated support."""
     val = 0.0
     for a, b in _quad_pieces(*support):
-        val += integrate.quad(lambda x: x**n * density(x), a, b, **_QUAD_KW)[0]
+        val += _quad(lambda x: x**n * density(x), a, b)
     return val
 
 
@@ -110,7 +122,7 @@ def truncated_mean(density, support):
     a, b = max(lo, -1.0), min(hi, 1.0)
     if a >= b:
         return 0.0
-    return integrate.quad(lambda x: x * density(x), a, b, **_QUAD_KW)[0]
+    return _quad(lambda x: x * density(x), a, b)
 
 
 def f_exponent(w, density, support):
@@ -119,6 +131,9 @@ def f_exponent(w, density, support):
     Accepts a scalar or an array of complex w with Im(w) in [-2, 0].
     Raises NonFinite when the quadrature does not produce a finite value.
     """
+    # imported here for the same start-up reason as in _quad
+    from scipy.integrate import quad_vec
+
     _check_strip(w)
     w_arr = np.atleast_1d(np.asarray(w, dtype=complex))
 
@@ -128,7 +143,7 @@ def f_exponent(w, density, support):
 
     total = np.zeros_like(w_arr)
     for a, b in _quad_pieces(*support):
-        piece, _ = integrate.quad_vec(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=2000)
+        piece, _ = quad_vec(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=2000)
         total += piece
     if not np.all(np.isfinite(total)):
         raise NonFinite("quadrature of the jump exponent failed to converge")
@@ -242,12 +257,16 @@ class MertonModel:
         return self.lam * np.exp(a * self.mu + 0.5 * a**2 * self.delta**2)
 
     def truncated_mean(self):
-        # integral_{-1}^{1} x nu(dx) in closed form via the normal cdf/pdf.
+        # integral_{-1}^{1} x nu(dx) in closed form via the normal cdf/pdf
+        # (ndtr and _norm_pdf are what scipy.stats.norm evaluates); imported
+        # here because scipy.special adds start-up time to every CLI command
+        from scipy.special import ndtr
+
         alpha = (-1.0 - self.mu) / self.delta
         beta = (1.0 - self.mu) / self.delta
         return self.lam * (
-            self.mu * (norm.cdf(beta) - norm.cdf(alpha))
-            - self.delta * (norm.pdf(beta) - norm.pdf(alpha))
+            self.mu * (ndtr(beta) - ndtr(alpha))
+            - self.delta * (_norm_pdf(beta) - _norm_pdf(alpha))
         )
 
     def jump_exponent(self, w):
@@ -388,6 +407,11 @@ def parametric_char_shifted(model, w, T):
     u = np.asarray(w, dtype=float) - 1j
     psi = -0.5 * model.sigma**2 * u**2 + 1j * model.drift() * u + model.jump_exponent(u)
     return np.exp(T * psi)
+
+
+def _norm_pdf(x):
+    """Standard normal pdf, the formula scipy.stats.norm.pdf evaluates."""
+    return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def merton_density(x, model):

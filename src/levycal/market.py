@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import EmptyPool, MixedMaturities, NonFinite, ParseError
 from .levy_models import cumulants
@@ -44,6 +43,10 @@ class NoiseSpec:
 
     scale: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.scale) and self.scale >= 0):
+            raise ValueError(f"noise scale must be finite and nonnegative, got {self.scale}")
 
 
 @dataclass
@@ -89,6 +92,9 @@ def generate_virtual_market(model, days, per_day, T, r, k_sampler=None, noise=No
     substream spawned from the master seed, so output is reproducible and
     independent of evaluation order.
     """
+    # imported here because scipy.interpolate adds start-up time to every CLI command
+    from scipy.interpolate import CubicSpline
+
     k_sampler = k_sampler or uniform_k_sampler()
     noise = noise or NoiseSpec()
     grid = grid or SpectralGrid()

@@ -114,9 +114,11 @@ def load_columns(path, expected_header=None):
     header = lines[0].split(",")
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, len(header))
+    rows = [line.split(",") for line in lines[1:]]
+    for line_no, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line_no}: expected {len(header)} values, got {len(row)}")
+    data = np.array([[float(v) for v in row] for row in rows], dtype=float).reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value")

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import levycal
 from levycal import MertonModel
 from levycal.cli import main
 from levycal.serialize import load_params, load_time_values, save_model
@@ -186,7 +190,7 @@ def test_exit_code_on_missing_model(tmp_path):
     assert code == 2
 
 
-def test_exit_code_on_bad_config(tmp_path, model_file):
+def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
     code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "y"),
                  "--grid-n", "1000"])  # not a power of two
     assert code == 2
@@ -199,6 +203,13 @@ def test_exit_code_on_bad_config(tmp_path, model_file):
     code = main(["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
                  "--epochs", "1", "--n-groups", "0", "--group-size", "100"])
     assert code == 2
+    for noise in ("nan", "inf", "-0.05"):
+        capsys.readouterr()
+        code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "noisy"),
+                     "--noise", noise])
+        assert code == 2, noise
+        assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "noisy").exists()
 
 
 def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
@@ -223,10 +234,13 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
 
 
 def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
-    # empty or non-finite slice and price files, and horizons or prices moments cannot use
+    # empty, non-finite or ragged slice and price files, and horizons or prices moments
+    # cannot use
     market = tiny_simulate(tmp_path, model_file)
     slice_csv = sorted((market / "slices").glob("*.csv"))[0]
     good_slice = slice_csv.read_text()
+    header, *rows = good_slice.splitlines()
+    three_columns = "\n".join([header] + [row + ",0.5" for row in rows]) + "\n"
     prices = tmp_path / "prices.csv"
     good_prices = "close\n" + "".join(f"{100.0 + i}\n" for i in range(30))
     calibrate = ["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
@@ -235,6 +249,8 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
     cases = [(calibrate, "", good_prices, None),
              (calibrate, good_slice.replace("\n", "\nnan,nan\n", 1), good_prices, "line 2"),
              (calibrate, good_slice + "0.1,inf\n", good_prices, "line 42"),
+             (calibrate, three_columns, good_prices, "line 2"),
+             (calibrate, good_slice + "0.1\n", good_prices, "line 42"),
              (moments, good_slice, "", None),
              (moments, good_slice, good_prices + "nan\n", "line 32"),
              (moments + ["--horizons", "1,-1"], good_slice, good_prices, None),
@@ -249,6 +265,55 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
         assert err.startswith("error:"), err
         assert where is None or where in err, err
     assert not (tmp_path / "mom" / "moments.csv").exists()
+
+
+# run one CLI command in a fresh interpreter and print the scipy modules it loaded
+_LOADED_SCIPY = """
+import json, sys
+from levycal.cli import main
+code = main(sys.argv[1:])
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+sys.exit(code)
+"""
+
+
+def _scipy_loaded(argv, cwd):
+    env = dict(os.environ)
+    src = str(Path(levycal.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+    return {m.split(".")[1] if "." in m else m for m in loaded}
+
+
+def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
+    # every command starts a fresh interpreter, so module imports are start-up cost
+    market = tiny_simulate(tmp_path, model_file)
+    prices = tmp_path / "prices.csv"
+    prices.write_text("close\n" + "".join(f"{100.0 + i}\n" for i in range(30)))
+    sim = ["simulate", "--model", str(model_file), "--out", "sim", "--days", "2",
+           "--per-day", "20", "--grid-n", "4096", "--grid-dw", "0.2"]
+    cal = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
+    loaded = {
+        "simulate": _scipy_loaded(sim, tmp_path),
+        "elnn": _scipy_loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
+        "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "0", "--out", "calm"],
+                                tmp_path),
+        "density": _scipy_loaded(["density", "--params", "cal/params.json", "--out", "den"],
+                                 tmp_path),
+        "moments": _scipy_loaded(["moments", "--prices", str(prices), "--model", str(model_file),
+                                  "--out", "mom"], tmp_path),
+        "report": _scipy_loaded(["report", "--runs", "cal", "calm", "--out", "rep"], tmp_path),
+    }
+    for command, subpackages in loaded.items():
+        assert "stats" not in subpackages, command
+    assert loaded["report"] == set()
+    assert not loaded["density"] & {"interpolate", "optimize", "integrate"}
+    assert "integrate" not in loaded["simulate"]
+    # the spline and the quadrature are still the ones the outputs come from
+    assert "interpolate" in loaded["simulate"] and "integrate" in loaded["moments"]
 
 
 def test_exit_code_on_divergence(tmp_path, model_file):

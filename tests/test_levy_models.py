@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import norm
 
 from levycal import (CustomModel, KouModel, LevyTriplet, MertonModel, char_fn, cumulants,
-                     f_exponent, kou_density, martingale_drift, merton_density)
+                     f_exponent, kou_density, levy_models, martingale_drift, merton_density)
 from levycal.errors import NonFinite
 
 import oracles
@@ -194,6 +195,31 @@ def test_custom_model_roundtrip(merton_model):
     assert trip.drift_b == pytest.approx(MERTON_DRIFT, abs=1e-4)
     with pytest.raises(ValueError):
         CustomModel(0.2, x[::-1], merton_model.density(x))
+
+
+def test_merton_truncated_mean_matches_scipy_stats():
+    # the closed form without scipy.stats gives the norm.cdf/norm.pdf result bit for bit
+    for sigma, lam, mu, delta in ((0.2, 1.0, -0.05, 0.05), (0.1, 3.0, 0.4, 0.7),
+                                  (0.3, 0.5, -2.5, 0.2), (0.2, 20.0, 0.0, 1e-3)):
+        model = MertonModel(sigma, lam, mu, delta)
+        alpha, beta = (-1.0 - mu) / delta, (1.0 - mu) / delta
+        expected = lam * (mu * (norm.cdf(beta) - norm.cdf(alpha))
+                          - delta * (norm.pdf(beta) - norm.pdf(alpha)))
+        assert model.truncated_mean() == expected
+
+
+def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_model,
+                                                         monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(levy_models, "_quad", no_quadrature)
+    for model in (merton_model, kou_model):
+        trip = model.triplet()
+        assert trip.mass == model.lam
+        with pytest.raises(NonFinite):
+            LevyTriplet(model.sigma, model.density, trip.drift_b, model.support,
+                        mass=float("inf"))
 
 
 def test_triplet_rejects_non_integrable():
