@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .levy_models import (CumulantSet, CustomModel, KouModel, LevyTriplet, MertonModel,
-                          char_fn, cumulants, f_exponent, kou_density, martingale_drift,
+                          char_fn, cumulants, f_exponent, kou_density,
                           merton_density, parametric_char_shifted)
 from .spectral import (SpectralCurve, SpectralGrid, call_price,
                        phi_from_time_values, plancherel_gap, regrid_time_values,

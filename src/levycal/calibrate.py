@@ -156,7 +156,7 @@ def _from_model(model):
     return np.array([model.sigma, model.lam, model.p, model.lam_plus, model.lam_minus])
 
 
-def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0, n_starts=5):
+def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0):
     """Fit a Merton or Kou model to the slice's spectral curve.
 
     Nelder-Mead from several seeded starting points, then repeated simplex
@@ -194,7 +194,7 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0,
         starts.append(_from_model(init))
     starts.append(_DEFAULT_STARTS[family].copy())
     ranges = _START_RANGES[family]
-    while len(starts) < n_starts:
+    while len(starts) < 5:  # seeded draws fill up to five starting points
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in ranges]))
 
     if budget <= 0:

@@ -64,12 +64,15 @@ def _finish(command, config, seed, inputs, out_dir, started):
 
 
 def _merge_config(args, keys):
-    """defaults < config file < explicit flags."""
+    """defaults < config file < explicit flags; keys are the command's settings."""
     cfg = dict(getattr(args, "_defaults", {}))
     if args.config:
         doc = json.loads(Path(args.config).read_text())
         if not isinstance(doc, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
+        unknown = sorted(set(doc) - set(keys))
+        if unknown:
+            raise ValueError(f"{args.config}: unknown config keys {unknown}")
         cfg.update(doc)
     for key in keys:
         val = getattr(args, key, None)

@@ -1,4 +1,4 @@
-"""Levy triplets, parametric jump models, and characteristic functions.
+"""Levy triplets, jump models, and characteristic functions.
 
 A finite-activity Levy process is described by its triplet (sigma, nu, b).
 Its characteristic function follows the Levy-Khinchine formula
@@ -10,23 +10,23 @@ and the discounted asset e^{-rt} S_t = S_0 e^{X_t} is a martingale when the
 drift satisfies b = -sigma^2/2 - f(-i).
 
 Complex arguments are restricted to the strip Im(w) in [-2, 0], which is
-exactly where integrability of e^{2x} nu(dx) guarantees convergence.  The
-generic path evaluates f(w) by adaptive quadrature of the density handle;
-the Merton and Kou models also carry closed-form exponents used as a fast
-path and cross-checked against the quadrature in the test suite.
+exactly where integrability of e^{2x} nu(dx) guarantees convergence.  Every
+jump model (Merton, Kou and a linearly interpolated table) evaluates its
+integrals of nu in closed form: the mass lambda, the transform
+nu_hat(w) = integral( e^{iwx} nu(dx) ), the truncated mean and the power
+moments, so f(w) = nu_hat(w) - lambda - i w * truncated mean.  f_exponent
+integrates f(w) by adaptive quadrature of a density instead; it is the
+reference the test suite checks the closed forms against.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFinite
-
-_QUAD_KW = dict(epsabs=1e-12, epsrel=1e-12, limit=400)
 
 # Im(w) strip where the shifted characteristic function is defined.
 _STRIP_LO, _STRIP_HI = -2.0, 0.0
@@ -47,82 +47,21 @@ def _quad_pieces(lo, hi):
 
 @dataclass
 class LevyTriplet:
-    """Triplet (sigma, nu, b) with the Levy density given as a callable x -> dnu/dx.
-
-    support is the finite interval outside which the density is numerically
-    negligible; all quadratures run over it.  jump_exponent, when present,
-    is a closed form for f(w) used instead of quadrature.  mass, when
-    present, is the jump intensity of a parametric model, and the density's
-    finiteness is then taken from that model instead of checked by quadrature.
-    """
+    """Triplet (sigma, nu, b); nu is a jump model that integrates itself in closed form."""
 
     sigma: float
-    density: Callable[[np.ndarray], np.ndarray]
+    nu: _JumpModel
     drift_b: float
-    support: tuple[float, float]
-    jump_exponent: Callable[[np.ndarray], np.ndarray] | None = None
-    mass: float | None = None
 
     def __post_init__(self):
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
-        lo, hi = self.support
-        if not lo < hi:
-            raise ValueError("empty support interval")
-        # [a3] and [a1**]: finite activity and a finite second exponential moment.
-        # A supplied mass comes from a parametric model whose constructor
-        # already keeps e^{2x} nu integrable, so only a bare density is integrated.
-        m2 = 0.0
-        if self.mass is None:
-            self.mass = total_mass(self.density, self.support)
-            m2 = exp_moment(self.density, self.support, 2.0)
-        if not (np.isfinite(self.mass) and np.isfinite(m2)):
+        # [a3] and [a1**]: finite activity and a finite second exponential moment;
+        # a table reaching far to the right overflows e^{2x}, which this reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(self.nu.lam) and np.isfinite(self.nu.exp_moment(2.0))
+        if not finite:
             raise NonFinite("Levy density violates finiteness assumptions")
-
-    @classmethod
-    def martingale(cls, sigma, density, support, jump_exponent=None):
-        """Build a triplet with the drift fixed by the martingale condition."""
-        b = martingale_drift(sigma, density, support)
-        return cls(sigma, density, b, support, jump_exponent=jump_exponent)
-
-
-def _quad(f, a, b):
-    """integral( f(x) dx ) over [a, b] by adaptive quadrature."""
-    # imported here, not at the top: scipy.integrate adds start-up time to
-    # every CLI command, and only the quadrature paths need it
-    from scipy.integrate import quad
-
-    return quad(f, a, b, **_QUAD_KW)[0]
-
-
-def total_mass(density, support):
-    """Jump intensity lambda = integral of the Levy density."""
-    return sum(_quad(density, a, b) for a, b in _quad_pieces(*support))
-
-
-def exp_moment(density, support, order):
-    """integral( e^{order * x} nu(dx) ) over the truncated support."""
-    val = 0.0
-    for a, b in _quad_pieces(*support):
-        val += _quad(lambda x: math.exp(order * x) * density(x), a, b)
-    return val
-
-
-def power_moment(density, support, n):
-    """integral( x^n nu(dx) ) over the truncated support."""
-    val = 0.0
-    for a, b in _quad_pieces(*support):
-        val += _quad(lambda x: x**n * density(x), a, b)
-    return val
-
-
-def truncated_mean(density, support):
-    """integral( x 1_{|x|<=1} nu(dx) ), the drift bookkeeping constant."""
-    lo, hi = support
-    a, b = max(lo, -1.0), min(hi, 1.0)
-    if a >= b:
-        return 0.0
-    return _quad(lambda x: x * density(x), a, b)
 
 
 def f_exponent(w, density, support):
@@ -131,7 +70,8 @@ def f_exponent(w, density, support):
     Accepts a scalar or an array of complex w with Im(w) in [-2, 0].
     Raises NonFinite when the quadrature does not produce a finite value.
     """
-    # imported here for the same start-up reason as in _quad
+    # imported here, not at the top: scipy.integrate adds start-up time, and no
+    # command needs it because every jump model has closed forms
     from scipy.integrate import quad_vec
 
     _check_strip(w)
@@ -150,22 +90,13 @@ def f_exponent(w, density, support):
     return total[0] if np.isscalar(w) or np.ndim(w) == 0 else total
 
 
-def martingale_drift(sigma, density, support):
-    """Drift b = -sigma^2/2 - f(-i) making the discounted asset a martingale."""
-    f_mi = f_exponent(-1j, density, support)
-    return -0.5 * sigma**2 - float(np.real(f_mi))
-
-
 def char_fn(w, triplet, T):
     """Characteristic function Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w)))."""
     if T <= 0:
         raise ValueError("T must be positive")
     _check_strip(w)
     w_arr = np.asarray(w, dtype=complex)
-    if triplet.jump_exponent is not None:
-        f_w = triplet.jump_exponent(w_arr)
-    else:
-        f_w = f_exponent(w_arr, triplet.density, triplet.support)
+    f_w = triplet.nu.jump_exponent(w_arr)
     psi = -0.5 * triplet.sigma**2 * w_arr**2 + 1j * triplet.drift_b * w_arr + f_w
     out = np.exp(T * psi)
     if not np.all(np.isfinite(out)):
@@ -208,26 +139,48 @@ def cumulants(triplet, delta):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    dens, sup = triplet.density, triplet.support
-    m1_outer = power_moment(dens, sup, 1) - truncated_mean(dens, sup)
+    nu = triplet.nu
+    m1_outer = nu.jump_moment(1) - nu.truncated_mean()
     base = (
         triplet.drift_b + m1_outer,
-        triplet.sigma**2 + power_moment(dens, sup, 2),
-        power_moment(dens, sup, 3),
-        power_moment(dens, sup, 4),
+        triplet.sigma**2 + nu.jump_moment(2),
+        nu.jump_moment(3),
+        nu.jump_moment(4),
     )
     if not all(np.isfinite(base)):
-        raise NonFinite("cumulant quadrature failed")
+        raise NonFinite("cumulants of the jump model are not finite")
     return CumulantSet(delta, *(delta * b for b in base))
 
 
 # ---------------------------------------------------------------------------
-# Parametric families
+# Jump models
 # ---------------------------------------------------------------------------
 
 
+class _JumpModel:
+    """Levy-Khinchine bookkeeping shared by the jump models.
+
+    A model supplies sigma, the mass lam, nu_hat(w) = integral( e^{iwx} nu(dx) ),
+    exp_moment(a) = nu_hat(-ia), truncated_mean() and jump_moment(n), all in
+    closed form.
+    """
+
+    def jump_exponent(self, w):
+        """f(w) = nu_hat(w) - lam - i w integral( x 1_{|x|<=1} nu(dx) )."""
+        w = np.asarray(w, dtype=complex)
+        return self.nu_hat(w) - self.lam - 1j * w * self.truncated_mean()
+
+    def drift(self):
+        """Drift b = -sigma^2/2 - f(-i) making the discounted asset a martingale."""
+        f_mi = self.exp_moment(1.0) - self.lam - self.truncated_mean()
+        return -0.5 * self.sigma**2 - f_mi
+
+    def triplet(self):
+        return LevyTriplet(self.sigma, self, self.drift())
+
+
 @dataclass
-class MertonModel:
+class MertonModel(_JumpModel):
     """Jump diffusion with Gaussian jumps: nu(x) = lam * N(mu, delta^2) pdf."""
 
     sigma: float
@@ -252,6 +205,9 @@ class MertonModel:
     def density(self, x):
         return merton_density(x, self)
 
+    def nu_hat(self, w):
+        return self.lam * np.exp(1j * w * self.mu - 0.5 * self.delta**2 * w**2)
+
     def exp_moment(self, a):
         """integral e^{ax} nu(dx) = lam * exp(a mu + a^2 delta^2 / 2)."""
         return self.lam * np.exp(a * self.mu + 0.5 * a**2 * self.delta**2)
@@ -269,30 +225,15 @@ class MertonModel:
             - self.delta * (_norm_pdf(beta) - _norm_pdf(alpha))
         )
 
-    def jump_exponent(self, w):
-        w = np.asarray(w, dtype=complex)
-        hat_nu = self.lam * np.exp(1j * w * self.mu - 0.5 * self.delta**2 * w**2)
-        return hat_nu - self.lam - 1j * w * self.truncated_mean()
-
-    def drift(self):
-        f_mi = self.exp_moment(1.0) - self.lam - self.truncated_mean()
-        return -0.5 * self.sigma**2 - f_mi
-
     def jump_moment(self, n):
         """integral x^n nu(dx) for n <= 4."""
         mu, d2 = self.mu, self.delta**2
         central = {1: mu, 2: mu**2 + d2, 3: mu**3 + 3 * mu * d2, 4: mu**4 + 6 * mu**2 * d2 + 3 * d2**2}
         return self.lam * central[n]
 
-    def triplet(self):
-        return LevyTriplet(
-            self.sigma, self.density, self.drift(), self.support,
-            jump_exponent=self.jump_exponent, mass=self.lam,
-        )
-
 
 @dataclass
-class KouModel:
+class KouModel(_JumpModel):
     """Double-exponential jump diffusion.
 
     Up jumps arrive at rate p*lam with sizes Exp(lam_plus), down jumps at rate
@@ -326,6 +267,12 @@ class KouModel:
     def density(self, x):
         return kou_density(x, self)
 
+    def nu_hat(self, w):
+        return self.lam * (
+            self.p * self.lam_plus / (self.lam_plus - 1j * w)
+            + (1.0 - self.p) * self.lam_minus / (self.lam_minus + 1j * w)
+        )
+
     def exp_moment(self, a):
         if a >= self.lam_plus:
             raise NonFinite("exponential moment diverges")
@@ -342,34 +289,21 @@ class KouModel:
             self.p * one_sided(self.lam_plus) - (1.0 - self.p) * one_sided(self.lam_minus)
         )
 
-    def jump_exponent(self, w):
-        w = np.asarray(w, dtype=complex)
-        hat_nu = self.lam * (
-            self.p * self.lam_plus / (self.lam_plus - 1j * w)
-            + (1.0 - self.p) * self.lam_minus / (self.lam_minus + 1j * w)
-        )
-        return hat_nu - self.lam - 1j * w * self.truncated_mean()
-
-    def drift(self):
-        f_mi = self.exp_moment(1.0) - self.lam - self.truncated_mean()
-        return -0.5 * self.sigma**2 - f_mi
-
     def jump_moment(self, n):
         fact = math.factorial(n)
         return self.lam * fact * (
             self.p / self.lam_plus**n + (1.0 - self.p) * (-1.0) ** n / self.lam_minus**n
         )
 
-    def triplet(self):
-        return LevyTriplet(
-            self.sigma, self.density, self.drift(), self.support,
-            jump_exponent=self.jump_exponent, mass=self.lam,
-        )
-
 
 @dataclass
-class CustomModel:
-    """Tabulated Levy density interpolated linearly; zero outside the table."""
+class CustomModel(_JumpModel):
+    """Tabulated Levy density interpolated linearly; zero outside the table.
+
+    Every integral of nu is a sum over the table's segments.  Each segment is
+    written about its midpoint c, with half-width h, mid value m and slope
+    beta, so nu = m + beta (x - c) on [c - h, c + h].
+    """
 
     sigma: float
     x: np.ndarray
@@ -394,8 +328,67 @@ class CustomModel:
     def density(self, xq):
         return np.interp(xq, self.x, self.dvdx, left=0.0, right=0.0)
 
-    def triplet(self):
-        return LevyTriplet.martingale(self.sigma, self.density, self.support)
+    def _segments(self, lo=-np.inf, hi=np.inf):
+        """(c, h, m, beta) of every segment, its ends clipped to [lo, hi]."""
+        beta = np.diff(self.dvdx) / np.diff(self.x)
+        a = np.clip(self.x[:-1], lo, hi)
+        h = 0.5 * (np.clip(self.x[1:], lo, hi) - a)
+        c = a + h
+        return c, h, self.dvdx[:-1] + beta * (c - self.x[:-1]), beta
+
+    @property
+    def lam(self):
+        return _segment_moment(*self._segments(), 0)
+
+    def nu_hat(self, w):
+        # the segment term e^{iwc} (2hm sin(y)/y + 2i h^2 beta (sin y - y cos y)/y^2),
+        # y = wh; the plain 1/(iw)^2 form of the same integral loses every digit
+        # near w = 0
+        w = np.asarray(w, dtype=complex)
+        total = np.zeros(w.shape, dtype=complex)
+        for c, h, m, beta in zip(*self._segments()):
+            even, odd = _segment_kernels(w * h)
+            total += np.exp(1j * w * c) * (2.0 * h * m * even + 2j * h * h * beta * odd)
+        return total
+
+    def exp_moment(self, a):
+        return float(np.real(self.nu_hat(-1j * a)))
+
+    def truncated_mean(self):
+        return _segment_moment(*self._segments(-1.0, 1.0), 1)
+
+    def jump_moment(self, n):
+        return _segment_moment(*self._segments(), n)
+
+
+def _segment_kernels(y):
+    """sin(y)/y and (sin y - y cos y)/y^2.
+
+    Below |y| = 0.01 both come from their series, which avoid the 0/0 at y = 0
+    and the cancellation in sin y - y cos y.
+    """
+    small = np.abs(y) < 1e-2
+    ys = np.where(small, 1.0, y)
+    sin, cos = np.sin(ys), np.cos(ys)
+    y2 = y * y
+    even = np.where(small, 1.0 - y2 / 6.0 + y2 * y2 / 120.0, sin / ys)
+    odd = np.where(small, y * (1.0 / 3.0 - y2 / 30.0 + y2 * y2 / 840.0),
+                   (sin - ys * cos) / (ys * ys))
+    return even, odd
+
+
+def _segment_moment(c, h, m, beta, n):
+    """Sum over segments of integral_{c-h}^{c+h} x^n (m + beta (x - c)) dx.
+
+    With x = c + t, only even powers of t survive the symmetric integral:
+    t^k pairs with m for even k and t^{k+1} with beta for odd k.
+    """
+    total = np.zeros_like(c)
+    for k in range(n + 1):
+        p = k + k % 2  # the even power of t that survives
+        coef = m if k % 2 == 0 else beta
+        total += math.comb(n, k) * c ** (n - k) * coef * 2.0 * h ** (p + 1) / (p + 1)
+    return float(np.sum(total))
 
 
 def parametric_char_shifted(model, w, T):

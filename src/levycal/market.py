@@ -255,7 +255,7 @@ class MomentRow:
     theory: dict = field(default_factory=dict)
 
 
-def moment_table(price_series, horizons, triplet=None, r=0.0, delta_unit=1.0 / TRADING_DAYS):
+def moment_table(price_series, horizons, triplet=None, r=0.0):
     """Empirical mean/std/skew/kurtosis of log returns per horizon.
 
     Horizons are in series steps (days).  When a triplet is supplied each row
@@ -285,9 +285,9 @@ def moment_table(price_series, horizons, triplet=None, r=0.0, delta_unit=1.0 / T
         else:
             skew = math.nan
             exkurt = math.nan
+        delta = h * (1.0 / TRADING_DAYS)
         theory = {}
         if triplet is not None:
-            delta = h * delta_unit
             cum = cumulants(triplet, delta)
             theory = {
                 "levy_mean": cum.mean + r * delta,
@@ -299,5 +299,5 @@ def moment_table(price_series, horizons, triplet=None, r=0.0, delta_unit=1.0 / T
                 "gauss_skewness": 0.0,
                 "gauss_excess_kurtosis": 0.0,
             }
-        rows.append(MomentRow(h, h * delta_unit, n, mean, std, skew, exkurt, theory))
+        rows.append(MomentRow(h, delta, n, mean, std, skew, exkurt, theory))
     return rows

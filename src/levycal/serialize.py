@@ -114,11 +114,16 @@ def load_columns(path, expected_header=None):
     header = lines[0].split(",")
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    rows = [line.split(",") for line in lines[1:]]
-    for line_no, row in enumerate(rows, start=2):
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        row = line.split(",")
         if len(row) != len(header):
             raise ValueError(f"{path}: line {line_no}: expected {len(header)} values, got {len(row)}")
-    data = np.array([[float(v) for v in row] for row in rows], dtype=float).reshape(-1, len(header))
+        try:
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    data = np.array(rows, dtype=float).reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value")

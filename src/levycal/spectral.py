@@ -161,26 +161,23 @@ def time_value_curve(triplet, T, r, grid=None):
     return grid.k.copy(), time_values_from_phi(phi, r, T, grid)
 
 
-def phi_from_time_values(z_values, r, T, grid, dealias_kink=True):
+def phi_from_time_values(z_values, r, T, grid):
     """Recover Phi*(w - i) samples from time values aligned to the grid's k nodes.
 
     Any genuine time-value curve has a derivative jump of -1 at k = rT where
     the intrinsic value kicks in, so its transform decays only like 1/w^2 and
-    aliases visibly once multiplied back by iw(1+iw).  With dealias_kink on,
-    a carrier with the same kink and a closed-form transform,
+    aliases visibly once multiplied back by iw(1+iw).  A carrier with the same
+    kink and a closed-form transform,
     0.5 e^{-|k - rT|}  <->  e^{iwrT} / (1 + w^2),
-    is subtracted before the FFT and its exact transform added back.
+    is therefore subtracted before the FFT and its exact transform added back.
     """
     z_values = np.asarray(z_values, dtype=float)
     if len(z_values) != grid.n:
         raise LengthMismatch("time values must be aligned to the grid's k nodes")
     w = grid.w
-    if dealias_kink:
-        carrier = 0.5 * np.exp(-np.abs(grid.k - r * T))
-        transform = _forward_nodes(grid, z_values - carrier)
-        transform += np.exp(1j * w * r * T) / (1.0 + w**2)
-    else:
-        transform = _forward_nodes(grid, z_values)
+    carrier = 0.5 * np.exp(-np.abs(grid.k - r * T))
+    transform = _forward_nodes(grid, z_values - carrier)
+    transform += np.exp(1j * w * r * T) / (1.0 + w**2)
     iw = 1j * w
     phi = 1.0 + np.exp(-iw * r * T) * iw * (1.0 + iw) * transform
     return SpectralCurve(w.copy(), phi)
@@ -236,7 +233,7 @@ def _check_support(k_samples, z_binned):
         )
 
 
-def plancherel_gap(phi_a, phi_b, grid=None, x_window=10.0):
+def plancherel_gap(phi_a, phi_b, grid=None):
     """Both sides of the Plancherel identity for a pair of characteristic functions.
 
     phi_a and phi_b are callables w -> Phi_{X_T}(w) accepting complex arguments.
@@ -246,7 +243,7 @@ def plancherel_gap(phi_a, phi_b, grid=None, x_window=10.0):
         rhs = 2pi * integral (e^x rho_a(x) - e^x rho_b(x))^2 dx,
 
     with the densities recovered by inverse FFT of the unshifted characteristic
-    functions.  The x integral is restricted to |x| <= x_window: beyond it the
+    functions.  The x integral is restricted to |x| <= 10: beyond it the
     e^x scaling amplifies the transform's rounding floor above the signal.
     """
     grid = grid or SpectralGrid()
@@ -258,7 +255,7 @@ def plancherel_gap(phi_a, phi_b, grid=None, x_window=10.0):
     rho_a = _inverse_nodes(grid, phi_a(w + 0j)).real
     rho_b = _inverse_nodes(grid, phi_b(w + 0j)).real
     x = grid.k
-    keep = np.abs(x) <= x_window
+    keep = np.abs(x) <= 10.0
     diff = np.exp(x[keep]) * (rho_a[keep] - rho_b[keep])
     rhs = float(2.0 * math.pi * np.sum(trapezoid_weights(len(diff)) * diff**2) * grid.dk)
     return lhs, rhs

@@ -41,10 +41,14 @@ def merton_series_z(k, model, T, r, n_terms=60):
     return total - np.maximum(1.0 - np.exp(kappa), 0.0)
 
 
+def _cuts(support, split):
+    lo, hi = support
+    return sorted({lo, hi, *(c for c in split if lo < c < hi)})
+
+
 def quad_jump_exponent(w, density, support, split=(-1.0, 1.0)):
     """f(w) by plain scipy.quad on real and imaginary parts separately."""
-    lo, hi = support
-    cuts = [lo] + [c for c in split if lo < c < hi] + [hi]
+    cuts = _cuts(support, split)
 
     def real_part(x):
         val = np.exp(1j * w * x) - 1.0 - 1j * w * x * (abs(x) <= 1.0)
@@ -59,6 +63,14 @@ def quad_jump_exponent(w, density, support, split=(-1.0, 1.0)):
     im = sum(integrate.quad(imag_part, a, b, epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
              for a, b in zip(cuts[:-1], cuts[1:]))
     return re + 1j * im
+
+
+def quad_moment(n, density, support, split=(-1.0, 1.0)):
+    """integral x^n nu(dx) over the support by plain scipy.quad."""
+    cuts = _cuts(support, split)
+    return sum(integrate.quad(lambda x: x**n * density(x), a, b,
+                              epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
+               for a, b in zip(cuts[:-1], cuts[1:]))
 
 
 def simulate_terminal(model, T, n_paths, seed):

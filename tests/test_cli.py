@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import levycal
-from levycal import MertonModel
+from levycal import CustomModel, MertonModel
 from levycal.cli import main
 from levycal.serialize import load_params, load_time_values, save_model
 
@@ -203,6 +203,15 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
     code = main(["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
                  "--epochs", "1", "--n-groups", "0", "--group-size", "100"])
     assert code == 2
+    # a misspelt key would otherwise leave its setting at the default
+    cfg.write_text(json.dumps({"epoch": 3}))
+    capsys.readouterr()
+    code = main(["calibrate", "--market", str(market), "--config", str(cfg),
+                 "--out", str(tmp_path / "typo"), "--n-groups", "2", "--group-size", "100"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'epoch'" in err, err
+    assert not (tmp_path / "typo" / "report.json").exists()
     for noise in ("nan", "inf", "-0.05"):
         capsys.readouterr()
         code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "noisy"),
@@ -251,6 +260,7 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
              (calibrate, good_slice + "0.1,inf\n", good_prices, "line 42"),
              (calibrate, three_columns, good_prices, "line 2"),
              (calibrate, good_slice + "0.1\n", good_prices, "line 42"),
+             (calibrate, good_slice + "0.1,abc\n", good_prices, "line 42"),
              (moments, good_slice, "", None),
              (moments, good_slice, good_prices + "nan\n", "line 32"),
              (moments + ["--horizons", "1,-1"], good_slice, good_prices, None),
@@ -293,11 +303,15 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file)
     prices = tmp_path / "prices.csv"
     prices.write_text("close\n" + "".join(f"{100.0 + i}\n" for i in range(30)))
-    sim = ["simulate", "--model", str(model_file), "--out", "sim", "--days", "2",
-           "--per-day", "20", "--grid-n", "4096", "--grid-dw", "0.2"]
+    custom_file = tmp_path / "custom.json"
+    x = np.linspace(-0.5, 0.5, 41)
+    save_model(CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2), custom_file)
+    sim = ["simulate", "--out", "sim", "--days", "2", "--per-day", "20",
+           "--grid-n", "4096", "--grid-dw", "0.2"]
     cal = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
     loaded = {
-        "simulate": _scipy_loaded(sim, tmp_path),
+        "simulate": _scipy_loaded(sim + ["--model", str(model_file)], tmp_path),
+        "custom": _scipy_loaded(sim + ["--model", str(custom_file)], tmp_path),
         "elnn": _scipy_loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
         "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "0", "--out", "calm"],
                                 tmp_path),
@@ -307,13 +321,23 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
                                   "--out", "mom"], tmp_path),
         "report": _scipy_loaded(["report", "--runs", "cal", "calm", "--out", "rep"], tmp_path),
     }
+    # every jump model has closed forms, so no command needs the quadrature
     for command, subpackages in loaded.items():
-        assert "stats" not in subpackages, command
+        assert not subpackages & {"stats", "integrate"}, command
     assert loaded["report"] == set()
-    assert not loaded["density"] & {"interpolate", "optimize", "integrate"}
-    assert "integrate" not in loaded["simulate"]
-    # the spline and the quadrature are still the ones the outputs come from
-    assert "interpolate" in loaded["simulate"] and "integrate" in loaded["moments"]
+    assert not loaded["density"] & {"interpolate", "optimize"}
+    # the spline is still the one the outputs come from
+    assert "interpolate" in loaded["simulate"]
+
+
+def test_exit_code_on_custom_table_overflow(tmp_path, capsys):
+    # the e^{2x} moment of a table reaching x = 400 overflows a float
+    path = tmp_path / "far.json"
+    save_model(CustomModel(0.2, np.array([-1.0, 0.0, 400.0]), np.array([0.0, 1.0, 1.0])), path)
+    code = main(["simulate", "--model", str(path), "--out", str(tmp_path / "far"),
+                 "--days", "2", "--per-day", "10"])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("numerical failure:")
 
 
 def test_exit_code_on_divergence(tmp_path, model_file):

@@ -6,7 +6,7 @@ from scipy import integrate
 from scipy.stats import norm
 
 from levycal import (CustomModel, KouModel, LevyTriplet, MertonModel, char_fn, cumulants,
-                     f_exponent, kou_density, levy_models, martingale_drift, merton_density)
+                     f_exponent, kou_density, merton_density)
 from levycal.errors import NonFinite
 
 import oracles
@@ -80,14 +80,24 @@ def test_f_exponent_strip_validation(merton_model):
         f_exponent(1.0 - 2.5j, merton_model.density, merton_model.support)
 
 
+def quad_drift(model):
+    """Martingale drift -sigma^2/2 - f(-i) with f(-i) by quadrature of the density."""
+    f_mi = f_exponent(-1j, model.density, model.support)
+    return -0.5 * model.sigma**2 - float(np.real(f_mi))
+
+
+def zero_table(sigma):
+    return CustomModel(sigma, np.array([-1.5, 1.5]), np.zeros(2))
+
+
 def test_martingale_drift_pure_diffusion():
-    zero = lambda x: 0.0 * np.asarray(x)
-    assert martingale_drift(0.2, zero, (-1.5, 1.5)) == pytest.approx(-0.02, abs=1e-12)
-    assert martingale_drift(0.0, zero, (-1.5, 1.5)) == pytest.approx(0.0, abs=1e-12)
+    for sigma, expected in ((0.2, -0.02), (0.0, 0.0)):
+        assert quad_drift(zero_table(sigma)) == pytest.approx(expected, abs=1e-12)
+        assert zero_table(sigma).drift() == pytest.approx(expected, abs=1e-12)
 
 
 def test_martingale_drift_merton(merton_model):
-    b = martingale_drift(0.2, merton_model.density, merton_model.support)
+    b = quad_drift(merton_model)
     assert b == pytest.approx(MERTON_DRIFT, abs=1e-10)
     assert merton_model.drift() == pytest.approx(MERTON_DRIFT, abs=1e-10)
 
@@ -95,9 +105,9 @@ def test_martingale_drift_merton(merton_model):
 def test_triplet_drift_consistency(merton_model, kou_model):
     for model in (merton_model, kou_model):
         trip = model.triplet()
-        quad_b = martingale_drift(model.sigma, model.density, model.support)
-        assert trip.drift_b == pytest.approx(quad_b, abs=1e-8)
-        assert trip.mass == pytest.approx(model.lam, rel=1e-9)
+        assert trip.drift_b == pytest.approx(quad_drift(model), abs=1e-8)
+        quad_mass = oracles.quad_moment(0, model.density, model.support)
+        assert trip.nu.lam == pytest.approx(quad_mass, rel=1e-9)
 
 
 def test_char_fn_at_zero_is_one(merton_triplet, kou_triplet):
@@ -133,8 +143,9 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
         trip = model.triplet()
         w = rng.uniform(-100, 100, 20)
         closed = char_fn(w, trip, 0.05)
-        generic = LevyTriplet(model.sigma, model.density, trip.drift_b, model.support)
-        via_quad = char_fn(w, generic, 0.05)
+        psi = (-0.5 * model.sigma**2 * w**2 + 1j * trip.drift_b * w
+               + f_exponent(w + 0j, model.density, model.support))
+        via_quad = np.exp(0.05 * psi)
         np.testing.assert_allclose(closed, via_quad, rtol=0, atol=1e-8)
 
 
@@ -144,8 +155,7 @@ def test_char_fn_rejects_bad_T(merton_triplet):
 
 
 def test_cumulants_pure_diffusion():
-    zero = lambda x: 0.0 * np.asarray(x)
-    trip = LevyTriplet(0.2, zero, -0.02, (-1.5, 1.5))
+    trip = LevyTriplet(0.2, zero_table(0.2), -0.02)
     cum = cumulants(trip, 1.0 / 252)
     assert cum.skewness == pytest.approx(0.0, abs=1e-12)
     assert cum.excess_kurtosis == pytest.approx(0.0, abs=1e-12)
@@ -179,12 +189,44 @@ def test_merton_cumulant_values(merton_triplet):
 
 
 def test_jump_moment_closed_forms(merton_model, kou_model):
-    from levycal.levy_models import power_moment
-
     for model in (merton_model, kou_model):
         for n in (1, 2, 3, 4):
-            quad_val = power_moment(model.density, model.support, n)
+            quad_val = oracles.quad_moment(n, model.density, model.support)
             assert model.jump_moment(n) == pytest.approx(quad_val, rel=1e-9, abs=1e-12)
+
+
+def custom_tables():
+    # the benchmark's Gaussian-shaped table lies inside (-1, 1) and ends near zero;
+    # the second reaches past both truncation kinks and ends at nonzero values
+    x = np.linspace(-0.5, 0.5, 41)
+    inner = CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2005)
+    x = np.linspace(-2.5, 1.7, 23)
+    wide = CustomModel(0.1, x, 0.3 + np.exp(-x**2))
+    return inner, wide
+
+
+def test_custom_model_closed_forms_match_quadrature():
+    for model in custom_tables():
+        # the density has a kink at every knot, so the references split there
+        knots = tuple(model.x)
+        assert model.lam == pytest.approx(
+            oracles.quad_moment(0, model.density, model.support, knots), rel=1e-12)
+        inside = (max(model.x[0], -1.0), min(model.x[-1], 1.0))
+        assert model.truncated_mean() == pytest.approx(
+            oracles.quad_moment(1, model.density, inside, knots), rel=1e-12, abs=1e-15)
+        for n in (1, 2, 3, 4):
+            assert model.jump_moment(n) == pytest.approx(
+                oracles.quad_moment(n, model.density, model.support, knots),
+                rel=1e-12, abs=1e-15)
+        for w in (0.0, 1e-8, 1e-6, 1e-3, 0.025, 5.0, 3 - 2j, -1j, -2j):
+            ref = oracles.quad_jump_exponent(w, model.density, model.support,
+                                             split=(-1.0, 1.0, *knots))
+            assert abs(complex(model.jump_exponent(w)) - ref) <= 1e-12, w
+        # the e^x and e^{2x} moments are nu_hat(-i) and nu_hat(-2i)
+        for a in (1.0, 2.0):
+            f_w = complex(model.jump_exponent(-1j * a))
+            assert model.exp_moment(a) == pytest.approx(
+                f_w.real + model.lam + a * model.truncated_mean(), rel=1e-14)
 
 
 def test_custom_model_roundtrip(merton_model):
@@ -213,16 +255,20 @@ def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_mode
     def no_quadrature(*args):
         raise AssertionError("quadrature ran")
 
-    monkeypatch.setattr(levy_models, "_quad", no_quadrature)
+    monkeypatch.setattr(integrate, "quad", no_quadrature)
+    monkeypatch.setattr(integrate, "quad_vec", no_quadrature)
     for model in (merton_model, kou_model):
         trip = model.triplet()
-        assert trip.mass == model.lam
-        with pytest.raises(NonFinite):
-            LevyTriplet(model.sigma, model.density, trip.drift_b, model.support,
-                        mass=float("inf"))
+        assert trip.nu.lam == model.lam
+        char_fn(np.array([0.5 - 1j]), trip, 0.05)
+        cumulants(trip, 1.0 / 252)
+    with pytest.raises(NonFinite):
+        MertonModel(sigma=0.2, lam=float("inf"), mu=-0.05, delta=0.05).triplet()
 
 
 def test_triplet_rejects_non_integrable():
-    exploding = lambda x: np.exp(np.asarray(x) ** 2)  # overflows inside the support
-    with pytest.raises((NonFinite, ValueError)):
-        LevyTriplet.martingale(0.2, exploding, (-60.0, 60.0))
+    # the e^{2x} moment of a table reaching x = 400 overflows; so does the mass of a huge one
+    for x, dvdx in (([-1.0, 0.0, 400.0], [0.0, 1.0, 1.0]),
+                    ([-1.0, 1.0], [1e308, 1e308])):
+        with pytest.raises(NonFinite):
+            CustomModel(0.2, np.array(x), np.array(dvdx)).triplet()

@@ -124,13 +124,10 @@ def test_roundtrip_kou(kou_triplet, default_grid):
 
 
 def test_phi_from_zero_time_values(default_grid):
-    curve = phi_from_time_values(np.zeros(default_grid.n), R, T, default_grid,
-                                 dealias_kink=False)
-    np.testing.assert_array_equal(curve.values, np.ones(default_grid.n, dtype=complex))
-    # with dealiasing the spurious kink term stays below its alias bound
-    curve2 = phi_from_time_values(np.zeros(default_grid.n), R, T, default_grid)
-    mask = np.abs(curve2.w) <= 55.0
-    assert np.max(np.abs(curve2.values[mask] - 1.0)) < 0.01
+    # the dealiasing carrier's spurious kink term stays below its alias bound
+    curve = phi_from_time_values(np.zeros(default_grid.n), R, T, default_grid)
+    mask = np.abs(curve.w) <= 55.0
+    assert np.max(np.abs(curve.values[mask] - 1.0)) < 0.01
 
 
 def test_phi_conjugate_symmetry(merton_triplet, default_grid):
@@ -155,12 +152,11 @@ def test_transform_of_weighted_mean_is_weighted_mean_of_transforms(case):
     # the averaged group curve once
     z, wts = case
     grid = SpectralGrid(n=64, dw=0.5)
-    for dealias in (True, False):
-        each = [phi_from_time_values(zi, R, T, grid, dealias_kink=dealias).values for zi in z]
-        of_mean = phi_from_time_values(wts @ z, R, T, grid, dealias_kink=dealias).values
-        mean_of = sum(c * v for c, v in zip(wts, each))
-        scale = 1.0 + max(np.max(np.abs(v)) for v in each)
-        assert np.max(np.abs(of_mean - mean_of)) <= 1e-12 * scale
+    each = [phi_from_time_values(zi, R, T, grid).values for zi in z]
+    of_mean = phi_from_time_values(wts @ z, R, T, grid).values
+    mean_of = sum(c * v for c, v in zip(wts, each))
+    scale = 1.0 + max(np.max(np.abs(v)) for v in each)
+    assert np.max(np.abs(of_mean - mean_of)) <= 1e-12 * scale
 
 
 def test_length_mismatch(default_grid):
