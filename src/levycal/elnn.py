@@ -6,10 +6,15 @@ sigmoid-product nodes: an even real part and an odd imaginary part,
     ann_r(w) = sum_j wr0_j sig(wr1_j w) sig(-wr1_j w),
     ann_i(w) = sum_j wi0_j sig(wi1_j w) sig(-wi1_j w) w.
 
-For real w every node bump is evaluated as e(1 - e) with e = sig(-|a|),
-a = w * scale: exactly even in w, and free of the cancellation in
-1 - sig(a) deep in the tails.  Its slope in the scale weight is
--sgn(scale) |w| (1 - 2e) e(1 - e).
+For real w every node bump is evaluated as e(1 - e) with
+e = sig(-|a|) = 1 / (1 + exp|a|), a = w * scale: exactly even in w, and free
+of the cancellation in 1 - sig(a) deep in the tails (where exp|a| overflows,
+e is 0 exactly).  Both networks share one block of bumps, one row per scale
+weight [wr1, wi1] and one column per frequency, so that each pass over it is
+a contiguous broadcast of |scale| against |w|.  The slope of a bump in its
+scale weight is -sgn(scale) |w| (1 - 2e) e(1 - e); with PE = e(1 - e) e,
+(1 - 2e) e(1 - e) = e(1 - e) - 2 PE, so a sum of row * slope over w is two
+products of the row times |w| with the bump block and with PE.
 
 The derived constants
     c0 = sum_j wr0_j / 4                      (= ann_r(0), total e^x jump mass)
@@ -114,30 +119,39 @@ class TrainConfig:
             raise ValueError("epochs must be nonnegative")
 
 
-def _bump(w, scale):
-    """Node bumps sig(a) sig(-a) at a = w * scale, and e = sig(-|a|) for real w.
+def _bump(w, scale, e=None, bump=None):
+    """Node bumps sig(a) sig(-a) at a = scale_j * w: one row per scale weight,
+    then the axes of w.
 
-    Complex w takes the direct formula and returns e as None.
+    For real w the bump is e(1 - e) with e = 1 / (1 + exp|a|), and (bump, e)
+    are written into the given arrays when there are any.  Complex w takes the
+    direct formula and returns e as None.
     """
-    # imported here because scipy.special adds start-up time to every CLI command
-    from scipy.special import expit
-
     if np.iscomplexobj(w):
-        a = np.multiply.outer(w, scale)
+        a = np.multiply.outer(scale, w)
         return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a))), None
-    e = expit(np.multiply.outer(-np.abs(w), np.abs(scale)))
-    return e * (1.0 - e), e
+    e = np.multiply.outer(np.abs(scale), np.abs(w), out=e)
+    with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
+        np.exp(e, out=e)
+    e += 1.0
+    np.reciprocal(e, out=e)
+    bump = np.subtract(1.0, e, out=bump)
+    bump *= e
+    return bump, e
 
 
-def _forward(w, params):
+def _forward(w, params, e=None, bump=None):
     """Both networks at w, scalar or array, real or complex.
 
-    Returns (ann_r(w), ann_i(w), r-group (bump, e), i-group (bump, e)).
+    Returns (ann_r(w), ann_i(w), bump, e) with bump and e the shared block of
+    _bump over the scales [wr1, wi1]: r-group rows first, then i-group rows.
     """
     w = np.asarray(w)
-    bump_r = _bump(w, params.wr1)
-    bump_i = _bump(w, params.wi1)
-    return bump_r[0] @ params.wr0, (bump_i[0] @ params.wi0) * w, bump_r, bump_i
+    n = params.n_nodes
+    bump, e = _bump(w, np.concatenate((params.wr1, params.wi1)), e, bump)
+    annr = np.tensordot(params.wr0, bump[:n], 1)
+    anni = np.tensordot(params.wi0, bump[n:], 1) * w
+    return annr, anni, bump, e
 
 
 def _constants(params):
@@ -216,21 +230,39 @@ def gradient(params, market_slice, config):
     return grad
 
 
-def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True):
+class _Workspace:
+    """What every epoch of one training run reuses: the per-run constants of the
+    quadrature nodes and the three (2n, nodes) arrays of the shared bump block.
+
+    Each run builds its own, so runs on concurrent threads share no arrays.
+    """
+
+    def __init__(self, w, wts, config, n_nodes):
+        self.aw = np.abs(w)
+        self.w2 = w * w
+        self.wrho = _reg_weights(w, wts, config.m_cutoff, config.alpha_reg)
+        self.e, self.bump, self.pe = np.empty((3, 2 * n_nodes, len(w)))
+
+
+def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True, work=None):
     """Fused forward/backward pass over the given quadrature nodes.
 
     Returns the loss and its gradient as a flat vector laid out like
-    ElnnParams.vector() (None when want_grad is False).
+    ElnnParams.vector() (None when want_grad is False).  work is the
+    _Workspace of a training run over these nodes; without one the call
+    builds its own.
     """
+    if work is None:
+        work = _Workspace(w, wts, config, params.n_nodes)
+    n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
-    annr, anni, (P, er), (Q, ei) = _forward(w, params)
+    annr, anni, P, e = _forward(w, params, work.e, work.bump)
     c0, c1, ur, ui = _constants(params)
     pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T)
     dr = pr - target_re
     di = pi - target_im
 
-    wrho = _reg_weights(w, wts, config.m_cutoff, config.alpha_reg)
-    reg = float(np.sum(wrho * (annr**2 + anni**2)))
+    reg = float(np.sum(work.wrho * (annr**2 + anni**2)))
     loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
     if not want_grad:
         return loss, None
@@ -246,22 +278,25 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
 
     # regularizer residuals
-    LR = (2.0 * config.beta_reg) * wrho * annr
-    LI = (2.0 * config.beta_reg) * wrho * anni
+    LR = (2.0 * config.beta_reg) * work.wrho * annr
+    LI = (2.0 * config.beta_reg) * work.wrho * anni
 
-    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * w**2)) + sum_GA_w)
+    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * work.w2)) + sum_GA_w)
 
-    left_r = np.vstack((GR, LR))              # shared GEMM pair for the r-group
-    left_i = np.vstack((GAw, LI * w))
-    dot_P = left_r @ P
-    dot_Q = left_i @ Q
+    # Each network's [data, regularizer] rows, then the same rows times |w|,
+    # against that network's bump rows: (network, row, w) @ (network, w, node).
+    rows = np.stack((GR, LR, GAw, LI * w)).reshape(2, 2, -1)
+    rows = np.concatenate((rows, rows * work.aw), axis=1)
+    bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
+    pe = np.multiply(P, e, out=work.pe).reshape(2, n, -1).transpose(0, 2, 1)
+    dots = rows @ bumps
+    # scale slopes: sum over w of row |w| (1 - 2e) bump = (row |w|) . bump
+    # - 2 (row |w|) . PE, times the per-node sign -sgn(scale)
+    slopes = (dots[:, 2:] - 2.0 * (rows[:, 2:] @ pe)) * -np.sign((wr1, wi1))[:, None]
+    (dot_P, dot_Q), (dot_PW, dot_QW) = dots[:, :2], slopes
+
     g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]
     g_wi0 = T * (dot_Q[0] - ui * sum_GA_w) + dot_Q[1]
-
-    # scale slopes without their per-node sign -sgn(scale), applied after the GEMM
-    aw = np.abs(w)[:, None]
-    dot_PW = (left_r @ (P * (1.0 - 2.0 * er) * aw)) * -np.sign(wr1)
-    dot_QW = (left_i @ (Q * (1.0 - 2.0 * ei) * aw)) * -np.sign(wi1)
     g_wr1 = wr0 * (T * (dot_PW[0] + vr * sum_GA_w) + dot_PW[1])
     g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
 
@@ -299,7 +334,7 @@ def train(market_slice, config, init_params=None):
     """Full-batch ADAM on one spectral target; deterministic for a fixed seed.
 
     Returns the trained parameters and the per-epoch loss trace.  Raises
-    DivergedLoss as soon as the loss stops being finite.
+    DivergedLoss as soon as the loss or its gradient stops being finite.
     """
     if init_params is None:
         init_params = ElnnParams.init_random(config.n_nodes, seed=config.seed)
@@ -324,19 +359,24 @@ def train(market_slice, config, init_params=None):
         ti_fold = 0.5 * (ti[half:] - ti[::-1][half:])
         w, wts, tr, ti = w_fold, wts_fold, tr_fold, ti_fold
 
+    work = _Workspace(w, wts, config, init_params.n_nodes)
     theta = init_params.vector()
     scales = theta[1:].reshape(4, init_params.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta
     _guard_pole(scales)
     adam = Adam(config.learning_rate)
     losses = np.empty(config.epochs)
-    for epoch in range(config.epochs):
-        loss, grad = _loss_and_grad(ElnnParams.from_vector(theta), w, wts, tr, ti,
-                                    market_slice.T, config)
-        if not math.isfinite(loss):
-            raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
-        losses[epoch] = loss
-        adam.step(theta, grad)
-        _guard_pole(scales)
+    # a diverging run overflows on its way to the non-finite value that stops it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            loss, grad = _loss_and_grad(ElnnParams.from_vector(theta), w, wts, tr, ti,
+                                        market_slice.T, config, work=work)
+            if not math.isfinite(loss):
+                raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
+            if not np.isfinite(grad).all():
+                raise DivergedLoss(f"gradient became non-finite at epoch {epoch}")
+            losses[epoch] = loss
+            adam.step(theta, grad)
+            _guard_pole(scales)
     return ElnnParams.from_vector(theta), losses
 
 

@@ -176,7 +176,10 @@ class _JumpModel:
         return -0.5 * self.sigma**2 - f_mi
 
     def triplet(self):
-        return LevyTriplet(self.sigma, self, self.drift())
+        # an infinite mass or e^x moment makes the drift non-finite; LevyTriplet's
+        # check on the mass and the e^{2x} moment reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return LevyTriplet(self.sigma, self, self.drift())
 
 
 @dataclass

@@ -2,13 +2,15 @@
 
 Nothing here shares code with the library paths under test: prices come from
 the Poisson-mixture closed form or Monte Carlo, transforms from scipy.quad,
-and simulation from a standalone compound-Poisson sampler.  The one exception
+simulation from a standalone compound-Poisson sampler, and the ELNN loss and
+gradient from scipy's expit with one bump matrix per network.  The one exception
 is spectral_target_per_group, which reuses the library's amplification,
 regridding and transform and checks only the order of averaging.
 """
 
 import numpy as np
 from scipy import integrate
+from scipy.special import expit
 from scipy.stats import norm
 
 from levycal import amplify, phi_from_time_values, regrid_time_values
@@ -123,3 +125,60 @@ def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
         z_nodes = regrid_time_values(g.k, g.z, grid)
         acc += phi_from_time_values(z_nodes, r, T, grid).values
     return acc / len(groups)
+
+
+def _elnn_bumps(w, scale):
+    """Node bumps e(1 - e), e = expit(-|w scale|), one row per w node, and e."""
+    e = expit(np.multiply.outer(-np.abs(w), np.abs(scale)))
+    return e * (1.0 - e), e
+
+
+def elnn_loss_and_grad(params, w, wts, target_re, target_im, T, config):
+    """The ELNN loss and flat gradient with one (nodes, n) bump matrix per
+    network and the scale slope as its own temporary P (1 - 2e) |w|."""
+    wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
+    P, er = _elnn_bumps(w, wr1)
+    Q, ei = _elnn_bumps(w, wi1)
+    annr = P @ wr0
+    anni = (Q @ wi0) * w
+    ur = 1.0 / (2.0 * (1.0 + np.cos(wr1)))
+    ui = 1.0 / (2.0 * (1.0 + np.cos(wi1)))
+    c0 = 0.25 * float(np.sum(wr0))
+    c1 = c0 - float(np.sum(wr0 * ur) - np.sum(wi0 * ui))
+    sig2 = sigma * sigma
+    R = T * (-0.5 * sig2 * w**2 + annr - c0)
+    arg = T * (0.5 * sig2 * w + anni - c1 * w)
+    pr, pi = np.exp(R) * np.cos(arg), np.exp(R) * np.sin(arg)
+    dr = pr - target_re
+    di = pi - target_im
+
+    wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg
+    reg = float(np.sum(wrho * (annr**2 + anni**2)))
+    loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
+
+    GR = 2.0 * wts * (dr * pr + di * pi)
+    GA = 2.0 * wts * (-dr * pi + di * pr)
+    GAw = GA * w
+    sum_GA_w = float(np.sum(GAw))
+    sum_GR = float(np.sum(GR))
+    vr = np.sin(wr1) / (2.0 * (1.0 + np.cos(wr1)) ** 2)
+    vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
+    LR = (2.0 * config.beta_reg) * wrho * annr
+    LI = (2.0 * config.beta_reg) * wrho * anni
+
+    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * w**2)) + sum_GA_w)
+
+    left_r = np.vstack((GR, LR))
+    left_i = np.vstack((GAw, LI * w))
+    dot_P = left_r @ P
+    dot_Q = left_i @ Q
+    g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]
+    g_wi0 = T * (dot_Q[0] - ui * sum_GA_w) + dot_Q[1]
+
+    aw = np.abs(w)[:, None]
+    dot_PW = (left_r @ (P * (1.0 - 2.0 * er) * aw)) * -np.sign(wr1)
+    dot_QW = (left_i @ (Q * (1.0 - 2.0 * ei) * aw)) * -np.sign(wi1)
+    g_wr1 = wr0 * (T * (dot_PW[0] + vr * sum_GA_w) + dot_PW[1])
+    g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
+
+    return loss, np.concatenate(([g_s], g_wr0, g_wr1, g_wi0, g_wi1))

@@ -287,12 +287,17 @@ sys.exit(code)
 """
 
 
-def _scipy_loaded(argv, cwd):
+def _fresh_python(args, cwd):
+    """Run a fresh interpreter with the package on its path; returns the process."""
     env = dict(os.environ)
     src = str(Path(levycal.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], cwd=cwd, env=env,
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def _scipy_loaded(argv, cwd):
+    proc = _fresh_python(["-c", _LOADED_SCIPY, *argv], cwd)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     return {m.split(".")[1] if "." in m else m for m in loaded}
@@ -325,7 +330,7 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     for command, subpackages in loaded.items():
         assert not subpackages & {"stats", "integrate"}, command
     assert loaded["report"] == set()
-    assert not loaded["density"] & {"interpolate", "optimize"}
+    assert loaded["density"] == set()
     # the spline is still the one the outputs come from
     assert "interpolate" in loaded["simulate"]
 
@@ -340,11 +345,28 @@ def test_exit_code_on_custom_table_overflow(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("numerical failure:")
 
 
+def _only_numerical_failure(stderr):
+    return stderr.startswith("numerical failure:") and stderr.count("\n") == 1
+
+
 def test_exit_code_on_divergence(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file)
     out = tmp_path / "diverge"
-    code = main(["calibrate", "--market", str(market), "--out", str(out),
-                 "--method", "elnn", "--epochs", "10", "--m-cutoff", "60",
-                 "--n-groups", "2", "--group-size", "200",
-                 "--learning-rate", "1e160"])
-    assert code == 3
+    argv = ["calibrate", "--market", str(market), "--out", str(out),
+            "--method", "elnn", "--epochs", "10", "--m-cutoff", "60",
+            "--n-groups", "2", "--group-size", "200",
+            "--learning-rate", "1e160"]
+    # in a fresh process, where numpy's warnings would reach stderr
+    proc = _fresh_python(["-m", "levycal.cli", *argv], tmp_path)
+    assert proc.returncode == 3
+    assert _only_numerical_failure(proc.stderr), proc.stderr
+
+
+def test_exit_code_on_merton_moment_overflow(tmp_path):
+    # the e^x and e^{2x} moments of delta = 40 jumps overflow a float
+    path = tmp_path / "wide.json"
+    save_model(MertonModel(sigma=0.2, lam=1.0, mu=-0.05, delta=40.0), path)
+    proc = _fresh_python(["-m", "levycal.cli", "simulate", "--model", str(path),
+                          "--out", "wide", "--days", "2", "--per-day", "10"], tmp_path)
+    assert proc.returncode == 3
+    assert _only_numerical_failure(proc.stderr), proc.stderr

@@ -1,16 +1,19 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import expit
 
 from levycal import (Adam, ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, ann_i,
                      ann_r, char_fn, gradient, implied_lambda, implied_levy_density,
                      objective, phi_model, regularizer, train)
-from levycal.elnn import _guard_pole, _loss_and_grad
+from levycal.elnn import _guard_pole, _loss_and_grad, _target_arrays
 from levycal.errors import DivergedLoss
+
+import oracles
 
 T = 0.05
 
@@ -222,6 +225,27 @@ def test_gradient_invariant_under_grid_reflection(rng):
     np.testing.assert_allclose(g1, g2, rtol=1e-12, atol=1e-15)
 
 
+def test_loss_and_grad_matches_reference_epoch(rng):
+    # the reference takes one (nodes, n) expit matrix per network and the scale
+    # slope as its own temporary; here scales of both signs, zero outer weights,
+    # and scales at which exp|w scale| overflows, so that e is 0 exactly
+    cfg = TrainConfig(m_cutoff=20.0, epochs=1)
+    for trial in range(10):
+        w, wts, tr, ti = _target_arrays(toy_slice(rng, seed=trial + 50))
+        half = len(w) // 2
+        folded = (w[half:], wts[half:] + wts[::-1][half:], tr[half:], ti[half:])
+        p = random_params(rng, n=8)
+        p.wr1[::2] *= -1.0
+        p.wi1[1::2] *= -1.0
+        p.wr0[3] = p.wi0[5] = 0.0
+        p.wr1[1], p.wi1[2] = 900.0, -1000.0
+        for nodes in ((w, wts, tr, ti), folded):
+            loss, grad = _loss_and_grad(p, *nodes, T, cfg)
+            want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
+            assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
+            np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=0)
+
+
 # --- training -------------------------------------------------------------------
 
 
@@ -258,6 +282,24 @@ def test_train_deterministic(rng):
     np.testing.assert_array_equal(l1, l2)
     np.testing.assert_array_equal(p1.wr0, p2.wr0)
     assert p1.s == p2.s
+
+
+def test_concurrent_training_runs_match_sequential(rng):
+    # every run owns its workspaces, so runs on threads cannot touch each
+    # other's arrays; more runs than cores and a short switch interval
+    slices = [toy_slice(rng, seed=seed) for seed in (11, 12, 13)]
+    cfg = TrainConfig(m_cutoff=20.0, epochs=40, seed=3)
+    alone = [train(slc, cfg) for slc in slices]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(len(slices)) as pool:
+            together = list(pool.map(lambda slc: train(slc, cfg), slices, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for (p1, l1), (p2, l2) in zip(alone, together):
+        np.testing.assert_array_equal(l2, l1)
+        np.testing.assert_array_equal(p2.vector(), p1.vector())
 
 
 def test_train_reports_objective_loss(rng):
