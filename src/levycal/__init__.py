@@ -13,6 +13,5 @@ from .elnn import (Adam, ElnnParams, TrainConfig, ann_i, ann_r, implied_lambda,
 from .market import (MarketSlice, NoiseSpec, OptionQuote, QuoteFilters, amplify,
                      generate_virtual_market, ingest_quotes, moment_table,
                      simulate_log_returns, to_time_values, uniform_k_sampler)
-from .calibrate import (BucketSpec, CalibrationReport, PeriodEstimate, bucketed_errors,
-                        calibrate_parametric, parametric_report, run_elnn,
-                        spectral_target, stability_summary)
+from .calibrate import (PeriodEstimate, bucketed_errors, calibrate_parametric,
+                        parametric_report, run_elnn, spectral_target, stability_summary)

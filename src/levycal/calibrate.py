@@ -26,100 +26,51 @@ from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, t
                        trapezoid_weights)
 
 
-@dataclass(frozen=True)
-class BucketSpec:
-    """Moneyness and frequency buckets used by the error tables."""
-
-    atm_lo: float = -0.05
-    atm_hi: float = 0.03
-    freq_edges: tuple = (20.0, 40.0, 60.0)
-
-    def k_bucket(self, k):
-        if k < self.atm_lo:
-            return "ITM"
-        if k < self.atm_hi:
-            return "ATM"
-        return "OTM"
-
-    def w_bucket(self, w):
-        a = abs(w)
-        lo, mid, hi = self.freq_edges
-        if a < lo:
-            return "Low"
-        if a < mid:
-            return "Mid"
-        if a < hi:
-            return "High"
-        return None
-
-    @property
-    def k_names(self):
-        return ("ATM", "ITM", "OTM")
-
-    @property
-    def w_names(self):
-        return ("Low", "Mid", "High")
+# Error-table buckets.  A coordinate lies in bin np.searchsorted(edges, c, side="right"):
+# moneyness k below -0.05 is ITM, below 0.03 ATM and otherwise OTM; frequencies
+# are bucketed on |w|, and |w| >= 60 (bin 3) is in no bucket.  Each dict maps a
+# bucket name to its bin, in the order the tables list them.
+K_EDGES = (-0.05, 0.03)
+K_BUCKETS = {"ATM": 1, "ITM": 0, "OTM": 2}
+W_EDGES = (20.0, 40.0, 60.0)
+W_BUCKETS = {"Low": 0, "Mid": 1, "High": 2}
 
 
-@dataclass
-class BucketTable:
-    """Per-bucket scaled RMSE entries plus their sum; empty buckets are None."""
-
-    entries: dict
-
-    @property
-    def total(self):
-        vals = [v for v in self.entries.values() if v is not None]
-        return sum(vals) if vals else None
-
-
-@dataclass
-class CalibrationReport:
-    label: str
-    sigma: float
-    lam: float
-    z_table: BucketTable
-    re_table: BucketTable
-    im_table: BucketTable
-    final_loss: float
-    loss_trace: np.ndarray | None = None
-
-
-def bucketed_errors(coords, predicted, target, spec=None, kind="time_value"):
-    """Scaled per-bucket RMSE following the reporting conventions.
+def bucketed_errors(coords, predicted, target, kind="time_value"):
+    """Scaled per-bucket RMSE as {bucket: value, ..., "sum": total}.
 
     kind "time_value": coords are moneyness k, entries are 1e4 * RMSE.
-    kind "spectral":   coords are frequencies (bucketed on |w|, nodes with
-    |w| >= 60 excluded), entries are 100 * RMSE / std of the bucket's target.
+    kind "spectral":   coords are frequencies, entries are 100 * RMSE / std of
+    the bucket's target.  An empty bucket, or a spectral one whose target has
+    no spread, is None; the sum adds the others and is None when none is left.
     """
-    spec = spec or BucketSpec()
     coords = np.asarray(coords, dtype=float)
     predicted = np.asarray(predicted, dtype=float)
     target = np.asarray(target, dtype=float)
     if not (len(coords) == len(predicted) == len(target)):
         raise LengthMismatch("coords, predicted and target must be aligned")
-
-    entries = {}
     if kind == "time_value":
-        names, which = spec.k_names, [spec.k_bucket(c) for c in coords]
+        which, buckets = np.searchsorted(K_EDGES, coords, side="right"), K_BUCKETS
     elif kind == "spectral":
-        names, which = spec.w_names, [spec.w_bucket(c) for c in coords]
+        which, buckets = np.searchsorted(W_EDGES, np.abs(coords), side="right"), W_BUCKETS
     else:
         raise ValueError(f"unknown bucket kind {kind!r}")
-    which = np.array([w if w is not None else "" for w in which])
 
-    for name in names:
-        mask = which == name
+    table = {}
+    for name, bin_ in buckets.items():
+        mask = which == bin_
         if not mask.any():
-            entries[name] = None
+            table[name] = None
             continue
         rmse = math.sqrt(float(np.mean((predicted[mask] - target[mask]) ** 2)))
         if kind == "time_value":
-            entries[name] = 1e4 * rmse
+            table[name] = 1e4 * rmse
         else:
             std = float(np.std(target[mask]))
-            entries[name] = 100.0 * rmse / std if std > 0 else None
-    return BucketTable(entries)
+            table[name] = 100.0 * rmse / std if std > 0 else None
+    vals = [v for v in table.values() if v is not None]
+    table["sum"] = sum(vals) if vals else None
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +214,8 @@ def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
                        spectral=target.clip(4.0 * m_cutoff))
 
 
-def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss, loss_trace=None):
-    """Assemble the bucketed z and spectral error tables for one fitted model.
+def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
+    """The report.json document of one fitted model, with its bucketed z and Phi errors.
 
     phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
     is the slice from pooled_slice that the model was fitted to.
@@ -272,37 +223,36 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss, lo
     # imported here because scipy.interpolate adds start-up time to every CLI command
     from scipy.interpolate import CubicSpline
 
-    spec = BucketSpec()
     z_model = time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid)
     z_pred = CubicSpline(grid.k, z_model)(pooled.k)
-    z_table = bucketed_errors(pooled.k, z_pred, pooled.z, spec, kind="time_value")
 
     target_curve = pooled.spectral
-    keep = np.abs(target_curve.w) < spec.freq_edges[-1]
+    keep = np.abs(target_curve.w) < W_EDGES[-1]
     w_rep = target_curve.w[keep]
     tgt_rep = target_curve.values[keep]
     # target nodes are a contiguous central block of the grid's w lattice
     start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))
     phi_rep = phi_on_grid[start:start + len(w_rep)]
-    re_table = bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, spec, kind="spectral")
-    im_table = bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, spec, kind="spectral")
-    return CalibrationReport(label, sigma, lam, z_table, re_table, im_table,
-                             final_loss, loss_trace)
+    return {"label": label, "sigma": sigma, "lambda": lam,
+            "z_rmse": bucketed_errors(pooled.k, z_pred, pooled.z),
+            "phi_re_rmse": bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, kind="spectral"),
+            "phi_im_rmse": bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, kind="spectral"),
+            "final_loss": final_loss}
 
 
 def run_elnn(market_slices, config, grid=None, n_groups=1000, group_size=10_000):
     """Amplify, transform, train and evaluate; deterministic for fixed seeds.
 
-    Returns (params, report).  The training target is the pooled slice's
-    spectral curve, truncated to |w| <= 4 * m_cutoff.
+    Returns (params, per-epoch losses, report).  The training target is the
+    pooled slice's spectral curve, truncated to |w| <= 4 * m_cutoff.
     """
     grid = grid or SpectralGrid()
     pooled = pooled_slice(market_slices, grid, config.m_cutoff, n_groups, group_size, config.seed)
     params, losses = elnn.train(pooled, config)
     phi_grid = elnn.phi_model(grid.w, params, pooled.T)
-    return params, evaluate_report("elnn", params.sigma, elnn.implied_lambda(params), phi_grid,
-                                   pooled, grid, float(losses[-1]) if len(losses) else math.nan,
-                                   losses)
+    final_loss = float(losses[-1]) if len(losses) else math.nan
+    return params, losses, evaluate_report("elnn", params.sigma, elnn.implied_lambda(params),
+                                           phi_grid, pooled, grid, final_loss)
 
 
 def parametric_report(model, pooled, grid=None, final_loss=math.nan):

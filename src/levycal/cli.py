@@ -15,7 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -34,56 +34,49 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_digest: str
-    seed: int | None
-    inputs: list
-    outputs: list
-    tool_version: str
-    duration_seconds: float
-    created_utc: str
-
-    def write(self, out_dir):
-        doc = self.__dict__.copy()
-        (Path(out_dir) / "manifest.json").write_text(json.dumps(doc, indent=2) + "\n")
-
-
-def _digest(config):
-    canon = json.dumps(config, sort_keys=True, default=str)
-    return hashlib.sha256(canon.encode()).hexdigest()
-
-
 def _finish(command, config, seed, inputs, out_dir, started):
-    outputs = sorted(str(p.relative_to(out_dir)) for p in Path(out_dir).rglob("*") if p.is_file())
-    manifest = RunManifest(command, _digest(config), seed, [str(i) for i in inputs], outputs,
-                           __version__, time.time() - started,
-                           datetime.now(timezone.utc).isoformat())
-    manifest.write(out_dir)
+    """Write the run's manifest.json into out_dir."""
+    out_dir = Path(out_dir)
+    canon = json.dumps(config, sort_keys=True, default=str)
+    manifest = {
+        "command": command,
+        "config_digest": hashlib.sha256(canon.encode()).hexdigest(),
+        "seed": seed,
+        "inputs": [str(i) for i in inputs],
+        "outputs": sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()),
+        "tool_version": __version__,
+        "duration_seconds": time.time() - started,
+        "created_utc": datetime.now(timezone.utc).isoformat(),
+    }
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _merge_config(args, keys):
-    """defaults < config file < explicit flags; keys are the command's settings."""
-    cfg = dict(getattr(args, "_defaults", {}))
+def _merge_config(args, paths=()):
+    """defaults < config file < explicit flags.
+
+    The command's settings table gives each setting its default and type; the
+    input `paths` are str settings without a default.  Config values must have
+    their setting's type (see serialize.checked): int settings take integers,
+    float settings any number, str settings strings.
+    """
+    kinds = {key: type(value) for key, value in args.defaults.items()} | dict.fromkeys(paths, str)
+    cfg = dict(args.defaults)
     if args.config:
-        doc = json.loads(Path(args.config).read_text())
-        if not isinstance(doc, dict):
-            raise ValueError(f"{args.config}: config must be a JSON object")
-        unknown = sorted(set(doc) - set(keys))
+        doc = serialize.load_object(args.config)
+        unknown = sorted(set(doc) - set(kinds))
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
-        cfg.update(doc)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        cfg |= {k: serialize.checked(v, kinds[k], f"{args.config}: {k!r}") for k, v in doc.items()}
+    cfg |= {k: getattr(args, k) for k in kinds if getattr(args, k) is not None}
     return cfg
 
 
 def _max_workers(n_tasks):
     cap = os.environ.get("ELNN_THREADS")
-    limit = int(cap) if cap else os.cpu_count() or 1
+    try:
+        limit = int(cap) if cap else os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"ELNN_THREADS must be an integer, got {cap!r}") from None
     return max(1, min(limit, n_tasks))
 
 
@@ -95,13 +88,13 @@ _SIM_DEFAULTS = {"days": 1000, "per_day": 100, "T": 0.05, "r": 0.02,
 
 
 def cmd_simulate(args):
-    cfg = _merge_config(args, _SIM_DEFAULTS.keys() | {"model"})
+    cfg = _merge_config(args, ["model"])
     model = serialize.load_model(cfg["model"])
-    grid = SpectralGrid(int(cfg["grid_n"]), float(cfg["grid_dw"]))
+    grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
     slices = generate_virtual_market(
-        model, int(cfg["days"]), int(cfg["per_day"]), float(cfg["T"]), float(cfg["r"]),
-        k_sampler=uniform_k_sampler(float(cfg["k_lo"]), float(cfg["k_hi"])),
-        noise=NoiseSpec(float(cfg["noise"]), int(cfg["seed"])), grid=grid)
+        model, cfg["days"], cfg["per_day"], cfg["T"], cfg["r"],
+        k_sampler=uniform_k_sampler(cfg["k_lo"], cfg["k_hi"]),
+        noise=NoiseSpec(cfg["noise"], cfg["seed"]), grid=grid)
 
     out = Path(args.out)
     (out / "slices").mkdir(parents=True, exist_ok=True)
@@ -110,22 +103,22 @@ def cmd_simulate(args):
     serialize.save_grid(out / "grid.json", grid)
     meta = {k: cfg[k] for k in _SIM_DEFAULTS} | {"model": serialize.model_to_dict(model)}
     (out / "market.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
-    _finish("simulate", cfg, int(cfg["seed"]), [cfg["model"]], out, args._started)
+    _finish("simulate", cfg, cfg["seed"], [cfg["model"]], out, args._started)
     return EXIT_OK
 
 
 def _load_market(market_dir):
     market_dir = Path(market_dir)
-    meta = json.loads((market_dir / "market.json").read_text())
-    serialize._require_object(meta, market_dir / "market.json")
+    meta = serialize.load_object(market_dir / "market.json")
+    T, r = (serialize.field(meta, key, float, market_dir / "market.json") for key in ("T", "r"))
     grid = serialize.load_grid(market_dir / "grid.json")
     slices = []
     for f in sorted((market_dir / "slices").glob("*.csv")):
         k, z = serialize.load_time_values(f)
-        slices.append(MarketSlice(f.stem, float(meta["T"]), float(meta["r"]), k, z))
+        slices.append(MarketSlice(f.stem, T, r, k, z))
     if not slices:
         raise ValueError(f"no slices found under {market_dir}")
-    return meta, grid, slices
+    return grid, slices
 
 
 # --- calibrate ------------------------------------------------------------------
@@ -134,36 +127,33 @@ _CAL_DEFAULTS = {"method": "elnn", "m_cutoff": 100.0, "epochs": 30_000,
                  "alpha_reg": 4.0, "beta_reg": 1e-3, "learning_rate": 1e-3,
                  "n_nodes": 20, "seed": 0, "n_groups": 1000, "group_size": 10_000,
                  "budget": 6000}
+_METHODS = ("elnn", "merton", "kou")
 
 
 def _calibrate_one(market_dir, out, cfg):
-    meta, grid, slices = _load_market(market_dir)
+    grid, slices = _load_market(market_dir)
     out.mkdir(parents=True, exist_ok=True)
-    method = cfg["method"]
-    if method == "elnn":
-        train_cfg = TrainConfig(m_cutoff=float(cfg["m_cutoff"]), epochs=int(cfg["epochs"]),
-                                alpha_reg=float(cfg["alpha_reg"]), beta_reg=float(cfg["beta_reg"]),
-                                seed=int(cfg["seed"]), n_nodes=int(cfg["n_nodes"]),
-                                learning_rate=float(cfg["learning_rate"]))
-        params, report = run_elnn(slices, train_cfg, grid=grid,
-                                  n_groups=int(cfg["n_groups"]), group_size=int(cfg["group_size"]))
+    if cfg["method"] == "elnn":
+        train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+        params, losses, report = run_elnn(slices, train_cfg, grid=grid, n_groups=cfg["n_groups"],
+                                          group_size=cfg["group_size"])
         serialize.save_params(params, out / "params.json")
-        serialize.save_loss_trace(out / "loss.csv", report.loss_trace)
-    elif method in ("merton", "kou"):
-        pooled = pooled_slice(slices, grid, float(cfg["m_cutoff"]), int(cfg["n_groups"]),
-                              int(cfg["group_size"]), int(cfg["seed"]))
-        model, loss = calibrate_parametric(method, pooled, budget=int(cfg["budget"]),
-                                           seed=int(cfg["seed"]))
+        serialize.save_loss_trace(out / "loss.csv", losses)
+    else:
+        pooled = pooled_slice(slices, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
+                              cfg["seed"])
+        model, loss = calibrate_parametric(cfg["method"], pooled, budget=cfg["budget"],
+                                           seed=cfg["seed"])
         report = parametric_report(model, pooled, grid=grid, final_loss=loss)
         serialize.save_model(model, out / "params.json")
-    else:
-        raise ValueError(f"unknown method {method!r}")
     serialize.save_report(report, out / "report.json")
-    serialize.save_report_tables(report, out)
+    serialize.save_report_tables([report], out)
 
 
 def cmd_calibrate(args):
-    cfg = _merge_config(args, _CAL_DEFAULTS.keys())
+    cfg = _merge_config(args)
+    if cfg["method"] not in _METHODS:
+        raise ValueError(f"'method' must be one of {', '.join(_METHODS)}, got {cfg['method']!r}")
     markets = args.market
     names = [Path(m).name for m in markets]
     if len(set(names)) < len(names):
@@ -178,7 +168,7 @@ def cmd_calibrate(args):
             futures = [pool.submit(_calibrate_one, m, out / Path(m).name, cfg) for m in markets]
             for f in futures:
                 f.result()
-    _finish("calibrate", cfg, int(cfg["seed"]), markets, out, args._started)
+    _finish("calibrate", cfg, cfg["seed"], markets, out, args._started)
     return EXIT_OK
 
 
@@ -189,17 +179,15 @@ _DEN_DEFAULTS = {"x_lo": -1.0, "x_hi": 1.0, "grid_n": SpectralGrid().n,
 
 
 def cmd_density(args):
-    cfg = _merge_config(args, _DEN_DEFAULTS.keys() | {"params"})
-    doc = json.loads(Path(cfg["params"]).read_text())
-    grid = SpectralGrid(int(cfg["grid_n"]), float(cfg["grid_dw"]))
-    if isinstance(doc, dict) and "model" in doc:
-        model = serialize.model_from_dict(doc)
+    cfg = _merge_config(args, ["params"])
+    doc = serialize.load_object(cfg["params"])
+    grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
+    if "model" in doc:
         x = grid.k
-        dvdx = model.density(x)
+        dvdx = serialize.model_from_dict(doc, cfg["params"]).density(x)
     else:
-        params = serialize.params_from_dict(doc)
-        x, dvdx = implied_levy_density(params, grid)
-    keep = (x >= float(cfg["x_lo"])) & (x <= float(cfg["x_hi"]))
+        x, dvdx = implied_levy_density(serialize.params_from_dict(doc, cfg["params"]), grid)
+    keep = (x >= cfg["x_lo"]) & (x <= cfg["x_hi"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_density(out / "density.csv", x[keep], dvdx[keep])
@@ -213,14 +201,14 @@ _MOM_DEFAULTS = {"horizons": "1,2,4,8,16", "r": 0.0}
 
 
 def cmd_moments(args):
-    cfg = _merge_config(args, _MOM_DEFAULTS.keys() | {"prices", "model"})
+    cfg = _merge_config(args, ["prices", "model"])
     header, data = serialize.load_columns(cfg["prices"])
     prices = data[:, -1]
-    horizons = [int(h) for h in str(cfg["horizons"]).split(",")]
+    horizons = [int(h) for h in cfg["horizons"].split(",")]
     triplet = None
     if cfg.get("model"):
         triplet = serialize.load_model(cfg["model"]).triplet()
-    rows = moment_table(prices, horizons, triplet=triplet, r=float(cfg["r"]))
+    rows = moment_table(prices, horizons, triplet=triplet, r=cfg["r"])
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,13 +229,12 @@ def cmd_moments(args):
 
 
 def cmd_report(args):
-    cfg = _merge_config(args, set())
+    cfg = _merge_config(args)
     reports = [serialize.load_report(Path(run) / "report.json") for run in args.runs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_report_tables(reports, out)
-    merged = [serialize.report_to_dict(r) for r in reports]
-    (out / "report.json").write_text(json.dumps(merged, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(reports, indent=2) + "\n")
     _finish("report", cfg, None, args.runs, out, args._started)
     return EXIT_OK
 
@@ -260,64 +247,30 @@ def build_parser():
                                      description="Exponential Levy calibration toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, defaults):
+    def add_command(name, func, defaults, summary, inputs):
+        """A subcommand: its input flags, then one flag per setting, typed as its default."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         p.add_argument("--out", required=True, help="output directory")
-        p.set_defaults(_defaults=defaults)
+        for flag, kwargs in inputs.items():
+            p.add_argument(flag, **kwargs)
+        for key, default in defaults.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
+        p.set_defaults(func=func, defaults=defaults)
 
-    p = sub.add_parser("simulate", help="generate a virtual option market")
-    add_common(p, _SIM_DEFAULTS)
-    p.add_argument("--model", help="model JSON file")
-    p.add_argument("--days", type=int)
-    p.add_argument("--per-day", dest="per_day", type=int)
-    p.add_argument("--T", type=float)
-    p.add_argument("--r", type=float)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k-lo", dest="k_lo", type=float)
-    p.add_argument("--k-hi", dest="k_hi", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-dw", dest="grid_dw", type=float)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("calibrate", help="fit a model to one or more markets")
-    add_common(p, _CAL_DEFAULTS)
-    p.add_argument("--market", nargs="+", required=True, help="market directories")
-    p.add_argument("--method", choices=["elnn", "merton", "kou"])
-    p.add_argument("--m-cutoff", dest="m_cutoff", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--alpha-reg", dest="alpha_reg", type=float)
-    p.add_argument("--beta-reg", dest="beta_reg", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--n-nodes", dest="n_nodes", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n-groups", dest="n_groups", type=int)
-    p.add_argument("--group-size", dest="group_size", type=int)
-    p.add_argument("--budget", type=int)
-    p.set_defaults(func=cmd_calibrate)
-
-    p = sub.add_parser("density", help="emit a Levy density curve")
-    add_common(p, _DEN_DEFAULTS)
-    p.add_argument("--params", help="fitted params JSON (network) or model JSON")
-    p.add_argument("--x-lo", dest="x_lo", type=float)
-    p.add_argument("--x-hi", dest="x_hi", type=float)
-    p.add_argument("--grid-n", dest="grid_n", type=int)
-    p.add_argument("--grid-dw", dest="grid_dw", type=float)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("moments", help="empirical moment table of a price series")
-    add_common(p, _MOM_DEFAULTS)
-    p.add_argument("--prices", help="CSV price series (last column is the close)")
-    p.add_argument("--horizons")
-    p.add_argument("--model", help="optional model JSON for theoretical columns")
-    p.add_argument("--r", type=float)
-    p.set_defaults(func=cmd_moments)
-
-    p = sub.add_parser("report", help="merge calibration reports into one table")
-    add_common(p, {})
-    p.add_argument("--runs", nargs="+", required=True, help="calibration output directories")
-    p.set_defaults(func=cmd_report)
-
+    add_command("simulate", cmd_simulate, _SIM_DEFAULTS, "generate a virtual option market",
+                {"--model": {"help": "model JSON file"}})
+    add_command("calibrate", cmd_calibrate, _CAL_DEFAULTS, "fit a model to one or more markets",
+                {"--market": {"nargs": "+", "required": True, "help": "market directories"}})
+    add_command("density", cmd_density, _DEN_DEFAULTS, "emit a Levy density curve",
+                {"--params": {"help": "fitted params JSON (network) or model JSON"}})
+    add_command("moments", cmd_moments, _MOM_DEFAULTS,
+                "empirical moment table of a price series",
+                {"--prices": {"help": "CSV price series (last column is the close)"},
+                 "--model": {"help": "optional model JSON for theoretical columns"}})
+    add_command("report", cmd_report, {}, "merge calibration reports into one table",
+                {"--runs": {"nargs": "+", "required": True,
+                            "help": "calibration output directories"}})
     return parser
 
 
@@ -330,7 +283,7 @@ def main(argv=None):
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LevycalError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (LevycalError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -92,6 +92,8 @@ def generate_virtual_market(model, days, per_day, T, r, k_sampler=None, noise=No
     substream spawned from the master seed, so output is reproducible and
     independent of evaluation order.
     """
+    if days < 1 or per_day < 1:
+        raise ValueError(f"days and per_day must be at least 1, got {days} and {per_day}")
     # imported here because scipy.interpolate adds start-up time to every CLI command
     from scipy.interpolate import CubicSpline
 

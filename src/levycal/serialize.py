@@ -1,7 +1,9 @@
 """File formats: model/params JSON, curve CSVs, grid sidecars and reports.
 
 All floats are written with 17 significant digits so rereading a file
-reproduces the in-memory values bit for bit.
+reproduces the in-memory values bit for bit.  Every JSON value read back is
+checked against the type it must have, and a bad one is a ValueError naming
+the file and the key.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibrate import BucketTable, CalibrationReport
+from .calibrate import K_BUCKETS, W_BUCKETS
 from .elnn import ElnnParams
 from .levy_models import CustomModel, KouModel, MertonModel
 from .spectral import SpectralGrid
@@ -21,9 +23,54 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _require_object(doc, what):
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# what each kind of JSON value accepts, and what it is read as
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
+    float: ("a number", _is_number, float),
+    str: ("a string", lambda v: isinstance(v, str), str),
+    dict: ("an object", lambda v: isinstance(v, dict), dict),
+    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+           lambda v: np.asarray(v, dtype=float)),
+    None: ("a number or null", lambda v: v is None or _is_number(v),
+           lambda v: None if v is None else float(v)),
+}
+
+
+def checked(value, kind, where):
+    """A JSON value read as `kind`, one of int, float, str, dict, list (of numbers) or None.
+
+    int takes integers only, float any number, None a number or null; booleans
+    are not numbers.  Anything else is a ValueError naming `where`.
+    """
+    name, accepts, read = _KINDS[kind]
+    if not accepts(value):
+        text = json.dumps(value)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(f"{where} must be {name}, got {text}")
+    try:
+        return read(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{where} is out of the float range") from None
+
+
+def field(doc, key, kind, where):
+    """doc[key] read as `kind` (see `checked`); `where` names the document."""
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return checked(doc[key], kind, f"{where}: {key!r}")
+
+
+def load_object(path):
+    """The JSON object held by the file at `path`."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return checked(doc, dict, path)
 
 
 # --- models -----------------------------------------------------------------
@@ -40,19 +87,19 @@ def model_to_dict(model):
     return {"model": model.kind, "sigma": model.sigma, "params": params}
 
 
-def model_from_dict(doc):
-    _require_object(doc, "model document")
-    kind = doc.get("model")
-    sigma = float(doc["sigma"])
-    p = doc.get("params", {})
-    if kind == "merton":
-        return MertonModel(sigma, float(p["lambda"]), float(p["mu"]), float(p["delta"]))
-    if kind == "kou":
-        return KouModel(sigma, float(p["lambda"]), float(p["p"]),
-                        float(p["lambda_plus"]), float(p["lambda_minus"]))
+_MODEL_PARAMS = {"merton": (MertonModel, ("lambda", "mu", "delta")),
+                 "kou": (KouModel, ("lambda", "p", "lambda_plus", "lambda_minus"))}
+
+
+def model_from_dict(doc, where):
+    kind = field(doc, "model", str, where)
+    sigma = field(doc, "sigma", float, where)
+    params, where = field(doc, "params", dict, where), f"{where}: 'params'"
+    if kind in _MODEL_PARAMS:
+        cls, keys = _MODEL_PARAMS[kind]
+        return cls(sigma, *(field(params, k, float, where) for k in keys))
     if kind == "custom":
-        return CustomModel(sigma, np.asarray(p["x"], dtype=float),
-                           np.asarray(p["dvdx"], dtype=float))
+        return CustomModel(sigma, *(field(params, k, list, where) for k in ("x", "dvdx")))
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -61,7 +108,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    return model_from_dict(json.loads(Path(path).read_text()))
+    return model_from_dict(load_object(path), path)
 
 
 # --- network parameters -------------------------------------------------------
@@ -77,15 +124,12 @@ def params_to_dict(params):
     }
 
 
-def params_from_dict(doc):
-    _require_object(doc, "params document")
-    return ElnnParams(
-        s=float(doc["sigma"]),
-        wr0=np.asarray(doc["wr0"], dtype=float),
-        wr1=np.asarray(doc["wr1"], dtype=float),
-        wi0=np.asarray(doc["wi0"], dtype=float),
-        wi1=np.asarray(doc["wi1"], dtype=float),
-    )
+def params_from_dict(doc, where):
+    sigma = field(doc, "sigma", float, where)
+    weights = {k: field(doc, k, list, where) for k in ("wr0", "wr1", "wi0", "wi1")}
+    if len({len(v) for v in weights.values()}) > 1:
+        raise ValueError(f"{where}: wr0, wr1, wi0 and wi1 must have the same length")
+    return ElnnParams(s=sigma, **weights)
 
 
 def save_params(params, path):
@@ -93,7 +137,7 @@ def save_params(params, path):
 
 
 def load_params(path):
-    return params_from_dict(json.loads(Path(path).read_text()))
+    return params_from_dict(load_object(path), path)
 
 
 # --- curves -------------------------------------------------------------------
@@ -145,9 +189,8 @@ def save_grid(path, grid):
 
 
 def load_grid(path):
-    doc = json.loads(Path(path).read_text())
-    _require_object(doc, path)
-    return SpectralGrid(n=int(doc["n"]), dw=float(doc["dw"]))
+    doc = load_object(path)
+    return SpectralGrid(n=field(doc, "n", int, path), dw=field(doc, "dw", float, path))
 
 
 def save_loss_trace(path, losses):
@@ -161,51 +204,33 @@ def save_density(path, x, dvdx):
 # --- reports ------------------------------------------------------------------
 
 
-def report_to_dict(report):
-    return {
-        "label": report.label,
-        "sigma": report.sigma,
-        "lambda": report.lam,
-        "z_rmse": dict(report.z_table.entries, sum=report.z_table.total),
-        "phi_re_rmse": dict(report.re_table.entries, sum=report.re_table.total),
-        "phi_im_rmse": dict(report.im_table.entries, sum=report.im_table.total),
-        "final_loss": report.final_loss,
-    }
-
-
-def report_from_dict(doc):
-    def table(key):
-        entries = {k: v for k, v in doc[key].items() if k != "sum"}
-        return BucketTable(entries)
-
-    return CalibrationReport(doc["label"], doc["sigma"], doc["lambda"],
-                             table("z_rmse"), table("phi_re_rmse"), table("phi_im_rmse"),
-                             doc.get("final_loss", float("nan")))
+# report.json's error tables: key, columns (bucket names in table order, then the sum), CSV
+_REPORT_TABLES = (("z_rmse", (*K_BUCKETS, "sum"), "report_z.csv"),
+                  ("phi_re_rmse", (*W_BUCKETS, "sum"), "report_re.csv"),
+                  ("phi_im_rmse", (*W_BUCKETS, "sum"), "report_im.csv"))
 
 
 def save_report(report, path):
-    Path(path).write_text(json.dumps(report_to_dict(report), indent=2) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2) + "\n")
 
 
 def load_report(path):
-    doc = json.loads(Path(path).read_text())
-    _require_object(doc, path)
-    return report_from_dict(doc)
+    """A calibrate report.json, which must hold every key calibrate writes."""
+    doc = load_object(path)
+    report = {"label": field(doc, "label", str, path)}
+    report |= {key: field(doc, key, float, path) for key in ("sigma", "lambda")}
+    for key, columns, _ in _REPORT_TABLES:
+        table = field(doc, key, dict, path)
+        report[key] = {n: field(table, n, None, f"{path}: {key!r}") for n in columns}
+    report["final_loss"] = field(doc, "final_loss", float, path)
+    return report
 
 
-def save_report_tables(report_or_reports, out_dir):
-    """One CSV per error family, one row per report label, buckets plus sum."""
-    reports = report_or_reports if isinstance(report_or_reports, list) else [report_or_reports]
-    out_dir = Path(out_dir)
-    tables = [("report_z.csv", "z_table", ("ATM", "ITM", "OTM")),
-              ("report_re.csv", "re_table", ("Low", "Mid", "High")),
-              ("report_im.csv", "im_table", ("Low", "Mid", "High"))]
-    for fname, attr, names in tables:
-        lines = ["label," + ",".join(names) + ",sum"]
+def save_report_tables(reports, out_dir):
+    """One CSV per error table, one row per report label, buckets plus sum."""
+    for key, columns, fname in _REPORT_TABLES:
+        lines = [",".join(("label",) + columns)]
         for rep in reports:
-            table = getattr(rep, attr)
-            cells = [table.entries.get(n) for n in names]
-            row = [rep.label] + ["" if c is None else _fmt(c) for c in cells]
-            row.append("" if table.total is None else _fmt(table.total))
-            lines.append(",".join(row))
-        (out_dir / fname).write_text("\n".join(lines) + "\n")
+            cells = [rep[key][n] for n in columns]
+            lines.append(",".join([rep["label"]] + ["" if c is None else _fmt(c) for c in cells]))
+        (Path(out_dir) / fname).write_text("\n".join(lines) + "\n")

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from levycal import (BucketSpec, KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
+from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
                      SpectralGrid, TrainConfig, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
@@ -23,45 +23,52 @@ def noise_free_slice(model, grid, wmax):
 # --- buckets ----------------------------------------------------------------------
 
 
+def bucket_of(coord, kind):
+    """The bucket bucketed_errors puts `coord` in, or None when it is in none."""
+    table = bucketed_errors([coord, coord], [0.0, 0.0], [0.0, 1.0], kind=kind)
+    named = [name for name, value in table.items() if name != "sum" and value is not None]
+    assert len(named) <= 1
+    return named[0] if named else None
+
+
 def test_bucket_boundaries():
-    spec = BucketSpec()
-    assert spec.k_bucket(-0.05) == "ATM"
-    assert spec.k_bucket(-0.050001) == "ITM"
-    assert spec.k_bucket(0.03) == "OTM"
-    assert spec.k_bucket(0.0299) == "ATM"
-    assert spec.w_bucket(-25.0) == "Mid"
-    assert spec.w_bucket(19.9) == "Low"
-    assert spec.w_bucket(40.0) == "High"
-    assert spec.w_bucket(60.0) is None
+    assert bucket_of(-0.05, "time_value") == "ATM"
+    assert bucket_of(-0.050001, "time_value") == "ITM"
+    assert bucket_of(0.03, "time_value") == "OTM"
+    assert bucket_of(0.0299, "time_value") == "ATM"
+    assert bucket_of(-25.0, "spectral") == "Mid"
+    assert bucket_of(19.9, "spectral") == "Low"
+    assert bucket_of(40.0, "spectral") == "High"
+    assert bucket_of(60.0, "spectral") is None
 
 
 def test_bucketed_zero_errors(rng):
     k = rng.uniform(-0.2, 0.2, 100)
     vals = rng.uniform(0, 0.02, 100)
     table = bucketed_errors(k, vals, vals)
-    assert all(v == 0.0 for v in table.entries.values())
-    assert table.total == 0.0
+    assert list(table) == ["ATM", "ITM", "OTM", "sum"]
+    assert all(v == 0.0 for v in table.values())
+    assert table["sum"] == 0.0
 
 
 def test_bucketed_single_sample():
     table = bucketed_errors(np.array([0.0]), np.array([0.013]), np.array([0.01]))
-    assert table.entries["ATM"] == pytest.approx(1e4 * 0.003, rel=1e-12)
-    assert table.entries["ITM"] is None
-    assert table.entries["OTM"] is None
-    assert table.total == table.entries["ATM"]
+    assert table["ATM"] == pytest.approx(1e4 * 0.003, rel=1e-12)
+    assert table["ITM"] is None
+    assert table["OTM"] is None
+    assert table["sum"] == table["ATM"]
 
 
 def test_bucketed_matches_hand_computation(rng):
     k = rng.uniform(-0.3, 0.3, 64)
     target = rng.uniform(0, 0.02, 64)
     pred = target + rng.normal(0, 1e-3, 64)
-    spec = BucketSpec()
-    table = bucketed_errors(k, pred, target, spec)
-    for name in ("ATM", "ITM", "OTM"):
-        mask = np.array([spec.k_bucket(v) == name for v in k])
+    table = bucketed_errors(k, pred, target)
+    masks = {"ATM": (k >= -0.05) & (k < 0.03), "ITM": k < -0.05, "OTM": k >= 0.03}
+    for name, mask in masks.items():
         want = 1e4 * math.sqrt(np.mean((pred[mask] - target[mask]) ** 2))
-        assert table.entries[name] == pytest.approx(want, abs=1e-12)
-    assert table.total == pytest.approx(sum(table.entries.values()), abs=1e-12)
+        assert table[name] == pytest.approx(want, abs=1e-12)
+    assert table["sum"] == pytest.approx(sum(table[name] for name in masks), abs=1e-12)
 
 
 def test_bucketed_permutation_invariant(rng):
@@ -71,8 +78,8 @@ def test_bucketed_permutation_invariant(rng):
     perm = rng.permutation(64)
     t1 = bucketed_errors(k, pred, target)
     t2 = bucketed_errors(k[perm], pred[perm], target[perm])
-    for name, value in t1.entries.items():
-        assert value == pytest.approx(t2.entries[name], rel=1e-12)
+    for name, value in t1.items():
+        assert value == pytest.approx(t2[name], rel=1e-12)
 
 
 def test_bucketed_spectral_scaling():
@@ -80,19 +87,20 @@ def test_bucketed_spectral_scaling():
     target = np.array([1.0, 0.8, 0.55, 0.5, 0.2, 0.15, 0.05])
     pred = target + np.array([0.01, -0.01, 0.02, 0.01, 0.005, 0.004, 99.0])
     table = bucketed_errors(w, pred, target, kind="spectral")
+    assert list(table) == ["Low", "Mid", "High", "sum"]
     for name, idx in [("Low", [0, 1]), ("Mid", [2, 3]), ("High", [4, 5])]:
         std = np.std(target[idx])
         want = 100.0 * math.sqrt(np.mean((pred[idx] - target[idx]) ** 2)) / std
-        assert table.entries[name] == pytest.approx(want, rel=1e-12)
+        assert table[name] == pytest.approx(want, rel=1e-12)
     # the huge error at w=70 is outside every bucket, so totals stay finite
-    assert table.total < 100.0
+    assert table["sum"] < 100.0
 
 
 def test_bucketed_spectral_single_point_bucket():
     # a one-sample bucket has zero target spread: entry reported as absent
     table = bucketed_errors(np.array([5.0]), np.array([1.2]), np.array([1.0]),
                             kind="spectral")
-    assert table.entries["Low"] is None
+    assert table["Low"] is None
 
 
 def test_bucketed_length_mismatch():
@@ -173,15 +181,16 @@ def test_run_elnn_smoke_and_determinism(merton_model):
     slices = generate_virtual_market(merton_model, 20, 100, T, R,
                                      noise=NoiseSpec(scale=0.05, seed=11), grid=grid)
     cfg = TrainConfig(m_cutoff=60.0, epochs=60, seed=2)
-    params1, report1 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
-    params2, report2 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
+    params1, losses1, report1 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
+    params2, losses2, report2 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
     assert params1.s == params2.s
     np.testing.assert_array_equal(params1.wr0, params2.wr0)
-    assert report1.z_table.entries == report2.z_table.entries
-    assert report1.re_table.entries == report2.re_table.entries
-    assert report1.sigma == params1.sigma
-    assert report1.loss_trace.size == 60
-    assert all(v is not None for v in report1.z_table.entries.values())
+    np.testing.assert_array_equal(losses1, losses2)
+    assert report1 == report2
+    assert report1["sigma"] == params1.sigma
+    assert report1["final_loss"] == losses1[-1]
+    assert losses1.size == 60
+    assert all(v is not None for v in report1["z_rmse"].values())
 
 
 def test_spectral_target_averages_groups(merton_model):

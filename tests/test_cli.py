@@ -171,6 +171,34 @@ def test_report_merges_runs(tmp_path, model_file):
     assert len(lines) == 3
 
 
+def test_rerun_is_byte_identical_beyond_simulate(tmp_path, model_file):
+    market = tiny_simulate(tmp_path, model_file)
+    cal = ["calibrate", "--market", str(market), "--m-cutoff", "60", "--n-groups", "2",
+           "--group-size", "200"]
+
+    def run(root):
+        for argv in (cal + ["--epochs", "5", "--out", f"{root}/elnn"],
+                     cal + ["--method", "merton", "--budget", "300", "--out", f"{root}/merton"],
+                     ["density", "--params", f"{root}/elnn/params.json", "--out", f"{root}/dens"],
+                     ["report", "--runs", f"{root}/elnn", f"{root}/merton", "--out",
+                      f"{root}/report"]):
+            assert main(argv) == 0, argv
+        return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
+                if f.is_file() and f.name != "manifest.json"}
+
+    first, second = run(tmp_path / "a"), run(tmp_path / "b")
+    assert len(first) == 16
+    assert first == second
+    # report.json is calibrate's report document; report merges the documents unchanged
+    docs = [json.loads(first[f"{fit}/report.json"]) for fit in ("elnn", "merton")]
+    assert list(docs[0]) == ["label", "sigma", "lambda", "z_rmse", "phi_re_rmse",
+                             "phi_im_rmse", "final_loss"]
+    assert list(docs[0]["z_rmse"]) == ["ATM", "ITM", "OTM", "sum"]
+    assert list(docs[0]["phi_re_rmse"]) == ["Low", "Mid", "High", "sum"]
+    assert first["elnn/report.json"] == (json.dumps(docs[0], indent=2) + "\n").encode()
+    assert first["report/report.json"] == (json.dumps(docs, indent=2) + "\n").encode()
+
+
 def test_config_file_with_flag_override(tmp_path, model_file):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"days": 2, "per_day": 10, "seed": 5,
@@ -212,13 +240,40 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "'epoch'" in err, err
     assert not (tmp_path / "typo" / "report.json").exists()
-    for noise in ("nan", "inf", "-0.05"):
+    for extra in (["--noise", "nan"], ["--noise", "inf"], ["--noise", "-0.05"],
+                  ["--days", "0"], ["--per-day", "0"], ["--days", "-1"]):
         capsys.readouterr()
         code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "noisy"),
-                     "--noise", noise])
-        assert code == 2, noise
+                     *extra])
+        assert code == 2, extra
         assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "noisy").exists()
+    # config values must have their setting's type: null, booleans, non-integral numbers
+    # for int settings and lists are rejected, and so is a method calibrate does not know
+    for doc in ({"epochs": None}, {"epochs": True}, {"n_groups": 2.5}, {"epochs": 100.0},
+                {"days": [1]}, {"method": "heston"}, {"m_cutoff": 10**400}):
+        cfg.write_text(json.dumps(doc))
+        argv = (["simulate", "--model", str(model_file)] if "days" in doc else
+                ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"])
+        capsys.readouterr()
+        code = main(argv + ["--config", str(cfg), "--out", str(tmp_path / "typed")])
+        assert code == 2, doc
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"'{next(iter(doc))}'" in err, err
+        assert not (tmp_path / "typed").exists(), doc
+    # an integer for a float setting is a number, as the benchmark's configs write it
+    cfg.write_text(json.dumps({"m_cutoff": 60, "epochs": 1}))
+    assert main(["calibrate", "--market", str(market), "--config", str(cfg),
+                 "--out", str(tmp_path / "int"), "--n-groups", "2", "--group-size", "100"]) == 0
+    # the thread cap is read only when several markets fan out
+    other = tiny_simulate(tmp_path, model_file, "other")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ELNN_THREADS", "abc")
+        capsys.readouterr()
+        assert main(["calibrate", "--market", str(market), str(other), "--epochs", "1",
+                     "--out", str(tmp_path / "threads"), "--n-groups", "2",
+                     "--group-size", "100"]) == 2
+        assert "ELNN_THREADS" in capsys.readouterr().err
 
 
 def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
@@ -240,6 +295,44 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
     (run / "report.json").write_text("[1]")
     assert main(["report", "--runs", str(run), "--out", str(tmp_path / "rep")]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+    # bad values inside the documents name the file and the key
+    params = {"sigma": 0.2, "wr0": [0.0] * 3, "wr1": [0.3] * 3, "wi0": [0.0] * 3,
+              "wi1": [0.3] * 3}
+    market = tiny_simulate(tmp_path, model_file, "mkt-values")
+    calibrate = ["calibrate", "--market", str(market), "--out", str(tmp_path / "cal"),
+                 "--epochs", "1", "--n-groups", "2", "--group-size", "100"]
+    assert main(calibrate[:3] + ["--out", str(run), "--epochs", "1", "--n-groups", "2",
+                                 "--group-size", "100"]) == 0
+    report = json.loads((run / "report.json").read_text())
+    grid = json.loads((market / "grid.json").read_text())
+    model = json.loads(model_file.read_text())
+    doc = tmp_path / "values.json"
+    cases = [
+        (["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")], doc,
+         model | {"params": model["params"] | {"lambda": None}}, "'lambda'"),
+        (["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")], doc,
+         model | {"params": [1]}, "'params'"),
+        (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
+         params | {"wr0": None}, "'wr0'"),
+        (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
+         params | {"wr0": [0.0] * 2}, "wr0, wr1, wi0 and wi1"),
+        (calibrate, market / "grid.json", grid | {"n": None}, "'n'"),
+        (["report", "--runs", str(run), "--out", str(tmp_path / "rep")], run / "report.json",
+         report | {"z_rmse": [1]}, "'z_rmse'"),
+        (["report", "--runs", str(run), "--out", str(tmp_path / "rep")], run / "report.json",
+         {k: v for k, v in report.items() if k != "final_loss"}, "'final_loss'"),
+    ]
+    for argv, path, bad, key in cases:
+        good = path.read_text() if path.exists() else None
+        path.write_text(json.dumps(bad))
+        capsys.readouterr()
+        assert main(argv) == 2, bad
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}") and key in err, err
+        if good is not None:
+            path.write_text(good)
+    assert not (tmp_path / "sim").exists() and not (tmp_path / "rep").exists()
 
 
 def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
