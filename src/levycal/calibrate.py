@@ -14,13 +14,13 @@ penalties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import elnn
 from .errors import LengthMismatch, NoConvergence
-from .levy_models import KouModel, MertonModel, parametric_char_shifted
+from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
 from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, time_values_from_phi,
                        trapezoid_weights)
@@ -95,18 +95,6 @@ _START_RANGES = {
 }
 
 
-def _to_model(family, theta):
-    if family == "merton":
-        return MertonModel(*theta)
-    return KouModel(*theta)
-
-
-def _from_model(model):
-    if model.kind == "merton":
-        return np.array([model.sigma, model.lam, model.mu, model.delta])
-    return np.array([model.sigma, model.lam, model.p, model.lam_plus, model.lam_minus])
-
-
 def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0):
     """Fit a Merton or Kou model to the slice's spectral curve.
 
@@ -120,7 +108,9 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0)
     curve = market_slice.spectral
     if curve is None:
         raise ValueError("market slice has no spectral data")
-    box = _BOXES[family]
+    # each model holds Python floats, as one read from its file does; numpy scalars
+    # would take numpy's complex division in exp_moment, which rounds differently
+    box, cls = _BOXES[family], MODELS[family]
     w = curve.w
     wts = trapezoid_weights(len(w)) * (w[1] - w[0])
     target = curve.values
@@ -135,14 +125,13 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0)
                 penalty += (value - hi) ** 2
         if penalty > 0.0:
             return 1e6 * (1.0 + penalty)
-        model = _to_model(family, theta)
-        phi = parametric_char_shifted(model, w, T)
+        phi = parametric_char_shifted(cls(*theta.tolist()), w, T)
         return float(np.sum(wts * np.abs(phi - target) ** 2))
 
     rng = np.random.default_rng(seed)
     starts = []
     if init is not None:
-        starts.append(_from_model(init))
+        starts.append(np.array(astuple(init)))
     starts.append(_DEFAULT_STARTS[family].copy())
     ranges = _START_RANGES[family]
     while len(starts) < 5:  # seeded draws fill up to five starting points
@@ -150,7 +139,7 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0)
 
     if budget <= 0:
         best = min(starts, key=loss_fn)
-        return _to_model(family, best), loss_fn(best)
+        return cls(*best.tolist()), loss_fn(best)
 
     # imported here because scipy.optimize adds start-up time to every CLI command
     from scipy.optimize import minimize
@@ -177,7 +166,7 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0)
         best_theta, best_loss = res.x, float(res.fun)
     if best_theta is None or not np.isfinite(best_loss) or best_loss >= 1e6:
         raise NoConvergence(f"{family} calibration found no admissible minimum within budget {budget}")
-    return _to_model(family, best_theta), best_loss
+    return cls(*best_theta.tolist()), best_loss
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +233,19 @@ def run_elnn(market_slices, config, grid=None, n_groups=1000, group_size=10_000)
     """Amplify, transform, train and evaluate; deterministic for fixed seeds.
 
     Returns (params, per-epoch losses, report).  The training target is the
-    pooled slice's spectral curve, truncated to |w| <= 4 * m_cutoff.
+    pooled slice's spectral curve, truncated to |w| <= 4 * m_cutoff.  The
+    report's final_loss is None when no epoch ran.
     """
     grid = grid or SpectralGrid()
     pooled = pooled_slice(market_slices, grid, config.m_cutoff, n_groups, group_size, config.seed)
     params, losses = elnn.train(pooled, config)
     phi_grid = elnn.phi_model(grid.w, params, pooled.T)
-    final_loss = float(losses[-1]) if len(losses) else math.nan
+    final_loss = float(losses[-1]) if len(losses) else None
     return params, losses, evaluate_report("elnn", params.sigma, elnn.implied_lambda(params),
                                            phi_grid, pooled, grid, final_loss)
 
 
-def parametric_report(model, pooled, grid=None, final_loss=math.nan):
+def parametric_report(model, pooled, final_loss, grid=None):
     """Evaluate a fitted parametric model against the pooled slice it was fitted to."""
     grid = grid or SpectralGrid()
     phi_grid = parametric_char_shifted(model, grid.w, pooled.T)

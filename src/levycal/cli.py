@@ -51,15 +51,17 @@ def _finish(command, config, seed, inputs, out_dir, started):
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _merge_config(args, paths=()):
+def _merge_config(args, paths=(), optional=()):
     """defaults < config file < explicit flags.
 
     The command's settings table gives each setting its default and type; the
-    input `paths` are str settings without a default.  Config values must have
-    their setting's type (see serialize.checked): int settings take integers,
-    float settings any number, str settings strings.
+    input `paths` are str settings without a default, which a run must be
+    given, and the `optional` ones may be left out.  Config values and flags
+    must have their setting's type (see serialize.checked): int settings take
+    integers, float settings any finite number, str settings strings.
     """
-    kinds = {key: type(value) for key, value in args.defaults.items()} | dict.fromkeys(paths, str)
+    kinds = ({key: type(value) for key, value in args.defaults.items()}
+             | dict.fromkeys([*paths, *optional], str))
     cfg = dict(args.defaults)
     if args.config:
         doc = serialize.load_object(args.config)
@@ -67,8 +69,16 @@ def _merge_config(args, paths=()):
         if unknown:
             raise ValueError(f"{args.config}: unknown config keys {unknown}")
         cfg |= {k: serialize.checked(v, kinds[k], f"{args.config}: {k!r}") for k, v in doc.items()}
-    cfg |= {k: getattr(args, k) for k in kinds if getattr(args, k) is not None}
+    cfg |= {k: serialize.checked(getattr(args, k), kinds[k], _flag(k)) for k in kinds
+            if getattr(args, k) is not None}
+    missing = [key for key in paths if key not in cfg]
+    if missing:
+        raise ValueError(f"missing {_flag(missing[0])} (or the config key {missing[0]!r})")
     return cfg
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
 
 
 def _max_workers(n_tasks):
@@ -144,7 +154,7 @@ def _calibrate_one(market_dir, out, cfg):
                               cfg["seed"])
         model, loss = calibrate_parametric(cfg["method"], pooled, budget=cfg["budget"],
                                            seed=cfg["seed"])
-        report = parametric_report(model, pooled, grid=grid, final_loss=loss)
+        report = parametric_report(model, pooled, loss, grid=grid)
         serialize.save_model(model, out / "params.json")
     serialize.save_report(report, out / "report.json")
     serialize.save_report_tables([report], out)
@@ -201,7 +211,7 @@ _MOM_DEFAULTS = {"horizons": "1,2,4,8,16", "r": 0.0}
 
 
 def cmd_moments(args):
-    cfg = _merge_config(args, ["prices", "model"])
+    cfg = _merge_config(args, ["prices"], optional=["model"])
     header, data = serialize.load_columns(cfg["prices"])
     prices = data[:, -1]
     horizons = [int(h) for h in cfg["horizons"].split(",")]
@@ -234,7 +244,7 @@ def cmd_report(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_report_tables(reports, out)
-    (out / "report.json").write_text(json.dumps(reports, indent=2) + "\n")
+    (out / "report.json").write_text(json.dumps(reports, indent=2, allow_nan=False) + "\n")
     _finish("report", cfg, None, args.runs, out, args._started)
     return EXIT_OK
 
@@ -255,7 +265,7 @@ def build_parser():
         for flag, kwargs in inputs.items():
             p.add_argument(flag, **kwargs)
         for key, default in defaults.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key, type=type(default))
+            p.add_argument(_flag(key), dest=key, type=type(default))
         p.set_defaults(func=func, defaults=defaults)
 
     add_command("simulate", cmd_simulate, _SIM_DEFAULTS, "generate a virtual option market",

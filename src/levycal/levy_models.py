@@ -1,6 +1,8 @@
-"""Levy triplets, jump models, and characteristic functions.
+"""Jump models and their characteristic functions.
 
-A finite-activity Levy process is described by its triplet (sigma, nu, b).
+A finite-activity Levy process is described by its triplet (sigma, nu, b);
+each jump model is that triplet, with its sigma, its Levy measure nu and the
+martingale drift b.
 Its characteristic function follows the Levy-Khinchine formula
 
     Phi_{X_t}(w) = exp( t * ( -sigma^2 w^2 / 2 + i b w + f(w) ) ),
@@ -45,25 +47,6 @@ def _quad_pieces(lo, hi):
     return list(zip(cuts[:-1], cuts[1:]))
 
 
-@dataclass
-class LevyTriplet:
-    """Triplet (sigma, nu, b); nu is a jump model that integrates itself in closed form."""
-
-    sigma: float
-    nu: _JumpModel
-    drift_b: float
-
-    def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-        # [a3] and [a1**]: finite activity and a finite second exponential moment;
-        # a table reaching far to the right overflows e^{2x}, which this reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(self.nu.lam) and np.isfinite(self.nu.exp_moment(2.0))
-        if not finite:
-            raise NonFinite("Levy density violates finiteness assumptions")
-
-
 def f_exponent(w, density, support):
     """Jump part f(w) of the Levy-Khinchine exponent by adaptive quadrature.
 
@@ -90,14 +73,14 @@ def f_exponent(w, density, support):
     return total[0] if np.isscalar(w) or np.ndim(w) == 0 else total
 
 
-def char_fn(w, triplet, T):
+def char_fn(w, model, T):
     """Characteristic function Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w)))."""
     if T <= 0:
         raise ValueError("T must be positive")
     _check_strip(w)
     w_arr = np.asarray(w, dtype=complex)
-    f_w = triplet.nu.jump_exponent(w_arr)
-    psi = -0.5 * triplet.sigma**2 * w_arr**2 + 1j * triplet.drift_b * w_arr + f_w
+    f_w = model.jump_exponent(w_arr)
+    psi = -0.5 * model.sigma**2 * w_arr**2 + 1j * model.drift() * w_arr + f_w
     out = np.exp(T * psi)
     if not np.all(np.isfinite(out)):
         raise NonFinite("characteristic function evaluation produced non-finite values")
@@ -131,7 +114,7 @@ class CumulantSet:
         return self.k4 / (self.k2 * self.k2)
 
 
-def cumulants(triplet, delta):
+def cumulants(model, delta):
     """Cumulants of the increment X_delta; exactly linear in delta by construction.
 
     k1 is the full E[X_delta], i.e. drift plus the mass of jumps beyond the
@@ -139,13 +122,12 @@ def cumulants(triplet, delta):
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    nu = triplet.nu
-    m1_outer = nu.jump_moment(1) - nu.truncated_mean()
+    m1_outer = model.jump_moment(1) - model.truncated_mean()
     base = (
-        triplet.drift_b + m1_outer,
-        triplet.sigma**2 + nu.jump_moment(2),
-        nu.jump_moment(3),
-        nu.jump_moment(4),
+        model.drift() + m1_outer,
+        model.sigma**2 + model.jump_moment(2),
+        model.jump_moment(3),
+        model.jump_moment(4),
     )
     if not all(np.isfinite(base)):
         raise NonFinite("cumulants of the jump model are not finite")
@@ -161,8 +143,7 @@ class _JumpModel:
     """Levy-Khinchine bookkeeping shared by the jump models.
 
     A model supplies sigma, the mass lam, nu_hat(w) = integral( e^{iwx} nu(dx) ),
-    exp_moment(a) = nu_hat(-ia), truncated_mean() and jump_moment(n), all in
-    closed form.
+    truncated_mean() and jump_moment(n), all in closed form.
     """
 
     def jump_exponent(self, w):
@@ -170,16 +151,24 @@ class _JumpModel:
         w = np.asarray(w, dtype=complex)
         return self.nu_hat(w) - self.lam - 1j * w * self.truncated_mean()
 
+    def exp_moment(self, a):
+        """integral e^{ax} nu(dx) = nu_hat(-ia)."""
+        return float(np.real(self.nu_hat(-1j * a)))
+
     def drift(self):
         """Drift b = -sigma^2/2 - f(-i) making the discounted asset a martingale."""
         f_mi = self.exp_moment(1.0) - self.lam - self.truncated_mean()
         return -0.5 * self.sigma**2 - f_mi
 
     def triplet(self):
-        # an infinite mass or e^x moment makes the drift non-finite; LevyTriplet's
-        # check on the mass and the e^{2x} moment reports it
+        """The model itself, checked for [a3] finite activity and [a1**] a finite e^{2x} moment.
+
+        A table reaching far to the right overflows e^{2x}, which this reports."""
         with np.errstate(over="ignore", invalid="ignore"):
-            return LevyTriplet(self.sigma, self, self.drift())
+            finite = np.isfinite(self.lam) and np.isfinite(self.exp_moment(2.0))
+        if not finite:
+            raise NonFinite("Levy density violates finiteness assumptions")
+        return self
 
 
 @dataclass
@@ -206,14 +195,14 @@ class MertonModel(_JumpModel):
         return (lo, hi)
 
     def density(self, x):
-        return merton_density(x, self)
+        """lam * N(mu, delta^2) pdf at x."""
+        scalar = np.ndim(x) == 0
+        z = (np.atleast_1d(np.asarray(x, dtype=float)) - self.mu) / self.delta
+        out = self.lam / (self.delta * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+        return float(out[0]) if scalar else out
 
     def nu_hat(self, w):
         return self.lam * np.exp(1j * w * self.mu - 0.5 * self.delta**2 * w**2)
-
-    def exp_moment(self, a):
-        """integral e^{ax} nu(dx) = lam * exp(a mu + a^2 delta^2 / 2)."""
-        return self.lam * np.exp(a * self.mu + 0.5 * a**2 * self.delta**2)
 
     def truncated_mean(self):
         # integral_{-1}^{1} x nu(dx) in closed form via the normal cdf/pdf
@@ -268,20 +257,20 @@ class KouModel(_JumpModel):
         return (-half, half)
 
     def density(self, x):
-        return kou_density(x, self)
+        """Kou Levy density; the measure-zero point x=0 is assigned the value 0."""
+        scalar = np.ndim(x) == 0
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros_like(x, dtype=float)
+        pos, neg = x > 0, x < 0
+        out[pos] = self.p * self.lam * self.lam_plus * np.exp(-self.lam_plus * x[pos])
+        out[neg] = (1.0 - self.p) * self.lam * self.lam_minus * np.exp(self.lam_minus * x[neg])
+        return float(out[0]) if scalar else out
 
     def nu_hat(self, w):
         return self.lam * (
             self.p * self.lam_plus / (self.lam_plus - 1j * w)
             + (1.0 - self.p) * self.lam_minus / (self.lam_minus + 1j * w)
         )
-
-    def exp_moment(self, a):
-        if a >= self.lam_plus:
-            raise NonFinite("exponential moment diverges")
-        up = self.p * self.lam_plus / (self.lam_plus - a)
-        dn = (1.0 - self.p) * self.lam_minus / (self.lam_minus + a)
-        return self.lam * (up + dn)
 
     def truncated_mean(self):
         def one_sided(eta):
@@ -317,6 +306,8 @@ class CustomModel(_JumpModel):
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=float)
         self.dvdx = np.asarray(self.dvdx, dtype=float)
+        if self.sigma < 0:
+            raise ValueError("sigma must be nonnegative")
         if self.x.ndim != 1 or self.x.size < 2 or np.any(np.diff(self.x) <= 0):
             raise ValueError("x must be a strictly increasing table")
         if self.x.shape != self.dvdx.shape:
@@ -353,9 +344,6 @@ class CustomModel(_JumpModel):
             even, odd = _segment_kernels(w * h)
             total += np.exp(1j * w * c) * (2.0 * h * m * even + 2j * h * h * beta * odd)
         return total
-
-    def exp_moment(self, a):
-        return float(np.real(self.nu_hat(-1j * a)))
 
     def truncated_mean(self):
         return _segment_moment(*self._segments(-1.0, 1.0), 1)
@@ -395,14 +383,8 @@ def _segment_moment(c, h, m, beta, n):
 
 
 def parametric_char_shifted(model, w, T):
-    """Closed-form Phi(w - i) for a parametric model, bypassing quadrature.
-
-    Used in calibration loops where the characteristic function is evaluated
-    thousands of times per fit.
-    """
-    u = np.asarray(w, dtype=float) - 1j
-    psi = -0.5 * model.sigma**2 * u**2 + 1j * model.drift() * u + model.jump_exponent(u)
-    return np.exp(T * psi)
+    """Phi(w - i) at real frequencies w, the curve every fit compares with its target."""
+    return char_fn(np.asarray(w, dtype=float) - 1j, model, T)
 
 
 def _norm_pdf(x):
@@ -410,22 +392,5 @@ def _norm_pdf(x):
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
-def merton_density(x, model):
-    """Merton Levy density lam * N(mu, delta^2) pdf evaluated at x."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z = (x - model.mu) / model.delta
-    out = model.lam / (model.delta * math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
-    return float(out[0]) if scalar else out
-
-
-def kou_density(x, model):
-    """Kou Levy density; the measure-zero point x=0 is assigned the value 0."""
-    scalar = np.ndim(x) == 0
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(x, dtype=float)
-    pos = x > 0
-    neg = x < 0
-    out[pos] = model.p * model.lam * model.lam_plus * np.exp(-model.lam_plus * x[pos])
-    out[neg] = (1.0 - model.p) * model.lam * model.lam_minus * np.exp(model.lam_minus * x[neg])
-    return float(out[0]) if scalar else out
+# every jump model by the kind its files name it
+MODELS = {cls.kind: cls for cls in (MertonModel, KouModel, CustomModel)}

@@ -218,31 +218,6 @@ def to_time_values(quotes, r, label="slice"):
     return MarketSlice(label, T, r, k, z), clamped
 
 
-def simulate_log_returns(model, n_steps, dt, seed=0):
-    """Exact per-step samples of the model's log-return increments.
-
-    Each step draws the diffusion part plus a compound Poisson sum of jumps;
-    the drift is the martingale drift with the truncation bookkeeping undone,
-    so increments have the model's true mean.
-    """
-    rng = np.random.default_rng(seed)
-    b_free = model.drift() - model.truncated_mean()
-    steps = b_free * dt + model.sigma * math.sqrt(dt) * rng.standard_normal(n_steps)
-    counts = rng.poisson(model.lam * dt, n_steps)
-    total = int(counts.sum())
-    if total:
-        if model.kind == "merton":
-            # sum of n Gaussian jumps is Gaussian with scaled moments
-            steps += counts * model.mu + np.sqrt(counts) * model.delta * rng.standard_normal(n_steps)
-        else:
-            sizes = rng.exponential(1.0, total)
-            up = rng.random(total) < model.p
-            sizes = np.where(up, sizes / model.lam_plus, -sizes / model.lam_minus)
-            owner = np.repeat(np.arange(n_steps), counts)
-            steps += np.bincount(owner, weights=sizes, minlength=n_steps)
-    return steps
-
-
 @dataclass
 class MomentRow:
     """Empirical moments of non-overlapping returns at one horizon."""
@@ -260,9 +235,10 @@ class MomentRow:
 def moment_table(price_series, horizons, triplet=None, r=0.0):
     """Empirical mean/std/skew/kurtosis of log returns per horizon.
 
-    Horizons are in series steps (days).  When a triplet is supplied each row
-    also carries the model-implied values and the matching Gaussian ones
-    (same mean and std, zero skewness and excess kurtosis).
+    Horizons are in series steps (days).  When a triplet (a jump model that
+    passed its triplet() check) is supplied each row also carries the
+    model-implied values and the matching Gaussian ones (same mean and std,
+    zero skewness and excess kurtosis).
     """
     prices = np.asarray(price_series, dtype=float)
     if min(horizons) < 1:

@@ -9,13 +9,15 @@ the file and the key.
 from __future__ import annotations
 
 import json
+import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .calibrate import K_BUCKETS, W_BUCKETS
 from .elnn import ElnnParams
-from .levy_models import CustomModel, KouModel, MertonModel
+from .levy_models import MODELS, CustomModel
 from .spectral import SpectralGrid
 
 
@@ -24,18 +26,20 @@ def _fmt(x):
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    # an integer is finite here; one beyond the float range fails when it is read
+    return (isinstance(value, int) and not isinstance(value, bool)
+            or isinstance(value, float) and math.isfinite(value))
 
 
 # what each kind of JSON value accepts, and what it is read as
 _KINDS = {
     int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool), int),
-    float: ("a number", _is_number, float),
+    float: ("a finite number", _is_number, float),
     str: ("a string", lambda v: isinstance(v, str), str),
     dict: ("an object", lambda v: isinstance(v, dict), dict),
-    list: ("a list of numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    list: ("a list of finite numbers", lambda v: isinstance(v, list) and all(map(_is_number, v)),
            lambda v: np.asarray(v, dtype=float)),
-    None: ("a number or null", lambda v: v is None or _is_number(v),
+    None: ("a finite number or null", lambda v: v is None or _is_number(v),
            lambda v: None if v is None else float(v)),
 }
 
@@ -43,8 +47,9 @@ _KINDS = {
 def checked(value, kind, where):
     """A JSON value read as `kind`, one of int, float, str, dict, list (of numbers) or None.
 
-    int takes integers only, float any number, None a number or null; booleans
-    are not numbers.  Anything else is a ValueError naming `where`.
+    int takes integers only, float any finite number, None a finite number or
+    null; booleans are not numbers, and NaN and the infinities are not finite.
+    Anything else is a ValueError naming `where`.
     """
     name, accepts, read = _KINDS[kind]
     if not accepts(value):
@@ -76,31 +81,26 @@ def load_object(path):
 # --- models -----------------------------------------------------------------
 
 
+def _model_params(cls):
+    """(field name, JSON key, kind) of each of a model class's parameters after sigma."""
+    kind = list if cls is CustomModel else float
+    return [(f.name, f.name.replace("lam", "lambda"), kind) for f in fields(cls)[1:]]
+
+
 def model_to_dict(model):
-    if model.kind == "merton":
-        params = {"lambda": model.lam, "mu": model.mu, "delta": model.delta}
-    elif model.kind == "kou":
-        params = {"lambda": model.lam, "p": model.p,
-                  "lambda_plus": model.lam_plus, "lambda_minus": model.lam_minus}
-    else:
-        params = {"x": list(map(float, model.x)), "dvdx": list(map(float, model.dvdx))}
+    params = {key: list(map(float, getattr(model, name))) if kind is list else getattr(model, name)
+              for name, key, kind in _model_params(type(model))}
     return {"model": model.kind, "sigma": model.sigma, "params": params}
-
-
-_MODEL_PARAMS = {"merton": (MertonModel, ("lambda", "mu", "delta")),
-                 "kou": (KouModel, ("lambda", "p", "lambda_plus", "lambda_minus"))}
 
 
 def model_from_dict(doc, where):
     kind = field(doc, "model", str, where)
     sigma = field(doc, "sigma", float, where)
     params, where = field(doc, "params", dict, where), f"{where}: 'params'"
-    if kind in _MODEL_PARAMS:
-        cls, keys = _MODEL_PARAMS[kind]
-        return cls(sigma, *(field(params, k, float, where) for k in keys))
-    if kind == "custom":
-        return CustomModel(sigma, *(field(params, k, list, where) for k in ("x", "dvdx")))
-    raise ValueError(f"unknown model kind {kind!r}")
+    if kind not in MODELS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    cls = MODELS[kind]
+    return cls(sigma, *(field(params, key, k, where) for _, key, k in _model_params(cls)))
 
 
 def save_model(model, path):
@@ -211,7 +211,7 @@ _REPORT_TABLES = (("z_rmse", (*K_BUCKETS, "sum"), "report_z.csv"),
 
 
 def save_report(report, path):
-    Path(path).write_text(json.dumps(report, indent=2) + "\n")
+    Path(path).write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
 
 
 def load_report(path):
@@ -222,7 +222,7 @@ def load_report(path):
     for key, columns, _ in _REPORT_TABLES:
         table = field(doc, key, dict, path)
         report[key] = {n: field(table, n, None, f"{path}: {key!r}") for n in columns}
-    report["final_loss"] = field(doc, "final_loss", float, path)
+    report["final_loss"] = field(doc, "final_loss", None, path)
     return report
 
 

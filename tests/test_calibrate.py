@@ -136,6 +136,10 @@ def test_kou_self_calibration(grid_cal):
     assert fitted.p == pytest.approx(0.04, rel=0.05)
     assert fitted.lam_plus == pytest.approx(3.7, rel=0.05)
     assert fitted.lam_minus == pytest.approx(1.8, rel=0.05)
+    # a fit holds Python floats, as the model read back from its params file does, so
+    # both have the same drift bit for bit
+    for name in ("sigma", "lam", "p", "lam_plus", "lam_minus"):
+        assert type(getattr(fitted, name)) is float, name
 
 
 def test_budget_zero_returns_init(grid_cal):

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ import pytest
 import levycal
 from levycal import CustomModel, MertonModel
 from levycal.cli import main
-from levycal.serialize import load_params, load_time_values, save_model
+from levycal.serialize import load_model, load_params, load_time_values, save_model
 
 
 @pytest.fixture
@@ -67,8 +69,19 @@ def test_calibrate_zero_epochs_echoes_init(tmp_path, model_file):
     assert code == 0
     params = load_params(out / "params.json")
     assert params.sigma == 0.15  # untouched initialization
-    assert (out / "report.json").exists()
     assert (out / "loss.csv").read_text().strip() == "epoch,loss"
+    # no epoch ran, so there is no final loss: null, not the bare token NaN that
+    # strict JSON readers refuse, in calibrate's report and in the merged one
+    merged = tmp_path / "merged"
+    assert main(["report", "--runs", str(out), "--out", str(merged)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    for path in (out / "report.json", merged / "report.json"):
+        doc = json.loads(path.read_text(), parse_constant=refuse)
+        for report in doc if isinstance(doc, list) else [doc]:
+            assert report["final_loss"] is None
 
 
 def test_calibrate_parametric_method(tmp_path, model_file):
@@ -212,6 +225,27 @@ def test_config_file_with_flag_override(tmp_path, model_file):
     assert k.size == 10  # config file wins over default
 
 
+def test_model_file_round_trip(tmp_path, merton_model, kou_model):
+    x = np.linspace(-0.6, 0.6, 7)
+    for i, model in enumerate((merton_model, kou_model,
+                               CustomModel(0.1, x, merton_model.density(x) / 3.0))):
+        path = tmp_path / f"model{i}.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert type(back) is type(model)
+        for f in dataclasses.fields(model):
+            assert np.array_equal(getattr(back, f.name), getattr(model, f.name)), f.name
+    # the file keys spell lam as lambda, in field order
+    save_model(merton_model, tmp_path / "merton.json")
+    save_model(kou_model, tmp_path / "kou.json")
+    assert (tmp_path / "merton.json").read_text() == (
+        '{\n  "model": "merton",\n  "sigma": 0.2,\n  "params": {\n    "lambda": 1.0,\n'
+        '    "mu": -0.05,\n    "delta": 0.05\n  }\n}\n')
+    assert (tmp_path / "kou.json").read_text() == (
+        '{\n  "model": "kou",\n  "sigma": 0.21,\n  "params": {\n    "lambda": 1.4,\n'
+        '    "p": 0.04,\n    "lambda_plus": 3.7,\n    "lambda_minus": 1.8\n  }\n}\n')
+
+
 def test_exit_code_on_missing_model(tmp_path):
     code = main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")])
@@ -248,10 +282,33 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
         assert code == 2, extra
         assert capsys.readouterr().err.startswith("error:")
     assert not (tmp_path / "noisy").exists()
+    # a flag must be a finite number, and a command must be given its input file
+    prices = tmp_path / "prices.csv"
+    prices.write_text("close\n" + "".join(f"{100 + i}\n" for i in range(40)))
+    simulate = ["simulate", "--model", str(model_file)]
+    calibrate = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
+    density = ["density", "--params", str(model_file)]
+    for argv, flag in ((simulate + ["--k-lo", "nan"], "--k-lo"),
+                       (simulate + ["--T", "inf"], "--T"),
+                       (density + ["--x-lo", "nan"], "--x-lo"),
+                       (calibrate + ["--m-cutoff", "nan"], "--m-cutoff"),
+                       (calibrate + ["--learning-rate", "nan"], "--learning-rate"),
+                       (["simulate"], "--model"),
+                       (["density"], "--params"),
+                       (["moments", "--model", str(model_file)], "--prices")):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(tmp_path / "flagged")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err, err
+        assert not (tmp_path / "flagged").exists(), argv
+    # moments runs without a model, which is optional
+    assert main(["moments", "--prices", str(prices), "--horizons", "1,2",
+                 "--out", str(tmp_path / "moments")]) == 0
     # config values must have their setting's type: null, booleans, non-integral numbers
     # for int settings and lists are rejected, and so is a method calibrate does not know
     for doc in ({"epochs": None}, {"epochs": True}, {"n_groups": 2.5}, {"epochs": 100.0},
-                {"days": [1]}, {"method": "heston"}, {"m_cutoff": 10**400}):
+                {"days": [1]}, {"method": "heston"}, {"m_cutoff": 10**400},
+                {"beta_reg": math.nan}, {"m_cutoff": math.inf}):
         cfg.write_text(json.dumps(doc))
         argv = (["simulate", "--model", str(model_file)] if "days" in doc else
                 ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"])
@@ -313,6 +370,11 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
          model | {"params": model["params"] | {"lambda": None}}, "'lambda'"),
         (["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")], doc,
          model | {"params": [1]}, "'params'"),
+        (["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")], doc,
+         model | {"sigma": math.nan}, "'sigma'"),
+        (["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")], doc,
+         model | {"params": model["params"] | {"lambda": math.inf}}, "'lambda'"),
+
         (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
          params | {"wr0": None}, "'wr0'"),
         (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
@@ -333,6 +395,13 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
         if good is not None:
             path.write_text(good)
     assert not (tmp_path / "sim").exists() and not (tmp_path / "rep").exists()
+    # a model's own checks run at load, also for density, which prices nothing
+    doc.write_text(json.dumps({"model": "custom", "sigma": -0.1,
+                               "params": {"x": [-1, 1], "dvdx": [1, 1]}}))
+    capsys.readouterr()
+    assert main(["density", "--params", str(doc), "--out", str(tmp_path / "dens")]) == 2
+    assert capsys.readouterr().err == "error: sigma must be nonnegative\n"
+    assert not (tmp_path / "dens").exists()
 
 
 def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):

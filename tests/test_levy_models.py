@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
-from levycal import (CustomModel, KouModel, LevyTriplet, MertonModel, char_fn, cumulants,
-                     f_exponent, kou_density, merton_density)
+from levycal import CustomModel, KouModel, MertonModel, char_fn, cumulants, f_exponent
 from levycal.errors import NonFinite
 
 import oracles
@@ -19,27 +18,27 @@ KOU_F_MINUS_I = -0.07155389197317333
 
 def test_merton_density_direct_substitution(merton_model):
     # x = mu hits the peak lam / (delta sqrt(2 pi))
-    assert merton_density(-0.05, merton_model) == pytest.approx(7.978845608028654, abs=1e-9)
-    assert merton_density(50.0, merton_model) == 0.0
-    assert merton_density(-50.0, merton_model) == 0.0
+    assert merton_model.density(-0.05) == pytest.approx(7.978845608028654, abs=1e-9)
+    assert merton_model.density(50.0) == 0.0
+    assert merton_model.density(-50.0) == 0.0
     x = np.linspace(-1, 1, 101)
-    assert np.all(merton_density(x, merton_model) >= 0.0)
+    assert np.all(merton_model.density(x) >= 0.0)
 
 
 def test_merton_density_integrates_to_lambda(merton_model):
-    total, _ = integrate.quad(lambda x: merton_density(x, merton_model), -1, 1, epsabs=1e-13)
+    total, _ = integrate.quad(lambda x: merton_model.density(x), -1, 1, epsabs=1e-13)
     assert total == pytest.approx(1.0, abs=1e-10)
 
 
 def test_kou_density_one_sided_limits(kou_model):
-    assert kou_density(1e-12, kou_model) == pytest.approx(0.04 * 1.4 * 3.7, rel=1e-9)
-    assert kou_density(-1e-12, kou_model) == pytest.approx(0.96 * 1.4 * 1.8, rel=1e-9)
-    assert kou_density(0.0, kou_model) == 0.0
+    assert kou_model.density(1e-12) == pytest.approx(0.04 * 1.4 * 3.7, rel=1e-9)
+    assert kou_model.density(-1e-12) == pytest.approx(0.96 * 1.4 * 1.8, rel=1e-9)
+    assert kou_model.density(0.0) == 0.0
 
 
 def test_kou_density_integrates_to_lambda(kou_model):
-    up, _ = integrate.quad(lambda x: kou_density(x, kou_model), 0, 30, epsabs=1e-12)
-    dn, _ = integrate.quad(lambda x: kou_density(x, kou_model), -30, 0, epsabs=1e-12)
+    up, _ = integrate.quad(lambda x: kou_model.density(x), 0, 30, epsabs=1e-12)
+    dn, _ = integrate.quad(lambda x: kou_model.density(x), -30, 0, epsabs=1e-12)
     assert up + dn == pytest.approx(1.4, abs=1e-8)
 
 
@@ -52,6 +51,8 @@ def test_parameter_validation():
         KouModel(sigma=0.2, lam=1.0, p=0.5, lam_plus=2.0, lam_minus=1.0)
     with pytest.raises(ValueError):
         KouModel(sigma=0.2, lam=1.0, p=1.5, lam_plus=3.0, lam_minus=1.0)
+    with pytest.raises(ValueError):
+        CustomModel(-0.1, np.array([-1.0, 1.0]), np.ones(2))
 
 
 def test_f_exponent_at_zero(merton_model):
@@ -105,9 +106,9 @@ def test_martingale_drift_merton(merton_model):
 def test_triplet_drift_consistency(merton_model, kou_model):
     for model in (merton_model, kou_model):
         trip = model.triplet()
-        assert trip.drift_b == pytest.approx(quad_drift(model), abs=1e-8)
+        assert trip.drift() == pytest.approx(quad_drift(model), abs=1e-8)
         quad_mass = oracles.quad_moment(0, model.density, model.support)
-        assert trip.nu.lam == pytest.approx(quad_mass, rel=1e-9)
+        assert trip.lam == pytest.approx(quad_mass, rel=1e-9)
 
 
 def test_char_fn_at_zero_is_one(merton_triplet, kou_triplet):
@@ -143,7 +144,7 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
         trip = model.triplet()
         w = rng.uniform(-100, 100, 20)
         closed = char_fn(w, trip, 0.05)
-        psi = (-0.5 * model.sigma**2 * w**2 + 1j * trip.drift_b * w
+        psi = (-0.5 * model.sigma**2 * w**2 + 1j * trip.drift() * w
                + f_exponent(w + 0j, model.density, model.support))
         via_quad = np.exp(0.05 * psi)
         np.testing.assert_allclose(closed, via_quad, rtol=0, atol=1e-8)
@@ -155,7 +156,7 @@ def test_char_fn_rejects_bad_T(merton_triplet):
 
 
 def test_cumulants_pure_diffusion():
-    trip = LevyTriplet(0.2, zero_table(0.2), -0.02)
+    trip = zero_table(0.2).triplet()
     cum = cumulants(trip, 1.0 / 252)
     assert cum.skewness == pytest.approx(0.0, abs=1e-12)
     assert cum.excess_kurtosis == pytest.approx(0.0, abs=1e-12)
@@ -193,6 +194,18 @@ def test_jump_moment_closed_forms(merton_model, kou_model):
         for n in (1, 2, 3, 4):
             quad_val = oracles.quad_moment(n, model.density, model.support)
             assert model.jump_moment(n) == pytest.approx(quad_val, rel=1e-9, abs=1e-12)
+    # e^x and e^{2x} moments: nu_hat(-ia) is bit for bit the closed form, and
+    # f(-ia) by quadrature plus the mass and the truncated mean
+    m, k = merton_model, kou_model
+    for a in (1.0, 2.0):
+        closed = ((m, m.lam * np.exp(a * m.mu + 0.5 * a**2 * m.delta**2)),
+                  (k, k.lam * (k.p * k.lam_plus / (k.lam_plus - a)
+                               + (1.0 - k.p) * k.lam_minus / (k.lam_minus + a))))
+        for model, expected in closed:
+            assert model.exp_moment(a) == expected, (model.kind, a)
+            f_w = oracles.quad_jump_exponent(-1j * a, model.density, model.support)
+            assert model.exp_moment(a) == pytest.approx(
+                f_w.real + model.lam + a * model.truncated_mean(), rel=1e-10)
 
 
 def custom_tables():
@@ -234,7 +247,7 @@ def test_custom_model_roundtrip(merton_model):
     custom = CustomModel(0.2, x, merton_model.density(x))
     trip = custom.triplet()
     # drift close to the Merton one; the table truncates far tails only
-    assert trip.drift_b == pytest.approx(MERTON_DRIFT, abs=1e-4)
+    assert trip.drift() == pytest.approx(MERTON_DRIFT, abs=1e-4)
     with pytest.raises(ValueError):
         CustomModel(0.2, x[::-1], merton_model.density(x))
 
@@ -259,7 +272,7 @@ def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_mode
     monkeypatch.setattr(integrate, "quad_vec", no_quadrature)
     for model in (merton_model, kou_model):
         trip = model.triplet()
-        assert trip.nu.lam == model.lam
+        assert trip.lam == model.lam
         char_fn(np.array([0.5 - 1j]), trip, 0.05)
         cumulants(trip, 1.0 / 252)
     with pytest.raises(NonFinite):

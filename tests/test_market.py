@@ -7,11 +7,12 @@ from scipy.interpolate import CubicSpline
 from scipy.stats import ks_2samp
 
 from levycal import (MarketSlice, NoiseSpec, QuoteFilters, amplify, cumulants,
-                     generate_virtual_market, ingest_quotes, moment_table,
-                     simulate_log_returns, time_value_curve, to_time_values,
-                     uniform_k_sampler)
+                     generate_virtual_market, ingest_quotes, moment_table, time_value_curve,
+                     to_time_values, uniform_k_sampler)
 from levycal.errors import EmptyPool, MixedMaturities, ParseError
 from levycal.market import OptionQuote
+
+import oracles
 
 T, R = 0.05, 0.02
 
@@ -203,19 +204,13 @@ def test_to_time_values_mixed_maturities():
 
 def test_simulator_matches_cumulant_theory(merton_model, merton_triplet):
     dt = 1.0 / 252
-    x = simulate_log_returns(merton_model, 400_000, dt, seed=5)
+    x = oracles.simulate_terminal(merton_model, dt, 400_000, 5)
     cum = cumulants(merton_triplet, dt)
     n = x.size
     assert x.mean() == pytest.approx(cum.mean, abs=4 * cum.std / math.sqrt(n))
     assert x.std() == pytest.approx(cum.std, rel=0.02)
     sk = float(((x - x.mean()) ** 3).mean() / x.std() ** 3)
     assert sk == pytest.approx(cum.skewness, abs=4 * math.sqrt(6.0 / n) * (1 + abs(cum.skewness)))
-
-
-def test_kou_simulator_runs(kou_model):
-    x = simulate_log_returns(kou_model, 1000, 1.0 / 252, seed=5)
-    assert x.shape == (1000,)
-    assert np.all(np.isfinite(x))
 
 
 def test_moment_table_constant_series():
@@ -227,7 +222,7 @@ def test_moment_table_constant_series():
 
 
 def test_moment_table_includes_theory(merton_model, merton_triplet):
-    prices = 100.0 * np.exp(np.cumsum(simulate_log_returns(merton_model, 5000, 1 / 252, seed=1)))
+    prices = 100.0 * np.exp(np.cumsum(oracles.simulate_terminal(merton_model, 1 / 252, 5000, 1)))
     rows = moment_table(prices, [1, 4], triplet=merton_triplet)
     assert rows[0].theory["gauss_skewness"] == 0.0
     assert rows[0].theory["levy_skewness"] == pytest.approx(
