@@ -22,8 +22,8 @@ from . import elnn
 from .errors import LengthMismatch, NoConvergence
 from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
-from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, time_values_from_phi,
-                       trapezoid_weights)
+from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, spline_on_grid,
+                       time_values_from_phi, trapezoid_weights)
 
 
 # Error-table buckets.  A coordinate lies in bin np.searchsorted(edges, c, side="right"):
@@ -209,11 +209,8 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
     phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
     is the slice from pooled_slice that the model was fitted to.
     """
-    # imported here because scipy.interpolate adds start-up time to every CLI command
-    from scipy.interpolate import CubicSpline
-
     z_model = time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid)
-    z_pred = CubicSpline(grid.k, z_model)(pooled.k)
+    z_pred = spline_on_grid(grid, z_model)(pooled.k)
 
     target_curve = pooled.spectral
     keep = np.abs(target_curve.w) < W_EDGES[-1]

@@ -212,9 +212,13 @@ _MOM_DEFAULTS = {"horizons": "1,2,4,8,16", "r": 0.0}
 
 def cmd_moments(args):
     cfg = _merge_config(args, ["prices"], optional=["model"])
+    try:
+        horizons = [int(h) for h in cfg["horizons"].split(",")]
+    except ValueError:
+        raise ValueError("'horizons' must be a comma-separated list of integers, "
+                         f"got {cfg['horizons']!r}") from None
     header, data = serialize.load_columns(cfg["prices"])
     prices = data[:, -1]
-    horizons = [int(h) for h in cfg["horizons"].split(",")]
     triplet = None
     if cfg.get("model"):
         triplet = serialize.load_model(cfg["model"]).triplet()

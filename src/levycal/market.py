@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyPool, MixedMaturities, NonFinite, ParseError
 from .levy_models import cumulants
-from .spectral import SpectralCurve, SpectralGrid, time_value_curve
+from .spectral import SpectralCurve, SpectralGrid, spline_on_grid, time_value_curve
 
 TRADING_DAYS = 252.0
 
@@ -94,14 +94,11 @@ def generate_virtual_market(model, days, per_day, T, r, k_sampler=None, noise=No
     """
     if days < 1 or per_day < 1:
         raise ValueError(f"days and per_day must be at least 1, got {days} and {per_day}")
-    # imported here because scipy.interpolate adds start-up time to every CLI command
-    from scipy.interpolate import CubicSpline
-
     k_sampler = k_sampler or uniform_k_sampler()
     noise = noise or NoiseSpec()
     grid = grid or SpectralGrid()
-    k_nodes, z_nodes = time_value_curve(model.triplet(), T, r, grid)
-    spline = CubicSpline(k_nodes, z_nodes)
+    _, z_nodes = time_value_curve(model.triplet(), T, r, grid)
+    spline = spline_on_grid(grid, z_nodes)
 
     streams = np.random.SeedSequence(noise.seed).spawn(days)
     slices = []

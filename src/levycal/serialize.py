@@ -96,11 +96,15 @@ def model_to_dict(model):
 def model_from_dict(doc, where):
     kind = field(doc, "model", str, where)
     sigma = field(doc, "sigma", float, where)
-    params, where = field(doc, "params", dict, where), f"{where}: 'params'"
+    params = field(doc, "params", dict, where)
     if kind not in MODELS:
-        raise ValueError(f"unknown model kind {kind!r}")
+        raise ValueError(f"{where}: unknown model kind {kind!r}")
     cls = MODELS[kind]
-    return cls(sigma, *(field(params, key, k, where) for _, key, k in _model_params(cls)))
+    values = [field(params, key, k, f"{where}: 'params'") for _, key, k in _model_params(cls)]
+    try:
+        return cls(sigma, *values)
+    except ValueError as exc:  # the model's own checks
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def save_model(model, path):
@@ -144,11 +148,11 @@ def load_params(path):
 
 
 def save_columns(path, header, columns):
-    cols = [np.asarray(c) for c in columns]
-    lines = [",".join(header)]
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    # one format string for the whole file; %.17g writes what _fmt writes
+    row_format = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    body = (row_format * len(rows)) % tuple(rows.ravel().tolist())
+    Path(path).write_text(",".join(header) + "\n" + body)
 
 
 def load_columns(path, expected_header=None):
@@ -158,20 +162,34 @@ def load_columns(path, expected_header=None):
     header = lines[0].split(",")
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    rows = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        row = line.split(",")
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {line_no}: expected {len(header)} values, got {len(row)}")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {line_no}: {exc}") from None
-    data = np.array(rows, dtype=float).reshape(-1, len(header))
+    rows = lines[1:]
+    # numpy parses each string as float() does; when a row is ragged or a value
+    # bad, the rows are parsed again one by one to name the first bad line
+    try:
+        if any(row.count(",") != len(header) - 1 for row in rows):
+            raise ValueError
+        data = np.array(",".join(rows).split(",") if rows else [], dtype=float)
+    except ValueError:
+        data = _parse_rows(path, rows, len(header))
+    data = data.reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value")
     return header, data
+
+
+def _parse_rows(path, rows, width):
+    """The values of the CSV rows, parsed line by line to name the first bad line."""
+    values = []
+    for line_no, line in enumerate(rows, start=2):
+        row = line.split(",")
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line_no}: expected {width} values, got {len(row)}")
+        try:
+            values += [float(v) for v in row]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from None
+    return np.array(values, dtype=float)
 
 
 def save_time_values(path, k, z):

@@ -183,6 +183,59 @@ def phi_from_time_values(z_values, r, T, grid):
     return SpectralCurve(w.copy(), phi)
 
 
+def spline_on_grid(grid, z):
+    """The not-a-knot cubic spline through z on the grid's k nodes, as a function of k.
+
+    It equals scipy.interpolate.CubicSpline(grid.k, z) bit for bit, points
+    beyond either end included (extrapolated from the end cubics), without
+    the start-up time of importing scipy.interpolate.  Every step repeats
+    SciPy's arithmetic in SciPy's order: the same bands and right-hand side,
+    LAPACK gtsv's elimination and back-substitution for the slopes, and
+    PPoly's coefficients and evaluation sum.
+    """
+    k = grid.k
+    z = np.asarray(z, dtype=float)
+    n = grid.n
+    dx = np.diff(k)
+    slope = np.diff(z) / dx
+    h0, h1 = k[2] - k[0], k[-1] - k[-3]
+    d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
+    du = np.concatenate(([h0], dx[:-1])).tolist()
+    dl = np.concatenate((dx[1:], [h1])).tolist()
+    b = np.empty(n)
+    b[0] = ((dx[0] + 2 * h0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h0
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h1 + dx[-1]) * dx[-2] * slope[-1]) / h1
+    b = b.tolist()
+
+    for i in range(n - 1):
+        # gtsv swaps rows i and i + 1 unless |d_i| >= |dl_i|; on a uniform grid
+        # the diagonal always dominates, so it never does, and neither do we
+        assert abs(d[i]) >= abs(dl[i])
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
+    s = [0.0] * n
+    s[-1] = b[-1] / d[-1]
+    s[-2] = (b[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        # gtsv's fill-in without row swaps is 0.0, which can still flip the sign of a zero
+        s[i] = (b[i] - du[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
+    s = np.array(s)
+
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], z[:-1]
+
+    def spline(q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(k, q, "right") - 1, 0, n - 2)
+        x = q - k[i]
+        # PPoly's sum starts from 0.0, which turns a -0.0 into 0.0
+        return 0.0 + c3[i] + c2[i] * x + c1[i] * (x * x) + c0[i] * (x * x * x)
+
+    return spline
+
+
 def regrid_time_values(k_samples, z_samples, grid):
     """Bin scattered (k, z) samples onto the grid's k nodes.
 

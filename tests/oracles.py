@@ -2,11 +2,14 @@
 
 Nothing here shares code with the library paths under test: prices come from
 the Poisson-mixture closed form or Monte Carlo, transforms from scipy.quad,
-simulation from a standalone compound-Poisson sampler, and the ELNN loss and
-gradient from scipy's expit with one bump matrix per network.  The one exception
-is spectral_target_per_group, which reuses the library's amplification,
+simulation from a standalone compound-Poisson sampler, the ELNN loss and
+gradient from scipy's expit with one bump matrix per network, and CSV text
+from formatting one value at a time.  The one exception is
+spectral_target_per_group, which reuses the library's amplification,
 regridding and transform and checks only the order of averaging.
 """
+
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate
@@ -125,6 +128,14 @@ def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
         z_nodes = regrid_time_values(g.k, g.z, grid)
         acc += phi_from_time_values(z_nodes, r, T, grid).values
     return acc / len(groups)
+
+
+def save_columns_reference(path, header, columns):
+    """CSV columns under a header line, formatted one value at a time with %.17g."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def _elnn_bumps(w, scale):

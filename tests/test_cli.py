@@ -4,15 +4,21 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import levycal
-from levycal import CustomModel, MertonModel
+from levycal import CustomModel, KouModel, MertonModel
 from levycal.cli import main
-from levycal.serialize import load_model, load_params, load_time_values, save_model
+from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
+                               save_columns, save_model)
+
+import oracles
 
 
 @pytest.fixture
@@ -246,6 +252,60 @@ def test_model_file_round_trip(tmp_path, merton_model, kou_model):
         '    "p": 0.04,\n    "lambda_plus": 3.7,\n    "lambda_minus": 1.8\n  }\n}\n')
 
 
+@settings(max_examples=200, deadline=None)
+@given(table=arrays(np.float64, st.tuples(st.integers(0, 50), st.integers(1, 3)),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_csv_columns_match_the_value_by_value_writer(table):
+    # any finite floats: signed zeros, subnormals and extreme exponents included
+    header = ["a", "b", "c"][:table.shape[1]]
+    with tempfile.TemporaryDirectory() as tmp:
+        path, reference = Path(tmp) / "new.csv", Path(tmp) / "reference.csv"
+        save_columns(path, header, list(table.T))
+        oracles.save_columns_reference(reference, header, list(table.T))
+        assert path.read_bytes() == reference.read_bytes()
+        # read back bit for bit
+        got_header, data = load_columns(path, header)
+        assert got_header == header
+        np.testing.assert_array_equal(data.view(np.int64), table.view(np.int64))
+
+
+# one CSV value: any text without a comma or a line break, and float spellings
+_TOKENS = (st.text(st.characters(blacklist_categories=("Cs",),
+                                 blacklist_characters=",\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"),
+                   max_size=8)
+           | st.floats().map(repr)
+           | st.from_regex(r"[ \t]*[+-]?[0-9_]*\.?[0-9_]*([eE][+-]?[0-9_]+)?[ \t]*", fullmatch=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(token=_TOKENS)
+@example(token=" 1.5")
+@example(token="+2")
+@example(token="1_0")
+@example(token=".5")
+@example(token="\uff11")  # fullwidth digit one
+@example(token="1__0")
+@example(token="0x10")
+@example(token="")
+def test_csv_values_parse_as_float_does(token):
+    # a value in the middle of a file, where the whole-file strip cannot reach it
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "odd.csv"
+        path.write_text(f"x,y\n0.5,1\n{token},2\n3,4\n")
+        try:
+            value = float(token)
+        except ValueError as exc:
+            expected = f"{path}: line 3: {exc}"
+        else:
+            expected = None if math.isfinite(value) else f"{path}: line 3: non-finite value"
+        if expected is None:
+            np.testing.assert_array_equal(load_columns(path)[1], [[0.5, 1], [value, 2], [3, 4]])
+        else:
+            with pytest.raises(ValueError) as err:
+                load_columns(path)
+            assert str(err.value) == expected
+
+
 def test_exit_code_on_missing_model(tmp_path):
     code = main(["simulate", "--model", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x")])
@@ -395,13 +455,27 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
         if good is not None:
             path.write_text(good)
     assert not (tmp_path / "sim").exists() and not (tmp_path / "rep").exists()
-    # a model's own checks run at load, also for density, which prices nothing
+    # a model's own checks run at load, also for density, which prices nothing, and
+    # their errors name the file
     doc.write_text(json.dumps({"model": "custom", "sigma": -0.1,
                                "params": {"x": [-1, 1], "dvdx": [1, 1]}}))
     capsys.readouterr()
     assert main(["density", "--params", str(doc), "--out", str(tmp_path / "dens")]) == 2
-    assert capsys.readouterr().err == "error: sigma must be nonnegative\n"
-    assert not (tmp_path / "dens").exists()
+    assert capsys.readouterr().err == f"error: {doc}: sigma must be nonnegative\n"
+    kou = {"model": "kou", "sigma": 0.2,
+           "params": {"lambda": 1.0, "p": 0.4, "lambda_plus": 3.0, "lambda_minus": 2.0}}
+    for bad in (model | {"params": model["params"] | {"delta": 0.0}},
+                model | {"params": model["params"] | {"delta": -0.05}},
+                kou | {"params": kou["params"] | {"p": 1.5}},
+                kou | {"params": kou["params"] | {"lambda_plus": 2.0}}):
+        doc.write_text(json.dumps(bad))
+        for command in (["density", "--params", str(doc), "--out", str(tmp_path / "dens")],
+                        ["simulate", "--model", str(doc), "--out", str(tmp_path / "sim")]):
+            capsys.readouterr()
+            assert main(command) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {doc}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "dens").exists() and not (tmp_path / "sim").exists()
 
 
 def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
@@ -427,6 +501,8 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
              (moments, good_slice, good_prices + "nan\n", "line 32"),
              (moments + ["--horizons", "1,-1"], good_slice, good_prices, None),
              (moments + ["--horizons", "0"], good_slice, good_prices, None),
+             (moments + ["--horizons", "1,abc"], good_slice, good_prices, "horizons"),
+             (moments + ["--horizons", ""], good_slice, good_prices, "horizons"),
              (moments, good_slice, good_prices.replace("\n101.0", "\n-101.0"), None)]
     for argv, slice_text, price_text, where in cases:
         slice_csv.write_text(slice_text)
@@ -470,6 +546,8 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file)
     prices = tmp_path / "prices.csv"
     prices.write_text("close\n" + "".join(f"{100.0 + i}\n" for i in range(30)))
+    kou_file = tmp_path / "kou.json"
+    save_model(KouModel(sigma=0.21, lam=1.4, p=0.04, lam_plus=3.7, lam_minus=1.8), kou_file)
     custom_file = tmp_path / "custom.json"
     x = np.linspace(-0.5, 0.5, 41)
     save_model(CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2), custom_file)
@@ -478,9 +556,10 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     cal = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
     loaded = {
         "simulate": _scipy_loaded(sim + ["--model", str(model_file)], tmp_path),
+        "kou": _scipy_loaded(sim + ["--model", str(kou_file)], tmp_path),
         "custom": _scipy_loaded(sim + ["--model", str(custom_file)], tmp_path),
         "elnn": _scipy_loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
-        "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "0", "--out", "calm"],
+        "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "1", "--out", "calm"],
                                 tmp_path),
         "density": _scipy_loaded(["density", "--params", "cal/params.json", "--out", "den"],
                                  tmp_path),
@@ -488,13 +567,18 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
                                   "--out", "mom"], tmp_path),
         "report": _scipy_loaded(["report", "--runs", "cal", "calm", "--out", "rep"], tmp_path),
     }
-    # every jump model has closed forms, so no command needs the quadrature
+    # every jump model has closed forms, so no command needs the quadrature, and the
+    # spline is levycal's own
     for command, subpackages in loaded.items():
-        assert not subpackages & {"stats", "integrate"}, command
-    assert loaded["report"] == set()
-    assert loaded["density"] == set()
-    # the spline is still the one the outputs come from
-    assert "interpolate" in loaded["simulate"]
+        assert not subpackages & {"stats", "integrate", "interpolate"}, command
+    for command in ("kou", "custom", "elnn", "density", "report"):
+        assert loaded[command] == set(), command
+    # Merton's jump terms need scipy.special's ndtr, and nothing beyond what `import scipy` loads
+    proc = _fresh_python(["-c", "import scipy, sys; print(*sys.modules)"], tmp_path)
+    package = {m.split(".")[1] for m in proc.stdout.split() if m.startswith("scipy.")}
+    assert loaded["simulate"] - package == {"scipy", "special"}
+    # the positive control: a Nelder-Mead fit loads scipy.optimize
+    assert "optimize" in loaded["merton"]
 
 
 def test_exit_code_on_custom_table_overflow(tmp_path, capsys):
