@@ -6,9 +6,10 @@ nodes, and the mean of the regridded curves is Fourier-transformed once into
 Phi*(w - i).  That equals the average of the groups' own transforms because
 the transform is affine in z, and training against the group average carries
 exactly the full-batch gradient of training on every group at once.
-Parametric fits minimize the same trapezoid L2 spectral loss as the network
-(without the regularizer) with a restarted Nelder-Mead simplex under box
-penalties.
+Parametric fits minimize the same trapezoid L2 spectral loss as the network,
+without the regularizer and over the full grid (the network's loss is folded
+onto w > 0 and differs from it by a parameter-independent constant), with a
+restarted Nelder-Mead simplex under box penalties.
 """
 
 from __future__ import annotations
@@ -194,8 +195,13 @@ def spectral_target(slices, grid, n_groups=1000, group_size=10_000, seed=0):
 def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
     """One slice holding every quote of `slices` and the pooled spectral target.
 
-    The target is amplified from seed + 1 and clipped to |w| <= 4 * m_cutoff.
+    The target is amplified from seed + 1 and clipped to |w| <= 4 * m_cutoff,
+    which must keep at least the two innermost nodes +-dw/2.
     """
+    if 4.0 * m_cutoff < grid.w_offset:
+        raise ValueError(f"m_cutoff must be at least dw / 8 = {grid.dw / 8} on a grid with "
+                         f"dw {grid.dw}, so that the target keeps two nodes |w| <= 4 m_cutoff; "
+                         f"got {m_cutoff}")
     target = spectral_target(slices, grid, n_groups, group_size, seed=seed + 1)
     return MarketSlice("pooled", slices[0].T, slices[0].r,
                        np.concatenate([s.k for s in slices]),

@@ -24,7 +24,7 @@ from .calibrate import calibrate_parametric, parametric_report, pooled_slice, ru
 from .elnn import TrainConfig, implied_levy_density
 from .errors import (DivergedLoss, DivisionNearZero, LevycalError, NoConvergence,
                      NonFinite, ResidueTooLarge)
-from .market import MarketSlice, NoiseSpec, generate_virtual_market, moment_table, uniform_k_sampler
+from .market import MarketSlice, NoiseSpec, generate_virtual_market, moment_table
 from .spectral import SpectralGrid
 
 _NUMERICAL = (NonFinite, DivisionNearZero, ResidueTooLarge, NoConvergence, DivergedLoss)
@@ -103,7 +103,7 @@ def cmd_simulate(args):
     grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
     slices = generate_virtual_market(
         model, cfg["days"], cfg["per_day"], cfg["T"], cfg["r"],
-        k_sampler=uniform_k_sampler(cfg["k_lo"], cfg["k_hi"]),
+        k_lo=cfg["k_lo"], k_hi=cfg["k_hi"],
         noise=NoiseSpec(cfg["noise"], cfg["seed"]), grid=grid)
 
     out = Path(args.out)
@@ -190,6 +190,8 @@ _DEN_DEFAULTS = {"x_lo": -1.0, "x_hi": 1.0, "grid_n": SpectralGrid().n,
 
 def cmd_density(args):
     cfg = _merge_config(args, ["params"])
+    if not cfg["x_lo"] < cfg["x_hi"]:
+        raise ValueError(f"'x_lo' must be below 'x_hi', got {cfg['x_lo']} and {cfg['x_hi']}")
     doc = serialize.load_object(cfg["params"])
     grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
     if "model" in doc:

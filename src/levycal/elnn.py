@@ -6,7 +6,7 @@ sigmoid-product nodes: an even real part and an odd imaginary part,
     ann_r(w) = sum_j wr0_j sig(wr1_j w) sig(-wr1_j w),
     ann_i(w) = sum_j wi0_j sig(wi1_j w) sig(-wi1_j w) w.
 
-For real w every node bump is evaluated as e(1 - e) with
+Every node bump is evaluated at real w as e(1 - e) with
 e = sig(-|a|) = 1 / (1 + exp|a|), a = w * scale: exactly even in w, and free
 of the cancellation in 1 - sig(a) deep in the tails (where exp|a| overflows,
 e is 0 exactly).  Both networks share one block of bumps, one row per scale
@@ -27,10 +27,15 @@ intensity.  The shifted characteristic function of the model is
     R   = T(-sigma^2 w^2 / 2 + ann_r(w) - c0),
     Arg = T( sigma^2 w / 2   + ann_i(w) - c1 w).
 
-Training minimizes the trapezoid L2 distance to a target Phi*(w - i) curve
-plus beta times the spectral regularizer Lambda, using full-batch ADAM with
-an analytic gradient (including the chain rule through c0 and c1).  The
-optimizer steps one flat parameter vector laid out as [s, wr0, wr1, wi0, wi1]
+The model is conjugate-symmetric by construction (Re Phi even, Im Phi odd in
+w), so on a +-symmetric grid its L2 distance to any target is the distance on
+w > 0 to the target's conjugate-symmetric part, with the mirrored trapezoid
+weights added, plus the target's antisymmetric part: a constant that no
+parameter moves (about 1e-14 on noisy virtual-market targets).  The loss is
+measured on that fold, over half the nodes.  Training minimizes it plus beta
+times the spectral regularizer Lambda, using full-batch ADAM with an analytic
+gradient (including the chain rule through c0 and c1).  The optimizer steps
+one flat parameter vector laid out as [s, wr0, wr1, wi0, wi1]
 (ElnnParams.vector); the gradient comes back in the same layout.
 """
 
@@ -117,19 +122,21 @@ class TrainConfig:
             raise ValueError("alpha_reg must exceed 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.beta_reg < 0:
+            raise ValueError(f"beta_reg must be nonnegative, got {self.beta_reg}")
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be at least 1, got {self.n_nodes}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
 def _bump(w, scale, e=None, bump=None):
     """Node bumps sig(a) sig(-a) at a = scale_j * w: one row per scale weight,
     then the axes of w.
 
-    For real w the bump is e(1 - e) with e = 1 / (1 + exp|a|), and (bump, e)
-    are written into the given arrays when there are any.  Complex w takes the
-    direct formula and returns e as None.
+    The bump is e(1 - e) with e = 1 / (1 + exp|a|); (bump, e) are written into
+    the given arrays when there are any.
     """
-    if np.iscomplexobj(w):
-        a = np.multiply.outer(scale, w)
-        return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a))), None
     e = np.multiply.outer(np.abs(scale), np.abs(w), out=e)
     with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
         np.exp(e, out=e)
@@ -141,7 +148,7 @@ def _bump(w, scale, e=None, bump=None):
 
 
 def _forward(w, params, e=None, bump=None):
-    """Both networks at w, scalar or array, real or complex.
+    """Both networks at real w, scalar or array.
 
     Returns (ann_r(w), ann_i(w), bump, e) with bump and e the shared block of
     _bump over the scales [wr1, wi1]: r-group rows first, then i-group rows.
@@ -172,13 +179,8 @@ def _phi_parts(w, annr, anni, sigma, c0, c1, T):
     return expR * np.cos(arg), expR * np.sin(arg)
 
 
-def _reg_weights(w, wts, m_cutoff, alpha_reg):
-    """Quadrature weights of the regularizer: trapezoid weights times |w / M|^alpha."""
-    return wts * np.abs(w / m_cutoff) ** alpha_reg
-
-
 def ann_r(w, params):
-    """Even real-part network; scalar or array w, real or complex."""
+    """Even real-part network; scalar or array real w."""
     return _forward(w, params)[0]
 
 
@@ -196,28 +198,30 @@ def phi_model(w, params, T):
     return pr + 1j * pi
 
 
-def regularizer(params, grid, m_cutoff, alpha_reg=4.0):
-    """Trapezoid value of integral |w/M|^alpha (ann_r^2 + ann_i^2) dw.
-
-    grid is a SpectralGrid or an array of uniform frequency nodes.
-    """
-    w = grid.w if isinstance(grid, SpectralGrid) else np.asarray(grid, dtype=float)
-    wrho = _reg_weights(w, trapezoid_weights(len(w)) * (w[1] - w[0]), m_cutoff, alpha_reg)
-    annr, anni, _, _ = _forward(w, params)
-    return float(np.sum(wrho * (annr**2 + anni**2)))
-
-
 def _target_arrays(market_slice):
+    """The loss's nodes w > 0, their folded trapezoid weights and the real and
+    imaginary parts of the target's conjugate-symmetric part there.
+
+    The slice's frequency nodes must be an even number of +-symmetric pairs.
+    """
     curve = market_slice.spectral
     if curve is None:
         raise ValueError("market slice has no spectral data; transform it first")
     w = curve.w
+    half = len(w) // 2
+    if len(w) < 2 or len(w) % 2 or not np.allclose(
+            w[:half], -w[::-1][:half], rtol=0, atol=1e-12 * (abs(w[0]) + 1)):
+        raise ValueError("the spectral target needs an even number of frequency nodes "
+                         f"in +-w pairs, got {len(w)} nodes")
     wts = trapezoid_weights(len(w)) * (w[1] - w[0])
-    return w, wts, curve.values.real.copy(), curve.values.imag.copy()
+    tr, ti = curve.values.real, curve.values.imag
+    return (w[half:], wts[half:] + wts[::-1][half:],
+            0.5 * (tr[half:] + tr[::-1][half:]), 0.5 * (ti[half:] - ti[::-1][half:]))
 
 
 def objective(params, market_slice, config):
-    """Trapezoid L2 spectral error plus beta times the regularizer."""
+    """Trapezoid L2 distance to the target's conjugate-symmetric part, measured
+    on w > 0, plus beta times the regularizer."""
     w, wts, tr, ti = _target_arrays(market_slice)
     loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=False)
     return loss
@@ -240,7 +244,7 @@ class _Workspace:
     def __init__(self, w, wts, config, n_nodes):
         self.aw = np.abs(w)
         self.w2 = w * w
-        self.wrho = _reg_weights(w, wts, config.m_cutoff, config.alpha_reg)
+        self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
         self.e, self.bump, self.pe = np.empty((3, 2 * n_nodes, len(w)))
 
 
@@ -330,38 +334,17 @@ def _guard_pole(angles):
     return angles
 
 
-def train(market_slice, config, init_params=None):
-    """Full-batch ADAM on one spectral target; deterministic for a fixed seed.
+def train(market_slice, config):
+    """Full-batch ADAM on one spectral target from
+    ElnnParams.init_random(config.n_nodes, config.seed); deterministic.
 
-    Returns the trained parameters and the per-epoch loss trace.  Raises
+    Returns the trained parameters and the per-epoch objective trace.  Raises
     DivergedLoss as soon as the loss or its gradient stops being finite.
     """
-    if init_params is None:
-        init_params = ElnnParams.init_random(config.n_nodes, seed=config.seed)
     w, wts, tr, ti = _target_arrays(market_slice)
-
-    # The loss integrand is even in w whenever the grid is +-symmetric and the
-    # target is conjugate-symmetric; folding onto w > 0 with the averaged
-    # target halves the work while leaving the gradient exactly unchanged
-    # (the fold only drops a parameter-independent constant from the loss).
-    half = len(w) // 2
-    scale = 1e-6 * (1.0 + float(np.max(np.abs(tr))))
-    folded = (
-        len(w) % 2 == 0
-        and np.allclose(w[:half], -w[::-1][:half], rtol=0, atol=1e-12 * (abs(w[0]) + 1))
-        and np.allclose(tr[:half], tr[::-1][:half], rtol=0, atol=scale)
-        and np.allclose(ti[:half], -ti[::-1][:half], rtol=0, atol=scale)
-    )
-    if folded:
-        w_fold = w[half:]
-        wts_fold = wts[half:] + wts[::-1][half:]
-        tr_fold = 0.5 * (tr[half:] + tr[::-1][half:])
-        ti_fold = 0.5 * (ti[half:] - ti[::-1][half:])
-        w, wts, tr, ti = w_fold, wts_fold, tr_fold, ti_fold
-
-    work = _Workspace(w, wts, config, init_params.n_nodes)
-    theta = init_params.vector()
-    scales = theta[1:].reshape(4, init_params.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta
+    work = _Workspace(w, wts, config, config.n_nodes)
+    theta = ElnnParams.init_random(config.n_nodes, seed=config.seed).vector()
+    scales = theta[1:].reshape(4, config.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta
     _guard_pole(scales)
     adam = Adam(config.learning_rate)
     losses = np.empty(config.epochs)

@@ -75,28 +75,26 @@ class QuoteFilters:
     min_price: float = 0.5
 
 
-def uniform_k_sampler(lo=-0.4, hi=0.4):
-    """Default moneyness sampler for virtual markets."""
-
-    def sample(rng, size):
-        return rng.uniform(lo, hi, size)
-
-    return sample
-
-
-def generate_virtual_market(model, days, per_day, T, r, k_sampler=None, noise=None, grid=None):
+def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noise=None,
+                            grid=None):
     """Simulate `days` daily slices of `per_day` noisy time-value observations.
 
-    The model curve is computed once on the FFT grid and interpolated with a
-    cubic spline at the sampled moneyness points.  Every day owns an RNG
-    substream spawned from the master seed, so output is reproducible and
-    independent of evaluation order.
+    Each day draws its moneyness points uniformly from [k_lo, k_hi), a range
+    within the grid's k nodes.  The model curve is computed once on the FFT
+    grid and interpolated with a cubic spline at the sampled points.  Every
+    day owns an RNG substream spawned from the master seed, so output is
+    reproducible and independent of evaluation order.
     """
     if days < 1 or per_day < 1:
         raise ValueError(f"days and per_day must be at least 1, got {days} and {per_day}")
-    k_sampler = k_sampler or uniform_k_sampler()
     noise = noise or NoiseSpec()
     grid = grid or SpectralGrid()
+    if not k_lo < k_hi:
+        raise ValueError(f"k_lo must be below k_hi, got k_lo {k_lo} and k_hi {k_hi}")
+    k_nodes = grid.k
+    if not (k_nodes[0] <= k_lo and k_hi <= k_nodes[-1]):
+        raise ValueError(f"k_lo and k_hi must lie within the grid's k nodes "
+                         f"[{k_nodes[0]:.6g}, {k_nodes[-1]:.6g}], got {k_lo} and {k_hi}")
     _, z_nodes = time_value_curve(model.triplet(), T, r, grid)
     spline = spline_on_grid(grid, z_nodes)
 
@@ -104,7 +102,7 @@ def generate_virtual_market(model, days, per_day, T, r, k_sampler=None, noise=No
     slices = []
     for day, stream in enumerate(streams):
         rng = np.random.default_rng(stream)
-        k = np.asarray(k_sampler(rng, per_day), dtype=float)
+        k = rng.uniform(k_lo, k_hi, per_day)
         z_clean = np.maximum(spline(k), 0.0)
         z_noisy = z_clean + rng.normal(0.0, 1.0, per_day) * (noise.scale * z_clean)
         slices.append(MarketSlice(f"day-{day:04d}", T, r, k, np.maximum(z_noisy, 0.0)))
@@ -119,6 +117,8 @@ def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be at least 1, got {n_groups}")
+    if group_size < 1:
+        raise ValueError(f"group_size must be at least 1, got {group_size}")
     if not slices:
         raise EmptyPool("no slices to amplify")
     T, r = slices[0].T, slices[0].r

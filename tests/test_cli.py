@@ -361,6 +361,24 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and flag in err, err
         assert not (tmp_path / "flagged").exists(), argv
+    # a setting outside its range exits 2 with an error naming it, and writes no result
+    for i, (argv, names) in enumerate((
+            (calibrate + ["--learning-rate", "0"], ["learning_rate"]),
+            (calibrate + ["--learning-rate", "-1"], ["learning_rate"]),
+            (calibrate + ["--beta-reg", "-1"], ["beta_reg"]),
+            (calibrate + ["--n-nodes", "0"], ["n_nodes"]),
+            (calibrate + ["--n-nodes", "-1"], ["n_nodes"]),
+            (calibrate + ["--m-cutoff", "0.001"], ["m_cutoff", "dw"]),
+            (calibrate + ["--group-size", "-1"], ["group_size"]),
+            (simulate + ["--k-lo", "-80", "--k-hi", "-70"], ["k_lo", "k_hi"]),
+            (simulate + ["--k-lo", "0.4", "--k-hi", "-0.4"], ["k_lo", "k_hi"]),
+            (density + ["--x-lo", "1", "--x-hi", "-1"], ["x_lo", "x_hi"]))):
+        capsys.readouterr()
+        out = tmp_path / f"ranged{i}"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and all(name in err for name in names), err
+        assert not [p for p in out.rglob("*") if p.is_file()], argv
     # moments runs without a model, which is optional
     assert main(["moments", "--prices", str(prices), "--horizons", "1,2",
                  "--out", str(tmp_path / "moments")]) == 0

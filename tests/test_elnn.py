@@ -8,10 +8,11 @@ import pytest
 from scipy import integrate
 
 from levycal import (Adam, ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, ann_i,
-                     ann_r, char_fn, gradient, implied_lambda, implied_levy_density,
-                     objective, phi_model, regularizer, train)
+                     ann_r, char_fn, elnn, gradient, implied_lambda, implied_levy_density,
+                     objective, phi_model, train)
 from levycal.elnn import _guard_pole, _loss_and_grad, _target_arrays
 from levycal.errors import DivergedLoss
+from levycal.spectral import trapezoid_weights
 
 import oracles
 
@@ -36,6 +37,19 @@ def toy_slice(rng, n_w=256, dw=0.5, n_nodes=8, noise=0.05, seed=None):
     base = phi_model(w, ElnnParams.init_random(n_nodes, seed=seed or 7), T)
     target = base + noise * (rng.normal(size=n_w) + 1j * rng.normal(size=n_w))
     return SimpleNamespace(T=T, spectral=SpectralCurve(w, target))
+
+
+def full_grid_nodes(slc):
+    """The slice's own nodes, trapezoid weights and target parts, unfolded."""
+    w, values = slc.spectral.w, slc.spectral.values
+    return w, trapezoid_weights(len(w)) * (w[1] - w[0]), values.real, values.imag
+
+
+def regularizer(p, w, m_cutoff, alpha_reg=4.0):
+    """Trapezoid value of integral |w/M|^alpha (ann_r^2 + ann_i^2) dw: the
+    objective with beta 1 against the model itself, whose data term is 0."""
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, phi_model(w, p, T)))
+    return objective(p, slc, TrainConfig(m_cutoff=m_cutoff, alpha_reg=alpha_reg, beta_reg=1.0))
 
 
 # --- network structure ----------------------------------------------------------
@@ -113,10 +127,15 @@ def test_property8_identity(rng):
 
 
 def test_c0_c1_from_complex_evaluation(rng):
-    # independent route: evaluate both networks at the imaginary unit
+    # independent route: evaluate the node product sig(a) sig(-a) at w = i
+    def bump_at_i(scale):
+        a = 1j * scale
+        return 1.0 / ((1.0 + np.exp(-a)) * (1.0 + np.exp(a)))
+
     for _ in range(200):
         p = random_params(rng, n=5)
-        at_i = complex(ann_r(np.array(1j), p)) + 1j * complex(ann_i(np.array(1j), p))
+        # ann_r(i) + i ann_i(i), where ann_i carries the trailing factor w = i
+        at_i = np.sum(p.wr0 * bump_at_i(p.wr1)) + 1j * np.sum(p.wi0 * bump_at_i(p.wi1)) * 1j
         assert abs(at_i.imag) < 1e-12
         assert at_i.real == pytest.approx(p.c0 - p.c1, abs=1e-12)
         assert p.c0 == pytest.approx(float(ann_r(0.0, p)), abs=1e-14)
@@ -128,18 +147,21 @@ def test_c0_c1_from_complex_evaluation(rng):
 def test_regularizer_zero_weights(default_grid):
     n = 20
     p = ElnnParams(0.2, np.zeros(n), np.full(n, 0.3), np.zeros(n), np.full(n, 0.3))
-    assert regularizer(p, default_grid, 10.0) == 0.0
+    assert regularizer(p, default_grid.w, 10.0) == 0.0
 
 
 def test_regularizer_reflection_invariant(rng, default_grid):
     p = random_params(rng)
     w = default_grid.w
+    # the data term against the model itself is exactly 0
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, phi_model(w, p, T)))
+    assert objective(p, slc, TrainConfig(m_cutoff=10.0, beta_reg=0.0)) == 0.0
     assert regularizer(p, w, 10.0) == pytest.approx(regularizer(p, -w[::-1], 10.0), rel=1e-13)
 
 
 def test_regularizer_matches_quadrature(default_grid):
     p = ElnnParams(0.2, np.array([1.0]), np.array([1.0]), np.array([0.0]), np.array([1.0]))
-    val = regularizer(p, default_grid, 10.0, alpha_reg=4.0)
+    val = regularizer(p, default_grid.w, 10.0, alpha_reg=4.0)
     assert val == pytest.approx(REG_SINGLE_NODE, rel=1e-4)
 
 
@@ -163,16 +185,18 @@ def test_objective_at_least_beta_lambda(rng):
 
 
 def test_objective_matches_plain_summation(rng):
+    # the objective measures the distance to the target's conjugate-symmetric part
     slc = toy_slice(rng)
     cfg = TrainConfig(m_cutoff=20.0, epochs=1)
     p = random_params(rng)
     w = slc.spectral.w
+    values = slc.spectral.values
     dw = w[1] - w[0]
     total = 0.0
     for i, wi in enumerate(w):
         weight = dw * (0.5 if i in (0, len(w) - 1) else 1.0)
         model = phi_model(np.array([wi]), p, T)[0]
-        diff = model - slc.spectral.values[i]
+        diff = model - 0.5 * (values[i] + np.conj(values[len(w) - 1 - i]))
         rho = abs(wi / cfg.m_cutoff) ** cfg.alpha_reg
         reg = rho * (float(ann_r(wi, p)) ** 2 + float(ann_i(wi, p)) ** 2)
         total += weight * (diff.real**2 + diff.imag**2 + cfg.beta_reg * reg)
@@ -231,15 +255,13 @@ def test_loss_and_grad_matches_reference_epoch(rng):
     # and scales at which exp|w scale| overflows, so that e is 0 exactly
     cfg = TrainConfig(m_cutoff=20.0, epochs=1)
     for trial in range(10):
-        w, wts, tr, ti = _target_arrays(toy_slice(rng, seed=trial + 50))
-        half = len(w) // 2
-        folded = (w[half:], wts[half:] + wts[::-1][half:], tr[half:], ti[half:])
+        slc = toy_slice(rng, seed=trial + 50)
         p = random_params(rng, n=8)
         p.wr1[::2] *= -1.0
         p.wi1[1::2] *= -1.0
         p.wr0[3] = p.wi0[5] = 0.0
         p.wr1[1], p.wi1[2] = 900.0, -1000.0
-        for nodes in ((w, wts, tr, ti), folded):
+        for nodes in (full_grid_nodes(slc), _target_arrays(slc)):
             loss, grad = _loss_and_grad(p, *nodes, T, cfg)
             want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
             assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
@@ -266,9 +288,9 @@ def test_guard_keeps_angles_off_pole():
 
 def test_train_zero_epochs_returns_init(rng):
     slc = toy_slice(rng)
-    cfg = TrainConfig(m_cutoff=20.0, epochs=0)
-    init = ElnnParams.init_random(cfg.n_nodes, seed=5)
-    params, losses = train(slc, cfg, init_params=init)
+    cfg = TrainConfig(m_cutoff=20.0, epochs=0, seed=5)
+    init = ElnnParams.init_random(cfg.n_nodes, seed=cfg.seed)
+    params, losses = train(slc, cfg)
     assert losses.size == 0
     assert params.s == init.s
     np.testing.assert_array_equal(params.wr0, init.wr0)
@@ -305,10 +327,9 @@ def test_concurrent_training_runs_match_sequential(rng):
 def test_train_reports_objective_loss(rng):
     slc = toy_slice(rng)
     cfg = TrainConfig(m_cutoff=20.0, epochs=1, seed=3)
-    init = ElnnParams.init_random(cfg.n_nodes, seed=3)
-    _, losses = train(slc, cfg, init_params=init)
-    # the symmetric fold may drop a tiny parameter-independent constant
-    assert losses[0] == pytest.approx(objective(init, slc, cfg), rel=1e-9)
+    init = ElnnParams.init_random(cfg.n_nodes, seed=cfg.seed)
+    _, losses = train(slc, cfg)
+    assert losses[0] == objective(init, slc, cfg)
 
 
 def test_train_diverges_with_absurd_learning_rate(rng):
@@ -321,14 +342,59 @@ def test_train_diverges_with_absurd_learning_rate(rng):
 
 
 def test_folded_training_matches_full_grid_loss(rng):
-    # the symmetric fold inside train() must reproduce the full-grid objective
+    # on a conjugate-symmetric target the fold drops nothing: train's loss is
+    # the full-grid loss of the reference implementation
     w = (np.arange(128) - 64 + 0.5) * 0.5
     truth = phi_model(w, ElnnParams.init_random(6, seed=21), T)
     slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, truth))
     cfg = TrainConfig(m_cutoff=20.0, epochs=3, seed=4)
-    init = ElnnParams.init_random(cfg.n_nodes, seed=4)
-    _, losses = train(slc, cfg, init_params=init)
-    assert losses[0] == pytest.approx(objective(init, slc, cfg), rel=1e-12)
+    init = ElnnParams.init_random(cfg.n_nodes, seed=cfg.seed)
+    _, losses = train(slc, cfg)
+    want, _ = oracles.elnn_loss_and_grad(init, *full_grid_nodes(slc), T, cfg)
+    assert losses[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_train_folds_every_target_onto_half_the_nodes(rng, monkeypatch):
+    # a noisy target is far from conjugate-symmetric; training still runs on w > 0
+    slc = toy_slice(rng)
+    seen = []
+    loss_and_grad = elnn._loss_and_grad
+
+    def counted(params, w, *args, **kwargs):
+        seen.append(len(w))
+        return loss_and_grad(params, w, *args, **kwargs)
+
+    monkeypatch.setattr(elnn, "_loss_and_grad", counted)
+    train(slc, TrainConfig(m_cutoff=20.0, epochs=3))
+    assert seen == [len(slc.spectral.w) // 2] * 3
+
+
+def test_folded_gradient_matches_full_grid_reference(rng):
+    # the fold moves the loss by the target's antisymmetric part only, a
+    # constant, so the gradient is the full-grid one on any target
+    cfg = TrainConfig(m_cutoff=20.0, epochs=1)
+    for trial in range(10):
+        slc = toy_slice(rng, seed=trial + 80)
+        p = random_params(rng, n=8)
+        w, wts, tr, ti = full_grid_nodes(slc)
+        want_loss, want_grad = oracles.elnn_loss_and_grad(p, w, wts, tr, ti, T, cfg)
+        np.testing.assert_allclose(gradient(p, slc, cfg), want_grad, rtol=1e-12, atol=0)
+        anti = 0.5 * (slc.spectral.values - np.conj(slc.spectral.values[::-1]))
+        constant = float(np.sum(wts * np.abs(anti) ** 2))
+        assert objective(p, slc, cfg) + constant == pytest.approx(want_loss, rel=1e-12)
+
+
+@pytest.mark.parametrize("w", [(np.arange(255) - 127) * 0.5,       # odd length
+                               (np.arange(256) - 128 + 0.6) * 0.5,  # off-centre
+                               np.array([0.25])])
+def test_target_needs_symmetric_grid(rng, w):
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, np.ones(len(w), dtype=complex)))
+    cfg = TrainConfig(m_cutoff=20.0, epochs=1)
+    p = random_params(rng)
+    for run in (lambda: objective(p, slc, cfg), lambda: gradient(p, slc, cfg),
+                lambda: train(slc, cfg)):
+        with pytest.raises(ValueError, match="pairs"):
+            run()
 
 
 # --- recovery on a clean target -------------------------------------------------

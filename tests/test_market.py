@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 
 from levycal import (MarketSlice, NoiseSpec, QuoteFilters, amplify, cumulants,
                      generate_virtual_market, ingest_quotes, moment_table, time_value_curve,
-                     to_time_values, uniform_k_sampler)
+                     to_time_values)
 from levycal.errors import EmptyPool, MixedMaturities, ParseError
 from levycal.market import OptionQuote
 
