@@ -6,16 +6,15 @@ nodes, and the mean of the regridded curves is Fourier-transformed once into
 Phi*(w - i).  That equals the average of the groups' own transforms because
 the transform is affine in z, and training against the group average carries
 exactly the full-batch gradient of training on every group at once.
-Parametric fits minimize the same trapezoid L2 spectral loss as the network,
-without the regularizer and over the full grid (the network's loss is folded
-onto w > 0 and differs from it by a parameter-independent constant), with a
-restarted Nelder-Mead simplex under box penalties.
+Parametric fits minimize the same folded trapezoid L2 spectral loss as the
+network (SpectralCurve.fold), without the regularizer, with a restarted
+Nelder-Mead simplex under box penalties.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import LengthMismatch, NoConvergence
 from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
 from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, spline_on_grid,
-                       time_values_from_phi, trapezoid_weights)
+                       time_values_from_phi)
 
 
 # Error-table buckets.  A coordinate lies in bin np.searchsorted(edges, c, side="right"):
@@ -96,26 +95,31 @@ _START_RANGES = {
 }
 
 
-def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0):
+def _parametric_loss(model, folded, T):
+    """The folded spectral L2 loss of a Merton or Kou model: its distance on
+    w > 0 to the target's conjugate-symmetric part, as SpectralCurve.fold gives it."""
+    w, wts, tr, ti = folded
+    phi = parametric_char_shifted(model, w, T)
+    return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
+
+
+def calibrate_parametric(family, market_slice, budget=20_000, seed=0):
     """Fit a Merton or Kou model to the slice's spectral curve.
 
     Nelder-Mead from several seeded starting points, then repeated simplex
-    restarts from the incumbent until the budget runs out; parameter boxes
-    are enforced through a smooth penalty so the simplex can roam.  Returns
-    (model, loss).  With budget 0 the best initial point is returned as is.
+    restarts from the incumbent until the budget of loss evaluations (at
+    least 1) runs out; parameter boxes are enforced through a smooth penalty
+    so the simplex can roam.  Returns (model, loss), the loss folded as
+    _parametric_loss folds it.
     """
     if family not in _BOXES:
         raise ValueError(f"unknown parametric family {family!r}")
-    curve = market_slice.spectral
-    if curve is None:
-        raise ValueError("market slice has no spectral data")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     # each model holds Python floats, as one read from its file does; numpy scalars
     # would take numpy's complex division in exp_moment, which rounds differently
     box, cls = _BOXES[family], MODELS[family]
-    w = curve.w
-    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
-    target = curve.values
-    T = market_slice.T
+    folded = market_slice.spectral.fold()
 
     def loss_fn(theta):
         penalty = 0.0
@@ -126,21 +130,13 @@ def calibrate_parametric(family, market_slice, init=None, budget=20_000, seed=0)
                 penalty += (value - hi) ** 2
         if penalty > 0.0:
             return 1e6 * (1.0 + penalty)
-        phi = parametric_char_shifted(cls(*theta.tolist()), w, T)
-        return float(np.sum(wts * np.abs(phi - target) ** 2))
+        return _parametric_loss(cls(*theta.tolist()), folded, market_slice.T)
 
     rng = np.random.default_rng(seed)
-    starts = []
-    if init is not None:
-        starts.append(np.array(astuple(init)))
-    starts.append(_DEFAULT_STARTS[family].copy())
+    starts = [_DEFAULT_STARTS[family].copy()]
     ranges = _START_RANGES[family]
     while len(starts) < 5:  # seeded draws fill up to five starting points
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in ranges]))
-
-    if budget <= 0:
-        best = min(starts, key=loss_fn)
-        return cls(*best.tolist()), loss_fn(best)
 
     # imported here because scipy.optimize adds start-up time to every CLI command
     from scipy.optimize import minimize

@@ -192,14 +192,17 @@ def cmd_density(args):
     cfg = _merge_config(args, ["params"])
     if not cfg["x_lo"] < cfg["x_hi"]:
         raise ValueError(f"'x_lo' must be below 'x_hi', got {cfg['x_lo']} and {cfg['x_hi']}")
-    doc = serialize.load_object(cfg["params"])
     grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
+    x = grid.k
+    keep = (x >= cfg["x_lo"]) & (x <= cfg["x_hi"])
+    if not keep.any():
+        raise ValueError(f"'x_lo' to 'x_hi' ({cfg['x_lo']} to {cfg['x_hi']}) holds no k node "
+                         f"of the grid, whose nodes span {x[0]:.6g} to {x[-1]:.6g}")
+    doc = serialize.load_object(cfg["params"])
     if "model" in doc:
-        x = grid.k
         dvdx = serialize.model_from_dict(doc, cfg["params"]).density(x)
     else:
-        x, dvdx = implied_levy_density(serialize.params_from_dict(doc, cfg["params"]), grid)
-    keep = (x >= cfg["x_lo"]) & (x <= cfg["x_hi"])
+        _, dvdx = implied_levy_density(serialize.params_from_dict(doc, cfg["params"]), grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_density(out / "density.csv", x[keep], dvdx[keep])
@@ -228,14 +231,11 @@ def cmd_moments(args):
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    cols = ["horizon_days", "mean", "std", "skewness", "excess_kurtosis"]
-    theory_cols = sorted(rows[0].theory) if rows[0].theory else []
-    lines = [",".join(cols + theory_cols)]
-    for row in rows:
-        vals = [row.horizon_days, row.mean, row.std, row.skewness, row.excess_kurtosis]
-        vals += [row.theory[c] for c in theory_cols]
-        lines.append(",".join(f"{v:.17g}" for v in vals))
-    (out / "moments.csv").write_text("\n".join(lines) + "\n")
+    theory_cols = sorted(rows[0].theory)
+    table = [[row.horizon_days, row.mean, row.std, row.skewness, row.excess_kurtosis]
+             + [row.theory[c] for c in theory_cols] for row in rows]
+    serialize.save_columns(out / "moments.csv", ["horizon_days", "mean", "std", "skewness",
+                                                 "excess_kurtosis", *theory_cols], zip(*table))
     inputs = [cfg["prices"]] + ([cfg["model"]] if cfg.get("model") else [])
     _finish("moments", cfg, None, inputs, out, args._started)
     return EXIT_OK

@@ -32,11 +32,12 @@ w), so on a +-symmetric grid its L2 distance to any target is the distance on
 w > 0 to the target's conjugate-symmetric part, with the mirrored trapezoid
 weights added, plus the target's antisymmetric part: a constant that no
 parameter moves (about 1e-14 on noisy virtual-market targets).  The loss is
-measured on that fold, over half the nodes.  Training minimizes it plus beta
-times the spectral regularizer Lambda, using full-batch ADAM with an analytic
-gradient (including the chain rule through c0 and c1).  The optimizer steps
-one flat parameter vector laid out as [s, wr0, wr1, wi0, wi1]
-(ElnnParams.vector); the gradient comes back in the same layout.
+measured on that fold (SpectralCurve.fold), over half the nodes.  Training
+minimizes it plus beta times the spectral regularizer Lambda, using
+full-batch ADAM with an analytic gradient (including the chain rule through
+c0 and c1).  The optimizer steps one flat parameter vector laid out as
+[s, wr0, wr1, wi0, wi1] (ElnnParams.vector); the gradient comes back in the
+same layout.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedLoss, ResidueTooLarge
-from .spectral import SpectralGrid, _inverse_nodes, trapezoid_weights
+from .spectral import SpectralGrid, _inverse_nodes
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator floor
@@ -198,38 +199,17 @@ def phi_model(w, params, T):
     return pr + 1j * pi
 
 
-def _target_arrays(market_slice):
-    """The loss's nodes w > 0, their folded trapezoid weights and the real and
-    imaginary parts of the target's conjugate-symmetric part there.
-
-    The slice's frequency nodes must be an even number of +-symmetric pairs.
-    """
-    curve = market_slice.spectral
-    if curve is None:
-        raise ValueError("market slice has no spectral data; transform it first")
-    w = curve.w
-    half = len(w) // 2
-    if len(w) < 2 or len(w) % 2 or not np.allclose(
-            w[:half], -w[::-1][:half], rtol=0, atol=1e-12 * (abs(w[0]) + 1)):
-        raise ValueError("the spectral target needs an even number of frequency nodes "
-                         f"in +-w pairs, got {len(w)} nodes")
-    wts = trapezoid_weights(len(w)) * (w[1] - w[0])
-    tr, ti = curve.values.real, curve.values.imag
-    return (w[half:], wts[half:] + wts[::-1][half:],
-            0.5 * (tr[half:] + tr[::-1][half:]), 0.5 * (ti[half:] - ti[::-1][half:]))
-
-
 def objective(params, market_slice, config):
     """Trapezoid L2 distance to the target's conjugate-symmetric part, measured
     on w > 0, plus beta times the regularizer."""
-    w, wts, tr, ti = _target_arrays(market_slice)
+    w, wts, tr, ti = market_slice.spectral.fold()
     loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=False)
     return loss
 
 
 def gradient(params, market_slice, config):
     """Exact gradient of the objective, laid out like ElnnParams.vector()."""
-    w, wts, tr, ti = _target_arrays(market_slice)
+    w, wts, tr, ti = market_slice.spectral.fold()
     _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
     return grad
 
@@ -341,7 +321,7 @@ def train(market_slice, config):
     Returns the trained parameters and the per-epoch objective trace.  Raises
     DivergedLoss as soon as the loss or its gradient stops being finite.
     """
-    w, wts, tr, ti = _target_arrays(market_slice)
+    w, wts, tr, ti = market_slice.spectral.fold()
     work = _Workspace(w, wts, config, config.n_nodes)
     theta = ElnnParams.init_random(config.n_nodes, seed=config.seed).vector()
     scales = theta[1:].reshape(4, config.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta

@@ -90,6 +90,26 @@ class SpectralCurve:
         keep = np.abs(self.w) <= w_max
         return SpectralCurve(self.w[keep], self.values[keep])
 
+    def fold(self):
+        """(w, wts, re, im): the nodes w > 0, their folded trapezoid weights and
+        the real and imaginary parts of the curve's conjugate-symmetric part there.
+
+        For a conjugate-symmetric model Phi, sum(wts * |Phi(w) - (re + i im)|^2)
+        is the full-grid trapezoid L2 distance to the curve, less the curve's
+        antisymmetric part, a constant no model moves.  The nodes must be an
+        even number of +-w pairs.
+        """
+        w = self.w
+        half = len(w) // 2
+        if len(w) < 2 or len(w) % 2 or not np.allclose(
+                w[:half], -w[::-1][:half], rtol=0, atol=1e-12 * (abs(w[0]) + 1)):
+            raise ValueError("the spectral target needs an even number of frequency nodes "
+                             f"in +-w pairs, got {len(w)} nodes")
+        wts = trapezoid_weights(len(w)) * (w[1] - w[0])
+        tr, ti = self.values.real, self.values.imag
+        return (w[half:], wts[half:] + wts[::-1][half:],
+                0.5 * (tr[half:] + tr[::-1][half:]), 0.5 * (ti[half:] - ti[::-1][half:]))
+
 
 def _inverse_nodes(grid, values):
     """(1/2pi) integral g(w) e^{-ikw} dw on the k nodes, trapezoid weighted."""

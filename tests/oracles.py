@@ -138,6 +138,14 @@ def save_columns_reference(path, header, columns):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def full_grid_spectral_loss(phi, w, target):
+    """Trapezoid L2 distance between Phi(w - i) samples and a target on all of
+    the uniform nodes w, halved end weights included."""
+    wts = np.full(len(w), w[1] - w[0])
+    wts[[0, -1]] *= 0.5
+    return float(np.sum(wts * np.abs(np.asarray(phi) - target) ** 2))
+
+
 def _elnn_bumps(w, scale):
     """Node bumps e(1 - e), e = expit(-|w scale|), one row per w node, and e."""
     e = expit(np.multiply.outer(-np.abs(w), np.abs(scale)))

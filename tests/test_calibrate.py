@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
                      SpectralGrid, TrainConfig, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
-from levycal.calibrate import PeriodEstimate
+from levycal.calibrate import _START_RANGES, PeriodEstimate, _parametric_loss
 from levycal.errors import LengthMismatch
 
 import oracles
@@ -142,18 +143,35 @@ def test_kou_self_calibration(grid_cal):
         assert type(getattr(fitted, name)) is float, name
 
 
-def test_budget_zero_returns_init(grid_cal):
-    truth = MertonModel(sigma=0.2, lam=1.0, mu=-0.05, delta=0.05)
-    slc = noise_free_slice(truth, grid_cal, 400.0)
-    fitted, loss = calibrate_parametric("merton", slc, init=truth, budget=0)
-    assert fitted == truth
-    assert loss == pytest.approx(0.0, abs=1e-18)
-
-
 def test_unknown_family(grid_cal):
     with pytest.raises(ValueError):
         calibrate_parametric("heston", noise_free_slice(
             MertonModel(0.2, 1.0, -0.05, 0.05), grid_cal, 400.0))
+
+
+@st.composite
+def models_in_start_ranges(draw):
+    family = draw(st.sampled_from(sorted(_START_RANGES)))
+    values = [draw(st.floats(lo, hi)) for lo, hi in _START_RANGES[family]]
+    return {"merton": MertonModel, "kou": KouModel}[family](*values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=models_in_start_ranges(), n_pairs=st.integers(1, 300),
+       dw=st.floats(0.05, 2.0), noise=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_folded_parametric_loss_matches_full_grid(model, n_pairs, dw, noise, seed):
+    # the fold drops only the target's antisymmetric part, a constant: adding it
+    # back gives the full-grid trapezoid loss against the noisy target
+    w = (np.arange(2 * n_pairs) - n_pairs + 0.5) * dw
+    rng = np.random.default_rng(seed)
+    target = (parametric_char_shifted(MertonModel(0.2, 1.0, -0.05, 0.05), w, T)
+              + noise * (rng.normal(size=w.size) + 1j * rng.normal(size=w.size)))
+    curve = SpectralCurve(w, target)
+    anti = 0.5 * (target - np.conj(target[::-1]))
+    constant = oracles.full_grid_spectral_loss(anti, w, 0.0)
+    want = oracles.full_grid_spectral_loss(parametric_char_shifted(model, w, T), w, target)
+    got = _parametric_loss(model, curve.fold(), T) + constant
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # --- stability summary ---------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycal
-from levycal import CustomModel, KouModel, MertonModel
+from levycal import CustomModel, KouModel, MertonModel, moment_table
 from levycal.cli import main
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
                                save_columns, save_model)
@@ -166,6 +166,24 @@ def test_moments_command(tmp_path, model_file):
     lines = (out / "moments.csv").read_text().strip().splitlines()
     assert lines[0].startswith("horizon_days,mean,std,")
     assert len(lines) == 4
+    # the file holds what the value-by-value writer writes, with a model and without
+    # one, NaN skewness of a flat series included
+    flat = tmp_path / "flat.csv"
+    flat.write_text("close\n" + "100\n" * 20)
+    for prices_file, model in ((pfile, model_file), (flat, None)):
+        argv = ["moments", "--prices", str(prices_file), "--horizons", "1,2,4",
+                "--out", str(tmp_path / "table")]
+        assert main(argv + (["--model", str(model)] if model else [])) == 0
+        rows = moment_table(load_columns(prices_file)[1][:, -1], [1, 2, 4],
+                            triplet=load_model(model).triplet() if model else None)
+        theory = sorted(rows[0].theory)
+        header = ["horizon_days", "mean", "std", "skewness", "excess_kurtosis", *theory]
+        columns = [[getattr(r, c) for r in rows] for c in header[:5]]
+        columns += [[r.theory[c] for r in rows] for c in theory]
+        oracles.save_columns_reference(tmp_path / "want.csv", header, columns)
+        assert (tmp_path / "table" / "moments.csv").read_text() == \
+            (tmp_path / "want.csv").read_text()
+    assert "nan" in (tmp_path / "want.csv").read_text()
 
 
 def test_report_merges_runs(tmp_path, model_file):
@@ -370,9 +388,13 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
             (calibrate + ["--n-nodes", "-1"], ["n_nodes"]),
             (calibrate + ["--m-cutoff", "0.001"], ["m_cutoff", "dw"]),
             (calibrate + ["--group-size", "-1"], ["group_size"]),
+            (calibrate + ["--method", "merton", "--budget", "0"], ["budget"]),
+            (calibrate + ["--method", "kou", "--budget", "-5"], ["budget"]),
             (simulate + ["--k-lo", "-80", "--k-hi", "-70"], ["k_lo", "k_hi"]),
             (simulate + ["--k-lo", "0.4", "--k-hi", "-0.4"], ["k_lo", "k_hi"]),
-            (density + ["--x-lo", "1", "--x-hi", "-1"], ["x_lo", "x_hi"]))):
+            (density + ["--x-lo", "1", "--x-hi", "-1"], ["x_lo", "x_hi"]),
+            (density + ["--x-lo", "100", "--x-hi", "200"], ["x_lo", "x_hi", "k node"]),
+            (density + ["--x-lo", "0.001", "--x-hi", "0.002"], ["x_lo", "x_hi", "k node"]))):
         capsys.readouterr()
         out = tmp_path / f"ranged{i}"
         assert main(argv + ["--out", str(out)]) == 2, argv

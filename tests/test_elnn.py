@@ -8,9 +8,9 @@ import pytest
 from scipy import integrate
 
 from levycal import (Adam, ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, ann_i,
-                     ann_r, char_fn, elnn, gradient, implied_lambda, implied_levy_density,
-                     objective, phi_model, train)
-from levycal.elnn import _guard_pole, _loss_and_grad, _target_arrays
+                     ann_r, calibrate_parametric, char_fn, elnn, gradient, implied_lambda,
+                     implied_levy_density, objective, phi_model, train)
+from levycal.elnn import _guard_pole, _loss_and_grad
 from levycal.errors import DivergedLoss
 from levycal.spectral import trapezoid_weights
 
@@ -261,7 +261,7 @@ def test_loss_and_grad_matches_reference_epoch(rng):
         p.wi1[1::2] *= -1.0
         p.wr0[3] = p.wi0[5] = 0.0
         p.wr1[1], p.wi1[2] = 900.0, -1000.0
-        for nodes in (full_grid_nodes(slc), _target_arrays(slc)):
+        for nodes in (full_grid_nodes(slc), slc.spectral.fold()):
             loss, grad = _loss_and_grad(p, *nodes, T, cfg)
             want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
             assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
@@ -392,7 +392,8 @@ def test_target_needs_symmetric_grid(rng, w):
     cfg = TrainConfig(m_cutoff=20.0, epochs=1)
     p = random_params(rng)
     for run in (lambda: objective(p, slc, cfg), lambda: gradient(p, slc, cfg),
-                lambda: train(slc, cfg)):
+                lambda: train(slc, cfg), lambda: calibrate_parametric("merton", slc),
+                lambda: calibrate_parametric("kou", slc)):
         with pytest.raises(ValueError, match="pairs"):
             run()
 
