@@ -7,8 +7,8 @@ from .levy_models import (CumulantSet, CustomModel, KouModel, MertonModel, char_
 from .spectral import (SpectralCurve, SpectralGrid, call_price,
                        phi_from_time_values, plancherel_gap, regrid_time_values,
                        time_value_curve, time_values_from_phi, zeta)
-from .elnn import (Adam, ElnnParams, TrainConfig, ann_i, ann_r, implied_lambda,
-                   implied_levy_density, objective, gradient, phi_model, train)
+from .elnn import (ElnnParams, TrainConfig, ann_i, ann_r, implied_lambda, implied_levy_density,
+                   phi_model, train)
 from .market import (MarketSlice, NoiseSpec, OptionQuote, QuoteFilters, amplify,
                      generate_virtual_market, ingest_quotes, moment_table, to_time_values)
 from .calibrate import (PeriodEstimate, bucketed_errors, calibrate_parametric,

@@ -7,8 +7,9 @@ Phi*(w - i).  That equals the average of the groups' own transforms because
 the transform is affine in z, and training against the group average carries
 exactly the full-batch gradient of training on every group at once.
 Parametric fits minimize the same folded trapezoid L2 spectral loss as the
-network (SpectralCurve.fold), without the regularizer, with a restarted
-Nelder-Mead simplex under box penalties.
+network (SpectralCurve.fold), without the regularizer, by Nelder-Mead from
+five starts that share one budget of loss evaluations, inside a box of
+admissible parameters.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import elnn
-from .errors import LengthMismatch, NoConvergence
+from .errors import LengthMismatch
 from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
 from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, spline_on_grid,
@@ -103,14 +104,15 @@ def _parametric_loss(model, folded, T):
     return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
 
 
-def calibrate_parametric(family, market_slice, budget=20_000, seed=0):
+def calibrate_parametric(family, market_slice, budget, seed=0):
     """Fit a Merton or Kou model to the slice's spectral curve.
 
-    Nelder-Mead from several seeded starting points, then repeated simplex
-    restarts from the incumbent until the budget of loss evaluations (at
-    least 1) runs out; parameter boxes are enforced through a smooth penalty
-    so the simplex can roam.  Returns (model, loss), the loss folded as
-    _parametric_loss folds it.
+    One Nelder-Mead run from each of five starting points, the family's default
+    start and then four seeded draws.  They share `budget` (at least 1) loss
+    evaluations: start i may spend (budget + 4 - i) // 5 and a start with no
+    share is skipped.  The loss is infinite outside the family's parameter box,
+    which holds every start.  Returns (model, loss) of the lowest fit, the loss
+    folded as _parametric_loss folds it.
     """
     if family not in _BOXES:
         raise ValueError(f"unknown parametric family {family!r}")
@@ -122,48 +124,23 @@ def calibrate_parametric(family, market_slice, budget=20_000, seed=0):
     folded = market_slice.spectral.fold()
 
     def loss_fn(theta):
-        penalty = 0.0
-        for value, (lo, hi) in zip(theta, box):
-            if value < lo:
-                penalty += (lo - value) ** 2
-            elif value > hi:
-                penalty += (value - hi) ** 2
-        if penalty > 0.0:
-            return 1e6 * (1.0 + penalty)
+        if not all(lo <= value <= hi for value, (lo, hi) in zip(theta, box)):
+            return math.inf
         return _parametric_loss(cls(*theta.tolist()), folded, market_slice.T)
 
     rng = np.random.default_rng(seed)
-    starts = [_DEFAULT_STARTS[family].copy()]
-    ranges = _START_RANGES[family]
-    while len(starts) < 5:  # seeded draws fill up to five starting points
-        starts.append(np.array([rng.uniform(lo, hi) for lo, hi in ranges]))
+    starts = [_DEFAULT_STARTS[family]] + [
+        np.array([rng.uniform(lo, hi) for lo, hi in _START_RANGES[family]]) for _ in range(4)]
 
     # imported here because scipy.optimize adds start-up time to every CLI command
     from scipy.optimize import minimize
 
-    best_theta, best_loss = None, np.inf
-    per_start = max(200, budget // (len(starts) + 4))
-    spent = 0
-    for x0 in starts:
-        res = minimize(loss_fn, x0, method="Nelder-Mead",
-                       options={"maxfev": per_start, "xatol": 1e-8, "fatol": 1e-12})
-        spent += res.nfev
-        if np.isfinite(res.fun) and res.fun < best_loss:
-            best_theta, best_loss = res.x, float(res.fun)
-    # repeated fresh simplexes from the incumbent escape collapsed valleys
-    while best_theta is not None and spent < budget:
-        res = minimize(loss_fn, best_theta, method="Nelder-Mead",
-                       options={"maxfev": min(3000, budget - spent),
-                                "xatol": 1e-12, "fatol": 1e-16})
-        spent += res.nfev
-        if not (np.isfinite(res.fun) and res.fun < best_loss * (1 - 1e-12)):
-            if np.isfinite(res.fun) and res.fun < best_loss:
-                best_theta, best_loss = res.x, float(res.fun)
-            break
-        best_theta, best_loss = res.x, float(res.fun)
-    if best_theta is None or not np.isfinite(best_loss) or best_loss >= 1e6:
-        raise NoConvergence(f"{family} calibration found no admissible minimum within budget {budget}")
-    return cls(*best_theta.tolist()), best_loss
+    shares = [(budget + 4 - i) // 5 for i in range(len(starts))]
+    fits = [minimize(loss_fn, x0, method="Nelder-Mead",
+                     options={"maxfev": share, "xatol": 1e-8, "fatol": 1e-12})
+            for x0, share in zip(starts, shares) if share]
+    best = min(fits, key=lambda res: res.fun)
+    return cls(*best.x.tolist()), float(best.fun)
 
 
 # ---------------------------------------------------------------------------

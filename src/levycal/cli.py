@@ -22,12 +22,11 @@ from pathlib import Path
 from . import __version__, serialize
 from .calibrate import calibrate_parametric, parametric_report, pooled_slice, run_elnn
 from .elnn import TrainConfig, implied_levy_density
-from .errors import (DivergedLoss, DivisionNearZero, LevycalError, NoConvergence,
-                     NonFinite, ResidueTooLarge)
+from .errors import DivergedLoss, DivisionNearZero, LevycalError, NonFinite, ResidueTooLarge
 from .market import MarketSlice, NoiseSpec, generate_virtual_market, moment_table
 from .spectral import SpectralGrid
 
-_NUMERICAL = (NonFinite, DivisionNearZero, ResidueTooLarge, NoConvergence, DivergedLoss)
+_NUMERICAL = (NonFinite, DivisionNearZero, ResidueTooLarge, DivergedLoss)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,8 +118,11 @@ def cmd_simulate(args):
 
 def _load_market(market_dir):
     market_dir = Path(market_dir)
-    meta = serialize.load_object(market_dir / "market.json")
-    T, r = (serialize.field(meta, key, float, market_dir / "market.json") for key in ("T", "r"))
+    meta_file = market_dir / "market.json"
+    meta = serialize.load_object(meta_file)
+    T, r = (serialize.field(meta, key, float, meta_file) for key in ("T", "r"))
+    if T <= 0:
+        raise ValueError(f"{meta_file}: 'T' must be positive, got {T}")
     grid = serialize.load_grid(market_dir / "grid.json")
     slices = []
     for f in sorted((market_dir / "slices").glob("*.csv")):

@@ -41,9 +41,5 @@ class LengthMismatch(LevycalError):
     """Predicted and target arrays are not aligned."""
 
 
-class NoConvergence(LevycalError):
-    """Parametric calibration exhausted its budget without a usable minimum."""
-
-
 class DivergedLoss(LevycalError):
     """Training loss became non-finite."""

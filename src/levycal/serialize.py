@@ -208,7 +208,11 @@ def save_grid(path, grid):
 
 def load_grid(path):
     doc = load_object(path)
-    return SpectralGrid(n=field(doc, "n", int, path), dw=field(doc, "dw", float, path))
+    n, dw = field(doc, "n", int, path), field(doc, "dw", float, path)
+    try:
+        return SpectralGrid(n, dw)
+    except ValueError as exc:  # the grid's own checks
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_loss_trace(path, losses):

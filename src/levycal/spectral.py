@@ -43,9 +43,9 @@ class SpectralGrid:
 
     def __post_init__(self):
         if self.n < 4 or self.n & (self.n - 1):
-            raise ValueError("n must be a power of two, at least 4")
+            raise ValueError(f"'n' must be a power of two, at least 4, got {self.n}")
         if self.dw <= 0:
-            raise ValueError("dw must be positive")
+            raise ValueError(f"'dw' must be positive, got {self.dw}")
 
     @property
     def w_offset(self):

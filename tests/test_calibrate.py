@@ -8,7 +8,8 @@ from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurv
                      SpectralGrid, TrainConfig, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
-from levycal.calibrate import _START_RANGES, PeriodEstimate, _parametric_loss
+from levycal import calibrate
+from levycal.calibrate import _DEFAULT_STARTS, _START_RANGES, PeriodEstimate, _parametric_loss
 from levycal.errors import LengthMismatch
 
 import oracles
@@ -120,7 +121,7 @@ def grid_cal():
 def test_merton_self_calibration(grid_cal):
     truth = MertonModel(sigma=0.2, lam=1.0, mu=-0.05, delta=0.05)
     slc = noise_free_slice(truth, grid_cal, 400.0)
-    fitted, loss = calibrate_parametric("merton", slc, seed=1)
+    fitted, loss = calibrate_parametric("merton", slc, budget=20_000, seed=1)
     assert loss < 1e-8
     assert fitted.sigma == pytest.approx(0.2, rel=0.02)
     assert fitted.lam == pytest.approx(1.0, rel=0.02)
@@ -146,7 +147,31 @@ def test_kou_self_calibration(grid_cal):
 def test_unknown_family(grid_cal):
     with pytest.raises(ValueError):
         calibrate_parametric("heston", noise_free_slice(
-            MertonModel(0.2, 1.0, -0.05, 0.05), grid_cal, 400.0))
+            MertonModel(0.2, 1.0, -0.05, 0.05), grid_cal, 400.0), budget=1)
+
+
+def test_budget_caps_loss_evaluations(monkeypatch):
+    w = SpectralGrid(n=256, dw=0.5).w
+    rng = np.random.default_rng(3)
+    target = (parametric_char_shifted(MertonModel(0.2, 1.0, -0.05, 0.05), w, T)
+              + 0.01 * (rng.normal(size=w.size) + 1j * rng.normal(size=w.size)))
+    slc = MarketSlice("noisy", T, R, np.array([0.0]), np.array([0.0]),
+                      spectral=SpectralCurve(w, target))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _parametric_loss(*args)
+
+    monkeypatch.setattr(calibrate, "_parametric_loss", counted)
+    for budget in (1, 4, 5, 100, 1000):
+        calls.clear()
+        fitted, loss = calibrate_parametric("merton", slc, budget=budget, seed=2)
+        assert 1 <= len(calls) <= budget, (budget, len(calls))
+        if budget == 1:  # only the default start is served, and it does not move
+            start = _DEFAULT_STARTS["merton"].tolist()
+            assert [fitted.sigma, fitted.lam, fitted.mu, fitted.delta] == start
+            assert loss == _parametric_loss(MertonModel(*start), slc.spectral.fold(), T)
 
 
 @st.composite

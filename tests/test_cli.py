@@ -463,6 +463,7 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
                                  "--group-size", "100"]) == 0
     report = json.loads((run / "report.json").read_text())
     grid = json.loads((market / "grid.json").read_text())
+    market_meta = json.loads((market / "market.json").read_text())
     model = json.loads(model_file.read_text())
     doc = tmp_path / "values.json"
     cases = [
@@ -480,6 +481,14 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
         (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
          params | {"wr0": [0.0] * 2}, "wr0, wr1, wi0 and wi1"),
         (calibrate, market / "grid.json", grid | {"n": None}, "'n'"),
+        (calibrate, market / "grid.json", grid | {"n": 1000}, "'n'"),
+        (calibrate, market / "grid.json", grid | {"dw": -0.2}, "'dw'"),
+        (calibrate, market / "market.json", market_meta | {"T": 0.0}, "'T'"),
+        (calibrate, market / "market.json", market_meta | {"T": -0.05}, "'T'"),
+        (calibrate + ["--method", "merton"], market / "market.json", market_meta | {"T": 0.0},
+         "'T'"),
+        (calibrate + ["--method", "kou"], market / "market.json", market_meta | {"T": -0.05},
+         "'T'"),
         (["report", "--runs", str(run), "--out", str(tmp_path / "rep")], run / "report.json",
          report | {"z_rmse": [1]}, "'z_rmse'"),
         (["report", "--runs", str(run), "--out", str(tmp_path / "rep")], run / "report.json",

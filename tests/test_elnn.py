@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from levycal import (Adam, ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, ann_i,
-                     ann_r, calibrate_parametric, char_fn, elnn, gradient, implied_lambda,
-                     implied_levy_density, objective, phi_model, train)
-from levycal.elnn import _guard_pole, _loss_and_grad
+from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, ann_i, ann_r,
+                     calibrate_parametric, char_fn, elnn, implied_lambda, implied_levy_density,
+                     phi_model, train)
+from levycal.elnn import Adam, _guard_pole, _loss_and_grad, gradient, objective
 from levycal.errors import DivergedLoss
 from levycal.spectral import trapezoid_weights
 
@@ -392,8 +392,8 @@ def test_target_needs_symmetric_grid(rng, w):
     cfg = TrainConfig(m_cutoff=20.0, epochs=1)
     p = random_params(rng)
     for run in (lambda: objective(p, slc, cfg), lambda: gradient(p, slc, cfg),
-                lambda: train(slc, cfg), lambda: calibrate_parametric("merton", slc),
-                lambda: calibrate_parametric("kou", slc)):
+                lambda: train(slc, cfg), lambda: calibrate_parametric("merton", slc, budget=1),
+                lambda: calibrate_parametric("kou", slc, budget=1)):
         with pytest.raises(ValueError, match="pairs"):
             run()
 
