@@ -9,7 +9,8 @@ exactly the full-batch gradient of training on every group at once.
 Parametric fits minimize the same folded trapezoid L2 spectral loss as the
 network (SpectralCurve.fold), without the regularizer, by Nelder-Mead from
 five starts that share one budget of loss evaluations, inside a box of
-admissible parameters.
+admissible parameters.  The Nelder-Mead is levycal's own (_nelder_mead) and
+repeats SciPy's step for step, so a fit needs no scipy.optimize at start-up.
 """
 
 from __future__ import annotations
@@ -104,43 +105,129 @@ def _parametric_loss(model, folded, T):
     return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
 
 
-def calibrate_parametric(family, market_slice, budget, seed=0):
-    """Fit a Merton or Kou model to the slice's spectral curve.
-
-    One Nelder-Mead run from each of five starting points, the family's default
-    start and then four seeded draws.  They share `budget` (at least 1) loss
-    evaluations: start i may spend (budget + 4 - i) // 5 and a start with no
-    share is skipped.  The loss is infinite outside the family's parameter box,
-    which holds every start.  Returns (model, loss) of the lowest fit, the loss
-    folded as _parametric_loss folds it.
-    """
-    if family not in _BOXES:
-        raise ValueError(f"unknown parametric family {family!r}")
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
-    # each model holds Python floats, as one read from its file does; numpy scalars
-    # would take numpy's complex division in exp_moment, which rounds differently
+def _box_loss(family, market_slice):
+    """The loss calibrate_parametric minimizes over a family's parameter vector:
+    _parametric_loss against the slice's folded curve, infinite outside the box."""
     box, cls = _BOXES[family], MODELS[family]
     folded = market_slice.spectral.fold()
 
     def loss_fn(theta):
         if not all(lo <= value <= hi for value, (lo, hi) in zip(theta, box)):
             return math.inf
+        # each model holds Python floats, as one read from its file does; numpy scalars
+        # would take numpy's complex division in exp_moment, which rounds differently
         return _parametric_loss(cls(*theta.tolist()), folded, market_slice.T)
 
+    return loss_fn
+
+
+# Nelder-Mead convergence: the simplex's spread in x and in the loss
+_XATOL = 1e-8
+_FATOL = 1e-12
+
+
+class _Exhausted(Exception):
+    """A _nelder_mead run has spent its evaluations."""
+
+
+def _sort_simplex(sim, fsim):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+
+def _nelder_mead(f, x0, maxfev):
+    """Minimize f from x0 in at most `maxfev` evaluations; returns (x, f(x)) of the best vertex.
+
+    Step for step SciPy's minimize(method="Nelder-Mead") without bounds and
+    with adaptive=False, xatol _XATOL and fatol _FATOL: the same initial
+    simplex, coefficients, arithmetic order and sorts, so the same floats.
+    f gets a copy of each vertex.  A run stops where its evaluations run
+    out, mid-shrink included, and then sorts the simplex once more.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _Exhausted
+        nfev += 1
+        return f(np.copy(x))
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _Exhausted:
+        pass
+    sim, fsim = _sort_simplex(*_sort_simplex(sim, fsim))  # SciPy sorts twice here
+    while nfev < maxfev:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= _XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= _FATOL):
+            break
+        try:
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction, kept when no worse than xr
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = evaluate(xc)
+                    keep = fxc <= fxr
+                else:  # inside contraction, kept when better than the worst vertex
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = evaluate(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = evaluate(sim[j])
+        except _Exhausted:
+            pass
+        sim, fsim = _sort_simplex(sim, fsim)
+    return sim[0], np.min(fsim)
+
+
+def calibrate_parametric(family, market_slice, budget, seed=0):
+    """Fit a Merton or Kou model to the slice's spectral curve.
+
+    One Nelder-Mead run (_nelder_mead, SciPy's algorithm bit for bit, without
+    importing scipy.optimize) from each of five starting points, the family's
+    default start and then four seeded draws.  They share `budget` (at least 1)
+    loss evaluations: start i may spend (budget + 4 - i) // 5 and a start with
+    no share is skipped.  The loss is infinite outside the family's parameter
+    box, which holds every start.  Returns (model, loss) of the lowest fit, the
+    loss folded as _parametric_loss folds it.
+    """
+    if family not in _BOXES:
+        raise ValueError(f"unknown parametric family {family!r}")
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     rng = np.random.default_rng(seed)
     starts = [_DEFAULT_STARTS[family]] + [
         np.array([rng.uniform(lo, hi) for lo, hi in _START_RANGES[family]]) for _ in range(4)]
 
-    # imported here because scipy.optimize adds start-up time to every CLI command
-    from scipy.optimize import minimize
-
+    loss_fn = _box_loss(family, market_slice)
     shares = [(budget + 4 - i) // 5 for i in range(len(starts))]
-    fits = [minimize(loss_fn, x0, method="Nelder-Mead",
-                     options={"maxfev": share, "xatol": 1e-8, "fatol": 1e-12})
-            for x0, share in zip(starts, shares) if share]
-    best = min(fits, key=lambda res: res.fun)
-    return cls(*best.x.tolist()), float(best.fun)
+    fits = [_nelder_mead(loss_fn, x0, share) for x0, share in zip(starts, shares) if share]
+    x, fun = min(fits, key=lambda fit: fit[1])
+    return MODELS[family](*x.tolist()), float(fun)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,16 @@ def _max_workers(n_tasks):
     return max(1, min(limit, n_tasks))
 
 
+def _grid(cfg):
+    """The SpectralGrid of the grid_n and grid_dw settings; an error names the setting."""
+    n, dw = cfg["grid_n"], cfg["grid_dw"]
+    if n < 4 or n & (n - 1):
+        raise ValueError(f"'grid_n' must be a power of two, at least 4, got {n}")
+    if dw <= 0:
+        raise ValueError(f"'grid_dw' must be positive, got {dw}")
+    return SpectralGrid(n, dw)
+
+
 # --- simulate -----------------------------------------------------------------
 
 _SIM_DEFAULTS = {"days": 1000, "per_day": 100, "T": 0.05, "r": 0.02,
@@ -99,7 +109,7 @@ _SIM_DEFAULTS = {"days": 1000, "per_day": 100, "T": 0.05, "r": 0.02,
 def cmd_simulate(args):
     cfg = _merge_config(args, ["model"])
     model = serialize.load_model(cfg["model"])
-    grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
+    grid = _grid(cfg)
     slices = generate_virtual_market(
         model, cfg["days"], cfg["per_day"], cfg["T"], cfg["r"],
         k_lo=cfg["k_lo"], k_hi=cfg["k_hi"],
@@ -194,7 +204,7 @@ def cmd_density(args):
     cfg = _merge_config(args, ["params"])
     if not cfg["x_lo"] < cfg["x_hi"]:
         raise ValueError(f"'x_lo' must be below 'x_hi', got {cfg['x_lo']} and {cfg['x_hi']}")
-    grid = SpectralGrid(cfg["grid_n"], cfg["grid_dw"])
+    grid = _grid(cfg)
     x = grid.k
     keep = (x >= cfg["x_lo"]) & (x <= cfg["x_hi"])
     if not keep.any():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -172,6 +173,81 @@ def test_budget_caps_loss_evaluations(monkeypatch):
             start = _DEFAULT_STARTS["merton"].tolist()
             assert [fitted.sigma, fitted.lam, fitted.mu, fitted.delta] == start
             assert loss == _parametric_loss(MertonModel(*start), slc.spectral.fold(), T)
+
+
+def assert_nelder_mead_matches_scipy(f, x0, maxfev):
+    """_nelder_mead against its oracle, SciPy's Nelder-Mead with the same tolerances."""
+    from scipy.optimize import minimize
+
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    x, fun = calibrate._nelder_mead(counted, x0, maxfev)
+    want = minimize(f, x0, method="Nelder-Mead",
+                    options={"maxfev": maxfev, "xatol": 1e-8, "fatol": 1e-12})
+    np.testing.assert_array_equal(x, want.x)
+    assert fun == want.fun
+    assert len(calls) == want.nfev
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.01, 0.1])
+@pytest.mark.parametrize("family, truth", [
+    ("merton", MertonModel(0.2, 1.0, -0.05, 0.05)),
+    ("kou", KouModel(0.21, 1.4, 0.04, 3.7, 1.8))])
+def test_nelder_mead_matches_scipy(family, truth, noise):
+    w = SpectralGrid(n=64, dw=1.0).w
+    rng = np.random.default_rng(3)
+    target = (parametric_char_shifted(truth, w, T)
+              + noise * (rng.normal(size=w.size) + 1j * rng.normal(size=w.size)))
+    slc = MarketSlice("noisy", T, R, np.array([0.0]), np.array([0.0]),
+                      spectral=SpectralCurve(w, target))
+    loss = calibrate._box_loss(family, slc)
+    starts = [_DEFAULT_STARTS[family]] + [
+        np.array([rng.uniform(lo, hi) for lo, hi in _START_RANGES[family]]) for _ in range(2)]
+    # sigma 1.99 steps to 2.09, outside the box (an infinite loss), and lambda 0
+    # takes the step for a zero coordinate
+    edge = _DEFAULT_STARTS[family].copy()
+    edge[:2] = 1.99, 0.0
+    assert loss(np.r_[1.05 * 1.99, edge[1:]]) == math.inf
+    n = len(edge)
+    # maxfev n + 1 is exactly the initial simplex
+    for x0 in starts + [edge]:
+        for maxfev in (1, n, n + 1, n + 2, 40, 200, 1200):
+            assert_nelder_mead_matches_scipy(loss, x0, maxfev)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 5), maxfev=st.integers(1, 300))
+def test_nelder_mead_matches_scipy_on_a_quadratic(data, n, maxfev):
+    # x0 may hold zeros, which take SciPy's 0.00025 step; rounding the loss to two
+    # decimals gives it plateaus, where contractions fail and the simplex shrinks,
+    # so some runs stop mid-shrink
+    coord = st.floats(-3.0, 3.0)
+    x0 = np.array(data.draw(st.lists(st.one_of(st.just(0.0), coord), min_size=n, max_size=n)))
+    centre = np.array(data.draw(st.lists(coord, min_size=n, max_size=n)))
+    assert_nelder_mead_matches_scipy(lambda x: round(float(np.sum((x - centre) ** 2)), 2),
+                                     x0, maxfev)
+
+
+def test_nelder_mead_matches_scipy_when_cut_mid_shrink():
+    # a call that returns -1, as a noisy loss might, can make a shrunk vertex the
+    # best just before the evaluations run out; only the last sort puts it first
+    from scipy.optimize import minimize
+
+    def lucky_on_call(lucky):
+        calls = itertools.count(1)
+        return lambda x: -1.0 if next(calls) == lucky else round(float(np.sum(x ** 2)), 1)
+
+    x0 = np.array([3.0, 0.0])
+    for lucky in range(1, 40):
+        x, fun = calibrate._nelder_mead(lucky_on_call(lucky), x0, lucky)
+        want = minimize(lucky_on_call(lucky), x0, method="Nelder-Mead",
+                        options={"maxfev": lucky, "xatol": 1e-8, "fatol": 1e-12})
+        np.testing.assert_array_equal(x, want.x)
+        assert fun == want.fun
 
 
 @st.composite

@@ -331,9 +331,18 @@ def test_exit_code_on_missing_model(tmp_path):
 
 
 def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
-    code = main(["simulate", "--model", str(model_file), "--out", str(tmp_path / "y"),
-                 "--grid-n", "1000"])  # not a power of two
-    assert code == 2
+    # a bad grid setting is named as the setting, for either command that takes one
+    for command in (["simulate", "--model"], ["density", "--params"]):
+        for flag, value, key in (("--grid-n", "1000", "'grid_n'"),  # not a power of two
+                                 ("--grid-n", "2", "'grid_n'"),
+                                 ("--grid-dw", "0", "'grid_dw'"),
+                                 ("--grid-dw", "-0.1", "'grid_dw'")):
+            capsys.readouterr()
+            code = main([*command, str(model_file), "--out", str(tmp_path / "y"), flag, value])
+            assert code == 2, (command, flag, value)
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and key in err, err
+    assert not (tmp_path / "y").exists()
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
     code = main(["simulate", "--model", str(model_file), "--config", str(cfg),
@@ -610,6 +619,8 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
         "elnn": _scipy_loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
         "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "1", "--out", "calm"],
                                 tmp_path),
+        "kou-fit": _scipy_loaded(cal + ["--method", "kou", "--budget", "1", "--out", "calk"],
+                                 tmp_path),
         "density": _scipy_loaded(["density", "--params", "cal/params.json", "--out", "den"],
                                  tmp_path),
         "moments": _scipy_loaded(["moments", "--prices", str(prices), "--model", str(model_file),
@@ -617,17 +628,19 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
         "report": _scipy_loaded(["report", "--runs", "cal", "calm", "--out", "rep"], tmp_path),
     }
     # every jump model has closed forms, so no command needs the quadrature, and the
-    # spline is levycal's own
+    # spline and the Nelder-Mead are levycal's own
     for command, subpackages in loaded.items():
-        assert not subpackages & {"stats", "integrate", "interpolate"}, command
-    for command in ("kou", "custom", "elnn", "density", "report"):
+        assert not subpackages & {"stats", "integrate", "interpolate", "optimize"}, command
+    for command in ("kou", "custom", "elnn", "kou-fit", "density", "report"):
         assert loaded[command] == set(), command
-    # Merton's jump terms need scipy.special's ndtr, and nothing beyond what `import scipy` loads
+    # Merton's jump terms need scipy.special's ndtr, and nothing beyond what `import scipy`
+    # loads; a Merton fit loads just what a Merton market does
     proc = _fresh_python(["-c", "import scipy, sys; print(*sys.modules)"], tmp_path)
     package = {m.split(".")[1] for m in proc.stdout.split() if m.startswith("scipy.")}
     assert loaded["simulate"] - package == {"scipy", "special"}
-    # the positive control: a Nelder-Mead fit loads scipy.optimize
-    assert "optimize" in loaded["merton"]
+    assert loaded["merton"] == loaded["simulate"]
+    # the positive control: a Merton fit does load SciPy
+    assert "special" in loaded["merton"]
 
 
 def test_exit_code_on_custom_table_overflow(tmp_path, capsys):
