@@ -4,9 +4,8 @@ __version__ = "0.1.0"
 
 from .levy_models import (CumulantSet, CustomModel, KouModel, MertonModel, char_fn, cumulants,
                           f_exponent, parametric_char_shifted)
-from .spectral import (SpectralCurve, SpectralGrid, call_price,
-                       phi_from_time_values, plancherel_gap, regrid_time_values,
-                       time_value_curve, time_values_from_phi, zeta)
+from .spectral import (SpectralCurve, SpectralGrid, phi_from_time_values, regrid_time_values,
+                       time_value_curve, time_values_from_phi)
 from .elnn import (ElnnParams, TrainConfig, ann_i, ann_r, implied_lambda, implied_levy_density,
                    phi_model, train)
 from .market import (MarketSlice, NoiseSpec, OptionQuote, QuoteFilters, amplify,

@@ -22,11 +22,11 @@ from pathlib import Path
 from . import __version__, serialize
 from .calibrate import calibrate_parametric, parametric_report, pooled_slice, run_elnn
 from .elnn import TrainConfig, implied_levy_density
-from .errors import DivergedLoss, DivisionNearZero, LevycalError, NonFinite, ResidueTooLarge
+from .errors import DivergedLoss, LevycalError, NonFinite, ResidueTooLarge
 from .market import MarketSlice, NoiseSpec, generate_virtual_market, moment_table
 from .spectral import SpectralGrid
 
-_NUMERICAL = (NonFinite, DivisionNearZero, ResidueTooLarge, DivergedLoss)
+_NUMERICAL = (NonFinite, ResidueTooLarge, DivergedLoss)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

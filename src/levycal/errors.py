@@ -9,10 +9,6 @@ class NonFinite(LevycalError):
     """A quadrature or model evaluation returned a non-finite value."""
 
 
-class DivisionNearZero(LevycalError):
-    """A frequency argument too close to the w=0 singularity."""
-
-
 class ResidueTooLarge(LevycalError):
     """Imaginary residue of an inverse transform exceeded tolerance (grid too coarse)."""
 

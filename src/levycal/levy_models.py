@@ -18,7 +18,9 @@ integrals of nu in closed form: the mass lambda, the transform
 nu_hat(w) = integral( e^{iwx} nu(dx) ), the truncated mean and the power
 moments, so f(w) = nu_hat(w) - lambda - i w * truncated mean.  f_exponent
 integrates f(w) by adaptive quadrature of a density instead; it is the
-reference the test suite checks the closed forms against.
+reference the test suite checks the closed forms against.  Merton's truncated
+mean needs the normal cdf: _ndtr ports Cephes' ndtr, the algorithm
+scipy.special.ndtr runs, so evaluating a model imports no SciPy.
 """
 
 from __future__ import annotations
@@ -206,14 +208,11 @@ class MertonModel(_JumpModel):
 
     def truncated_mean(self):
         # integral_{-1}^{1} x nu(dx) in closed form via the normal cdf/pdf
-        # (ndtr and _norm_pdf are what scipy.stats.norm evaluates); imported
-        # here because scipy.special adds start-up time to every CLI command
-        from scipy.special import ndtr
-
+        # (_ndtr and _norm_pdf equal what scipy.stats.norm evaluates)
         alpha = (-1.0 - self.mu) / self.delta
         beta = (1.0 - self.mu) / self.delta
         return self.lam * (
-            self.mu * (ndtr(beta) - ndtr(alpha))
+            self.mu * (_ndtr(beta) - _ndtr(alpha))
             - self.delta * (_norm_pdf(beta) - _norm_pdf(alpha))
         )
 
@@ -390,6 +389,68 @@ def parametric_char_shifted(model, w, T):
 def _norm_pdf(x):
     """Standard normal pdf, the formula scipy.stats.norm.pdf evaluates."""
     return np.exp(-x**2 / 2.0) / np.sqrt(2 * np.pi)
+
+
+# Cephes' ndtr (S. Moshier), which scipy.special.ndtr runs: its erf table T/U,
+# its erfc tables P/Q (below 8) and R/S (from 8), and MAXLOG, past which
+# e^{-z^2} underflows.  U, Q and S carry the unit leading coefficient that
+# Cephes' p1evl leaves out of its tables; 1.0 * x + c is exactly x + c
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _polevl(x, coef):
+    """Cephes' Horner sum of the polynomial with coefficients coef, highest first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x):
+    """Cephes' erf for |x| <= 1, the only range _ndtr asks of it."""
+    if x < 0.0:
+        return -_erf(-x)
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc(z):
+    """Cephes' erfc for z >= sqrt(1/2), the only range _ndtr asks of it."""
+    if z < 1.0:
+        return 1.0 - _erf(z)
+    if z * z > _MAXLOG:
+        return 0.0
+    if z < 8.0:
+        p, q = _polevl(z, _ERFC_P), _polevl(z, _ERFC_Q)
+    else:
+        p, q = _polevl(z, _ERFC_R), _polevl(z, _ERFC_S)
+    return (math.exp(-z * z) * p) / q
+
+
+def _ndtr(a):
+    """Standard normal cdf; equals scipy.special.ndtr bit for bit, without the
+    start-up time of importing scipy.special.  A NaN falls through to NaN."""
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 # every jump model by the kind its files name it

@@ -240,10 +240,16 @@ def moment_table(price_series, horizons, triplet=None, r=0.0):
     prices = np.asarray(price_series, dtype=float)
     if min(horizons) < 1:
         raise ValueError(f"horizons must be at least one step, got {min(horizons)}")
-    if prices.ndim != 1 or prices.size <= max(horizons):
-        raise ValueError("price series shorter than the largest horizon")
+    if prices.ndim != 1:
+        raise ValueError("the price series must be one column")
     if not np.all(np.isfinite(prices) & (prices > 0)):
         raise ValueError("prices must be finite and positive")
+    for h in horizons:
+        # logp[::h] below holds this many non-overlapping returns; one has no spread
+        count = max(prices.size - 1, 0) // h
+        if count < 2:
+            raise ValueError(f"horizon {h} leaves {count} non-overlapping returns in "
+                             f"{prices.size} prices; it needs at least two")
     logp = np.log(prices)
     rows = []
     for h in horizons:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivisionNearZero, InsufficientSupport, LengthMismatch, ResidueTooLarge
+from .errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
 from .levy_models import char_fn
 
 DEFAULT_N = 2**14
@@ -129,21 +129,6 @@ def _forward_nodes(grid, values):
     pre = values * trapezoid_weights(grid.n) * np.exp(1j * m * grid.dk * w0)
     spec = grid.n * np.fft.ifft(pre)
     return grid.dk * np.exp(1j * k0 * grid.w) * spec
-
-
-def zeta(w, phi_shifted, r, T):
-    """Damped time-value transform zeta(w) = e^{iwrT} (Phi(w-i) - 1) / (iw(1+iw))."""
-    w = np.asarray(w, dtype=float)
-    if np.any(np.abs(w) < 1e-12):
-        raise DivisionNearZero("zeta is indeterminate at w = 0; use an offset grid")
-    iw = 1j * w
-    return np.exp(iw * r * T) * (np.asarray(phi_shifted) - 1.0) / (iw * (1.0 + iw))
-
-
-def call_price(k, z, r, T):
-    """Normalized call price: time value plus intrinsic, floored at zero."""
-    intrinsic = np.maximum(1.0 - np.exp(np.asarray(k) - r * T), 0.0)
-    return np.maximum(np.asarray(z) + intrinsic, 0.0)
 
 
 def time_values_from_phi(phi_shifted, r, T, grid):
@@ -305,30 +290,3 @@ def _check_support(k_samples, z_binned):
             f"samples span [{lo:.3f}, {hi:.3f}] but the reference region is +-{half_width:.3f}"
         )
 
-
-def plancherel_gap(phi_a, phi_b, grid=None):
-    """Both sides of the Plancherel identity for a pair of characteristic functions.
-
-    phi_a and phi_b are callables w -> Phi_{X_T}(w) accepting complex arguments.
-    Returns (lhs, rhs) where
-
-        lhs = integral |Phi_a(w-i) - Phi_b(w-i)|^2 dw,
-        rhs = 2pi * integral (e^x rho_a(x) - e^x rho_b(x))^2 dx,
-
-    with the densities recovered by inverse FFT of the unshifted characteristic
-    functions.  The x integral is restricted to |x| <= 10: beyond it the
-    e^x scaling amplifies the transform's rounding floor above the signal.
-    """
-    grid = grid or SpectralGrid()
-    w = grid.w
-    shift_a = phi_a(w - 1j)
-    shift_b = phi_b(w - 1j)
-    lhs = float(np.sum(trapezoid_weights(grid.n) * np.abs(shift_a - shift_b) ** 2) * grid.dw)
-
-    rho_a = _inverse_nodes(grid, phi_a(w + 0j)).real
-    rho_b = _inverse_nodes(grid, phi_b(w + 0j)).real
-    x = grid.k
-    keep = np.abs(x) <= 10.0
-    diff = np.exp(x[keep]) * (rho_a[keep] - rho_b[keep])
-    rhs = float(2.0 * math.pi * np.sum(trapezoid_weights(len(diff)) * diff**2) * grid.dk)
-    return lhs, rhs

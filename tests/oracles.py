@@ -4,11 +4,15 @@ Nothing here shares code with the library paths under test: prices come from
 the Poisson-mixture closed form or Monte Carlo, transforms from scipy.quad,
 simulation from a standalone compound-Poisson sampler, the ELNN loss and
 gradient from scipy's expit with one bump matrix per network, and CSV text
-from formatting one value at a time.  The one exception is
+from formatting one value at a time.  The exceptions are
 spectral_target_per_group, which reuses the library's amplification,
-regridding and transform and checks only the order of averaging.
+regridding and transform and checks only the order of averaging, and
+plancherel_gap, which checks the library's inverse transform against
+Plancherel's identity.  zeta and call_price are the pricing formulas the
+module docstring of levycal.spectral states.
 """
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +20,8 @@ from scipy import integrate
 from scipy.special import expit
 from scipy.stats import norm
 
-from levycal import amplify, phi_from_time_values, regrid_time_values
+from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
+from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 
 def bs_call(k, sigma, T, r):
@@ -201,3 +206,46 @@ def elnn_loss_and_grad(params, w, wts, target_re, target_im, T, config):
     g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
 
     return loss, np.concatenate(([g_s], g_wr0, g_wr1, g_wi0, g_wi1))
+
+
+def zeta(w, phi_shifted, r, T):
+    """Damped time-value transform zeta(w) = e^{iwrT} (Phi(w-i) - 1) / (iw(1+iw))."""
+    w = np.asarray(w, dtype=float)
+    if np.any(np.abs(w) < 1e-12):
+        raise ValueError("zeta is indeterminate at w = 0; use an offset grid")
+    iw = 1j * w
+    return np.exp(iw * r * T) * (np.asarray(phi_shifted) - 1.0) / (iw * (1.0 + iw))
+
+
+def call_price(k, z, r, T):
+    """Normalized call price: time value plus intrinsic, floored at zero."""
+    intrinsic = np.maximum(1.0 - np.exp(np.asarray(k) - r * T), 0.0)
+    return np.maximum(np.asarray(z) + intrinsic, 0.0)
+
+
+def plancherel_gap(phi_a, phi_b, grid=None):
+    """Both sides of the Plancherel identity for a pair of characteristic functions.
+
+    phi_a and phi_b are callables w -> Phi_{X_T}(w) accepting complex arguments.
+    Returns (lhs, rhs) where
+
+        lhs = integral |Phi_a(w-i) - Phi_b(w-i)|^2 dw,
+        rhs = 2pi * integral (e^x rho_a(x) - e^x rho_b(x))^2 dx,
+
+    with the densities recovered by inverse FFT of the unshifted characteristic
+    functions.  The x integral is restricted to |x| <= 10: beyond it the
+    e^x scaling amplifies the transform's rounding floor above the signal.
+    """
+    grid = grid or SpectralGrid()
+    w = grid.w
+    shift_a = phi_a(w - 1j)
+    shift_b = phi_b(w - 1j)
+    lhs = float(np.sum(trapezoid_weights(grid.n) * np.abs(shift_a - shift_b) ** 2) * grid.dw)
+
+    rho_a = _inverse_nodes(grid, phi_a(w + 0j)).real
+    rho_b = _inverse_nodes(grid, phi_b(w + 0j)).real
+    x = grid.k
+    keep = np.abs(x) <= 10.0
+    diff = np.exp(x[keep]) * (rho_a[keep] - rho_b[keep])
+    rhs = float(2.0 * math.pi * np.sum(trapezoid_weights(len(diff)) * diff**2) * grid.dk)
+    return lhs, rhs

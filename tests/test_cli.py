@@ -561,6 +561,8 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
              (moments + ["--horizons", "0"], good_slice, good_prices, None),
              (moments + ["--horizons", "1,abc"], good_slice, good_prices, "horizons"),
              (moments + ["--horizons", ""], good_slice, good_prices, "horizons"),
+             (moments + ["--horizons", "1,16"], good_slice, good_prices,
+              "horizon 16 leaves 1 non-overlapping returns in 30 prices"),
              (moments, good_slice, good_prices.replace("\n101.0", "\n-101.0"), None)]
     for argv, slice_text, price_text, where in cases:
         slice_csv.write_text(slice_text)
@@ -592,8 +594,8 @@ def _fresh_python(args, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-def _scipy_loaded(argv, cwd):
-    proc = _fresh_python(["-c", _LOADED_SCIPY, *argv], cwd)
+def _scipy_loaded(argv, cwd, preamble=""):
+    proc = _fresh_python(["-c", preamble + _LOADED_SCIPY, *argv], cwd)
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout.splitlines()[-1]))
     return {m.split(".")[1] if "." in m else m for m in loaded}
@@ -603,7 +605,7 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     # every command starts a fresh interpreter, so module imports are start-up cost
     market = tiny_simulate(tmp_path, model_file)
     prices = tmp_path / "prices.csv"
-    prices.write_text("close\n" + "".join(f"{100.0 + i}\n" for i in range(30)))
+    prices.write_text("close\n" + "".join(f"{100.0 + i}\n" for i in range(40)))
     kou_file = tmp_path / "kou.json"
     save_model(KouModel(sigma=0.21, lam=1.4, p=0.04, lam_plus=3.7, lam_minus=1.8), kou_file)
     custom_file = tmp_path / "custom.json"
@@ -612,6 +614,7 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     sim = ["simulate", "--out", "sim", "--days", "2", "--per-day", "20",
            "--grid-n", "4096", "--grid-dw", "0.2"]
     cal = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
+    report = ["report", "--runs", "cal", "calm", "--out", "rep"]
     loaded = {
         "simulate": _scipy_loaded(sim + ["--model", str(model_file)], tmp_path),
         "kou": _scipy_loaded(sim + ["--model", str(kou_file)], tmp_path),
@@ -623,24 +626,18 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
                                  tmp_path),
         "density": _scipy_loaded(["density", "--params", "cal/params.json", "--out", "den"],
                                  tmp_path),
+        "merton-density": _scipy_loaded(["density", "--params", str(model_file),
+                                         "--out", "denm"], tmp_path),
         "moments": _scipy_loaded(["moments", "--prices", str(prices), "--model", str(model_file),
                                   "--out", "mom"], tmp_path),
-        "report": _scipy_loaded(["report", "--runs", "cal", "calm", "--out", "rep"], tmp_path),
+        "report": _scipy_loaded(report, tmp_path),
     }
-    # every jump model has closed forms, so no command needs the quadrature, and the
-    # spline and the Nelder-Mead are levycal's own
+    # every jump model has closed forms, and the spline, the Nelder-Mead and
+    # Merton's normal cdf are levycal's own
     for command, subpackages in loaded.items():
-        assert not subpackages & {"stats", "integrate", "interpolate", "optimize"}, command
-    for command in ("kou", "custom", "elnn", "kou-fit", "density", "report"):
-        assert loaded[command] == set(), command
-    # Merton's jump terms need scipy.special's ndtr, and nothing beyond what `import scipy`
-    # loads; a Merton fit loads just what a Merton market does
-    proc = _fresh_python(["-c", "import scipy, sys; print(*sys.modules)"], tmp_path)
-    package = {m.split(".")[1] for m in proc.stdout.split() if m.startswith("scipy.")}
-    assert loaded["simulate"] - package == {"scipy", "special"}
-    assert loaded["merton"] == loaded["simulate"]
-    # the positive control: a Merton fit does load SciPy
-    assert "special" in loaded["merton"]
+        assert subpackages == set(), command
+    # the positive control: the probe sees SciPy when something has imported it
+    assert "special" in _scipy_loaded(report, tmp_path, "import scipy.special\n")
 
 
 def test_exit_code_on_custom_table_overflow(tmp_path, capsys):

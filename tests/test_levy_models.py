@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy import integrate
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from levycal import CustomModel, KouModel, MertonModel, char_fn, cumulants, f_exponent
+from levycal.calibrate import _BOXES
 from levycal.errors import NonFinite
+from levycal.levy_models import _MAXLOG, _ndtr
 
 import oracles
 
@@ -253,14 +257,56 @@ def test_custom_model_roundtrip(merton_model):
 
 
 def test_merton_truncated_mean_matches_scipy_stats():
-    # the closed form without scipy.stats gives the norm.cdf/norm.pdf result bit for bit
+    # the closed form without scipy.stats gives the norm.cdf/norm.pdf result bit for
+    # bit, also at seeded mu and delta anywhere in the box a Merton fit searches
+    (mu_lo, mu_hi), (delta_lo, delta_hi) = _BOXES["merton"][2:]
+    rng = np.random.default_rng(7)
+    mus = np.r_[rng.uniform(mu_lo, mu_hi, 500), mu_lo, mu_hi]
+    deltas = np.exp(np.r_[rng.uniform(math.log(delta_lo), math.log(delta_hi), 500),
+                          math.log(delta_lo), math.log(delta_hi)])
+    box = [(0.2, 1.5, mu, delta) for mu, delta in zip(mus.tolist(), deltas.tolist())]
     for sigma, lam, mu, delta in ((0.2, 1.0, -0.05, 0.05), (0.1, 3.0, 0.4, 0.7),
-                                  (0.3, 0.5, -2.5, 0.2), (0.2, 20.0, 0.0, 1e-3)):
+                                  (0.3, 0.5, -2.5, 0.2), (0.2, 20.0, 0.0, 1e-3), *box):
         model = MertonModel(sigma, lam, mu, delta)
         alpha, beta = (-1.0 - mu) / delta, (1.0 - mu) / delta
         expected = lam * (mu * (norm.cdf(beta) - norm.cdf(alpha))
                           - delta * (norm.pdf(beta) - norm.pdf(alpha)))
         assert model.truncated_mean() == expected
+
+
+def _assert_ndtr_equal(points):
+    expected = ndtr(np.asarray(points, dtype=float))
+    for x, want in zip(points, expected.tolist()):
+        got = _ndtr(float(x))
+        if math.isnan(want):
+            assert math.isnan(got), x
+        else:
+            # == alone would let 0.0 stand for -0.0
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
+
+
+def test_ndtr_matches_scipy():
+    rng = np.random.default_rng(14)
+    sign = rng.choice([-1.0, 1.0], 4000)
+    cutoff = math.sqrt(2.0 * _MAXLOG)  # |x| past which Cephes' erfc returns 0, near 37.7
+    branches = (
+        (0.0, 1.0),  # erf's T/U table
+        (1.0, math.sqrt(2.0)),  # erfc falls back to 1 - erf
+        (math.sqrt(2.0), 8.0 * math.sqrt(2.0)),  # erfc's P/Q table
+        (8.0 * math.sqrt(2.0), cutoff),  # erfc's R/S table
+        (cutoff, 40.0),  # past the cut-off
+    )
+    for lo, hi in branches:
+        _assert_ndtr_equal(sign * rng.uniform(lo, hi, 4000))
+        _assert_ndtr_equal([lo, -lo, np.nextafter(lo, 0.0), -np.nextafter(lo, 0.0)])
+    at_cutoff = cutoff + np.arange(-50, 51) * np.spacing(cutoff)
+    _assert_ndtr_equal(np.r_[at_cutoff, -at_cutoff])
+    _assert_ndtr_equal([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e300, -1e300])
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_ndtr_matches_scipy_on_any_float(x):
+    _assert_ndtr_equal([x])
 
 
 def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_model,

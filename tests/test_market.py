@@ -231,10 +231,16 @@ def test_moment_table_includes_theory(merton_model, merton_triplet):
 
 
 def test_moment_table_rejects_short_series():
-    # also horizons below one step, and prices whose logarithm is not a finite number
+    # also horizons below one step, a horizon with one return (no spread), and prices
+    # whose logarithm is not a finite number
     good = np.linspace(100.0, 110.0, 20)
-    for prices, horizons in ((np.ones(5), [10]), (good, [1, -1]), (good, [0]),
-                             (np.r_[good, 0.0], [1]), (np.r_[good, -1.0], [1]),
+    for prices, horizons in ((np.ones(5), [10]), (np.ones(30), [1, 16]), (good, [1, -1]),
+                             (good, [0]), (np.r_[good, 0.0], [1]), (np.r_[good, -1.0], [1]),
                              (np.r_[good, np.nan], [1]), (np.r_[good, np.inf], [1])):
         with pytest.raises(ValueError):
             moment_table(prices, horizons)
+    # the shortest series a horizon takes: two returns, 2h + 1 prices
+    assert [row.horizon_days for row in moment_table(np.linspace(100.0, 110.0, 33), [1, 16])] \
+        == [1, 16]
+    with pytest.raises(ValueError, match="horizon 16 leaves 1 non-overlapping returns in 32"):
+        moment_table(np.linspace(100.0, 110.0, 32), [1, 16])
