@@ -14,6 +14,8 @@ import json
 import os
 import sys
 import time
+# unused here, but perfbench/inproc.py's tracer rebinds cli.ThreadPoolExecutor and
+# fails when the name is missing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from datetime import datetime, timezone
@@ -81,12 +83,18 @@ def _flag(key):
 
 
 def _max_workers(n_tasks):
+    """Worker processes for n_tasks markets: ELNN_THREADS, or the CPUs this process may use."""
     cap = os.environ.get("ELNN_THREADS")
+    if not cap:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        return min(cpus or 1, n_tasks)
     try:
-        limit = int(cap) if cap else os.cpu_count() or 1
+        limit = int(cap)
     except ValueError:
-        raise ValueError(f"ELNN_THREADS must be an integer, got {cap!r}") from None
-    return max(1, min(limit, n_tasks))
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"ELNN_THREADS must be a positive integer, got {cap!r}")
+    return min(limit, n_tasks)
 
 
 def _grid(cfg):
@@ -182,13 +190,26 @@ def cmd_calibrate(args):
         raise ValueError(f"market directories must have distinct names, got {names}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if len(markets) == 1:
-        _calibrate_one(markets[0], out, cfg)
+    targets = [out] if len(markets) == 1 else [out / name for name in names]
+    workers = _max_workers(len(markets)) if len(markets) > 1 else 1
+    if workers == 1:
+        for market, target in zip(markets, targets):
+            _calibrate_one(market, target, cfg)
     else:
-        # independent markets fan out across threads (ELNN_THREADS caps workers)
-        with ThreadPoolExecutor(max_workers=_max_workers(len(markets))) as pool:
-            futures = [pool.submit(_calibrate_one, m, out / Path(m).name, cfg) for m in markets]
-            for f in futures:
+        # independent markets fan out to worker processes (ELNN_THREADS caps them): an
+        # ELNN epoch holds the GIL, so threads would mostly take turns.  Forked workers
+        # inherit the imported modules, and the pool forks them all before it starts
+        # its own thread.  Imported here, as single-market commands need neither module.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            context = multiprocessing.get_context("fork")
+        except ValueError:
+            raise ValueError("calibrating several markets at once needs the fork start "
+                             "method; set ELNN_THREADS=1 to calibrate them one by one") from None
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            for f in [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]:
                 f.result()
     _finish("calibrate", cfg, cfg["seed"], markets, out, args._started)
     return EXIT_OK

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -13,8 +14,9 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycal
-from levycal import CustomModel, KouModel, MertonModel, moment_table
+from levycal import CustomModel, KouModel, MertonModel, cli, moment_table
 from levycal.cli import main
+from levycal.errors import DivergedLoss
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
                                save_columns, save_model)
 
@@ -129,6 +131,99 @@ def test_calibrate_fans_out_multiple_markets(tmp_path, model_file, monkeypatch):
     assert (out / "ma" / "report.json").exists()
     assert (out / "mb" / "report.json").exists()
     assert len(list(out.rglob("manifest.json"))) == 1
+
+
+def _digests(root):
+    """sha256 of every file under root but the manifests, by relative path."""
+    return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in root.rglob("*") if p.is_file() and p.name != "manifest.json"}
+
+
+_TINY_ELNN = ["--method", "elnn", "--epochs", "5", "--m-cutoff", "60", "--n-groups", "2",
+              "--group-size", "100"]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_fan_out_equals_one_market_runs(tmp_path, model_file, monkeypatch, workers):
+    # in-process one after another, or in forked workers: the same files as
+    # calibrating each market alone
+    monkeypatch.setenv("ELNN_THREADS", workers)
+    markets = [tiny_simulate(tmp_path, model_file, "ma", seed=1),
+               tiny_simulate(tmp_path, model_file, "mb", seed=2)]
+    assert main(["calibrate", "--market", *map(str, markets), "--out", str(tmp_path / "multi"),
+                 *_TINY_ELNN]) == 0
+    for market in markets:
+        assert main(["calibrate", "--market", str(market), "--out",
+                     str(tmp_path / "alone" / market.name), *_TINY_ELNN]) == 0
+    digests = _digests(tmp_path / "multi")
+    assert len(digests) == 2 * 6 and digests == _digests(tmp_path / "alone")
+
+
+def test_fan_out_errors_keep_their_exit_codes(tmp_path, model_file, monkeypatch, capsys):
+    # an error raised in a worker process reaches main, which maps it as usual
+    monkeypatch.setenv("ELNN_THREADS", "2")
+    ma = tiny_simulate(tmp_path, model_file, "ma", seed=1)
+    mb = tiny_simulate(tmp_path, model_file, "mb", days=4, seed=2)
+    argv = ["calibrate", "--market", str(ma), str(mb), "--out", str(tmp_path / "multi"),
+            *_TINY_ELNN]
+    real_run_elnn = cli.run_elnn
+
+    def diverge_on_four_days(slices, *args, **kwargs):
+        if len(slices) == 4:
+            raise DivergedLoss("loss became non-finite")
+        return real_run_elnn(slices, *args, **kwargs)
+
+    # the forked workers inherit the patch
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "run_elnn", diverge_on_four_days)
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "numerical failure: loss became non-finite\n"
+    bad = sorted((mb / "slices").glob("*.csv"))[-1]
+    bad.write_text(bad.read_text() + "0.1,abc\n")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: line 42: ") and err.count("\n") == 1, err
+
+
+# a fan-out worker dies without a word, as one killed for memory would
+_DYING_WORKER = """
+import multiprocessing, os, sys
+from levycal import cli
+parent = os.getpid()
+
+def die(*args, **kwargs):
+    if os.getpid() == parent:
+        raise AssertionError("the market was calibrated in the parent process")
+    os._exit(1)
+
+cli.run_elnn = die
+try:
+    cli.main(sys.argv[1:])
+finally:
+    print(len(multiprocessing.active_children()))
+"""
+
+
+def test_fan_out_survives_a_dying_worker(tmp_path, model_file):
+    ma = tiny_simulate(tmp_path, model_file, "ma", seed=1)
+    mb = tiny_simulate(tmp_path, model_file, "mb", seed=2)
+    proc = _fresh_python(["-c", "import os; os.environ['ELNN_THREADS'] = '2'\n" + _DYING_WORKER,
+                          "calibrate", "--market", str(ma), str(mb), "--out", "multi",
+                          *_TINY_ELNN], tmp_path)
+    # the broken pool ends the command with its traceback, and no worker is left
+    assert proc.returncode == 1 and "BrokenProcessPool" in proc.stderr, proc.stderr
+    assert proc.stdout.split() == ["0"]
+
+
+def test_worker_cap(monkeypatch):
+    # by default one worker per CPU this process may run on, not per CPU of the host
+    monkeypatch.delenv("ELNN_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert [cli._max_workers(n) for n in (1, 2, 8)] == [1, 2, 2]
+    monkeypatch.setenv("ELNN_THREADS", "3")
+    assert [cli._max_workers(n) for n in (1, 2, 8)] == [1, 2, 3]
 
 
 def test_density_of_zero_params(tmp_path):
@@ -431,15 +526,16 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
     cfg.write_text(json.dumps({"m_cutoff": 60, "epochs": 1}))
     assert main(["calibrate", "--market", str(market), "--config", str(cfg),
                  "--out", str(tmp_path / "int"), "--n-groups", "2", "--group-size", "100"]) == 0
-    # the thread cap is read only when several markets fan out
+    # the worker cap is read only when several markets fan out
     other = tiny_simulate(tmp_path, model_file, "other")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("ELNN_THREADS", "abc")
-        capsys.readouterr()
-        assert main(["calibrate", "--market", str(market), str(other), "--epochs", "1",
-                     "--out", str(tmp_path / "threads"), "--n-groups", "2",
-                     "--group-size", "100"]) == 2
-        assert "ELNN_THREADS" in capsys.readouterr().err
+        for cap in ("abc", "0", "-2"):
+            mp.setenv("ELNN_THREADS", cap)
+            capsys.readouterr()
+            assert main(["calibrate", "--market", str(market), str(other), "--epochs", "1",
+                         "--out", str(tmp_path / "threads"), "--n-groups", "2",
+                         "--group-size", "100"]) == 2, cap
+            assert "ELNN_THREADS" in capsys.readouterr().err, cap
 
 
 def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
@@ -575,12 +671,14 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
     assert not (tmp_path / "mom" / "moments.csv").exists()
 
 
-# run one CLI command in a fresh interpreter and print the scipy modules it loaded
-_LOADED_SCIPY = """
+# run one CLI command in a fresh interpreter and print the modules it loaded that
+# cost start-up time: SciPy's, and the process pool of the calibrate fan-out
+_LOADED_MODULES = """
 import json, sys
 from levycal.cli import main
 code = main(sys.argv[1:])
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "multiprocessing")
+                        or m == "concurrent.futures.process")))
 sys.exit(code)
 """
 
@@ -594,11 +692,10 @@ def _fresh_python(args, cwd):
                           capture_output=True, text=True, timeout=300)
 
 
-def _scipy_loaded(argv, cwd, preamble=""):
-    proc = _fresh_python(["-c", preamble + _LOADED_SCIPY, *argv], cwd)
+def _loaded(argv, cwd, preamble=""):
+    proc = _fresh_python(["-c", preamble + _LOADED_MODULES, *argv], cwd)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(json.loads(proc.stdout.splitlines()[-1]))
-    return {m.split(".")[1] if "." in m else m for m in loaded}
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
@@ -616,28 +713,33 @@ def test_commands_load_only_the_scipy_they_use(tmp_path, model_file):
     cal = ["calibrate", "--market", str(market), "--n-groups", "2", "--group-size", "100"]
     report = ["report", "--runs", "cal", "calm", "--out", "rep"]
     loaded = {
-        "simulate": _scipy_loaded(sim + ["--model", str(model_file)], tmp_path),
-        "kou": _scipy_loaded(sim + ["--model", str(kou_file)], tmp_path),
-        "custom": _scipy_loaded(sim + ["--model", str(custom_file)], tmp_path),
-        "elnn": _scipy_loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
-        "merton": _scipy_loaded(cal + ["--method", "merton", "--budget", "1", "--out", "calm"],
-                                tmp_path),
-        "kou-fit": _scipy_loaded(cal + ["--method", "kou", "--budget", "1", "--out", "calk"],
-                                 tmp_path),
-        "density": _scipy_loaded(["density", "--params", "cal/params.json", "--out", "den"],
-                                 tmp_path),
-        "merton-density": _scipy_loaded(["density", "--params", str(model_file),
-                                         "--out", "denm"], tmp_path),
-        "moments": _scipy_loaded(["moments", "--prices", str(prices), "--model", str(model_file),
-                                  "--out", "mom"], tmp_path),
-        "report": _scipy_loaded(report, tmp_path),
+        "simulate": _loaded(sim + ["--model", str(model_file)], tmp_path),
+        "kou": _loaded(sim + ["--model", str(kou_file)], tmp_path),
+        "custom": _loaded(sim + ["--model", str(custom_file)], tmp_path),
+        "elnn": _loaded(cal + ["--epochs", "0", "--out", "cal"], tmp_path),
+        "merton": _loaded(cal + ["--method", "merton", "--budget", "1", "--out", "calm"],
+                          tmp_path),
+        "kou-fit": _loaded(cal + ["--method", "kou", "--budget", "1", "--out", "calk"], tmp_path),
+        "density": _loaded(["density", "--params", "cal/params.json", "--out", "den"], tmp_path),
+        "merton-density": _loaded(["density", "--params", str(model_file), "--out", "denm"],
+                                  tmp_path),
+        "moments": _loaded(["moments", "--prices", str(prices), "--model", str(model_file),
+                            "--out", "mom"], tmp_path),
+        "report": _loaded(report, tmp_path),
     }
     # every jump model has closed forms, and the spline, the Nelder-Mead and
-    # Merton's normal cdf are levycal's own
-    for command, subpackages in loaded.items():
-        assert subpackages == set(), command
-    # the positive control: the probe sees SciPy when something has imported it
-    assert "special" in _scipy_loaded(report, tmp_path, "import scipy.special\n")
+    # Merton's normal cdf are levycal's own; only a fan-out over several markets
+    # starts worker processes
+    for command, modules in loaded.items():
+        assert modules == set(), command
+    # the positive controls: the probe sees SciPy when something has imported it,
+    # and the process pool of a two-market calibrate
+    assert "scipy.special" in _loaded(report, tmp_path, "import scipy.special\n")
+    other = tiny_simulate(tmp_path, model_file, "other")
+    two = ["calibrate", "--market", str(market), str(other), "--epochs", "0", "--n-groups", "2",
+           "--group-size", "100", "--out", "cal2"]
+    assert "concurrent.futures.process" in _loaded(
+        two, tmp_path, "import os; os.environ['ELNN_THREADS'] = '2'\n")
 
 
 def test_exit_code_on_custom_table_overflow(tmp_path, capsys):
