@@ -22,8 +22,7 @@ import numpy as np
 
 from . import elnn
 from .errors import LengthMismatch
-from .levy_models import (MODELS, _char_unchecked, _check_domain, _check_finite,
-                          parametric_char_shifted)
+from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
 from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, spline_on_grid,
                        time_values_from_phi)
@@ -98,31 +97,26 @@ _START_RANGES = {
 }
 
 
+def _parametric_loss(model, folded, T):
+    """The folded spectral L2 loss of a Merton or Kou model: its distance on
+    w > 0 to the target's conjugate-symmetric part, as SpectralCurve.fold gives it."""
+    w, wts, tr, ti = folded
+    phi = parametric_char_shifted(model, w, T)
+    return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
+
+
 def _box_loss(family, market_slice):
     """The loss calibrate_parametric minimizes over a family's parameter vector:
-    the folded spectral L2 loss, the distance of the model's Phi(w - i) on w > 0
-    to the target's conjugate-symmetric part as SpectralCurve.fold gives it, and
-    infinite outside the family's box.
-
-    Every evaluation takes the same nodes w - i, so they are built and checked
-    against the strip once.  A non-finite Phi makes the loss non-finite, so Phi
-    is inspected only then, and fails as char_fn fails.
-    """
-    box, cls, T = _BOXES[family], MODELS[family], market_slice.T
-    w, wts, tr, ti = market_slice.spectral.fold()
-    nodes = w - 1j
-    _check_domain(nodes, T)
+    _parametric_loss against the slice's folded curve, infinite outside the box."""
+    box, cls = _BOXES[family], MODELS[family]
+    folded = market_slice.spectral.fold()
 
     def loss_fn(theta):
         if not all(lo <= value <= hi for value, (lo, hi) in zip(theta, box)):
             return math.inf
         # each model holds Python floats, as one read from its file does; numpy scalars
         # would take numpy's complex division in exp_moment, which rounds differently
-        phi = _char_unchecked(nodes, cls(*theta.tolist()), T)
-        loss = float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
-        if not math.isfinite(loss):
-            _check_finite(phi)
-        return loss
+        return _parametric_loss(cls(*theta.tolist()), folded, market_slice.T)
 
     return loss_fn
 
@@ -217,9 +211,9 @@ def calibrate_parametric(family, market_slice, budget, seed=0):
     importing scipy.optimize) from each of five starting points, the family's
     default start and then four seeded draws.  They share `budget` (at least 1)
     loss evaluations: start i may spend (budget + 4 - i) // 5 and a start with
-    no share is skipped.  The loss (_box_loss) is infinite outside the family's
-    parameter box, which holds every start.  Returns (model, loss) of the lowest
-    fit.
+    no share is skipped.  The loss is infinite outside the family's parameter
+    box, which holds every start.  Returns (model, loss) of the lowest fit, the
+    loss folded as _parametric_loss folds it.
     """
     if family not in _BOXES:
         raise ValueError(f"unknown parametric family {family!r}")

@@ -82,6 +82,11 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
+# the calibrate fan-out forks its workers; Windows has no fork and on macOS it is
+# unsafe, so there the markets run one after another in the command's process
+_FORK_FAN_OUT = hasattr(os, "fork") and sys.platform != "darwin"
+
+
 def _max_workers(n_tasks):
     """Worker processes for n_tasks markets: ELNN_THREADS, or the CPUs this process may use."""
     cap = os.environ.get("ELNN_THREADS")
@@ -192,7 +197,7 @@ def cmd_calibrate(args):
     out.mkdir(parents=True, exist_ok=True)
     targets = [out] if len(markets) == 1 else [out / name for name in names]
     workers = _max_workers(len(markets)) if len(markets) > 1 else 1
-    if workers == 1:
+    if workers == 1 or not _FORK_FAN_OUT:
         for market, target in zip(markets, targets):
             _calibrate_one(market, target, cfg)
     else:
@@ -203,12 +208,7 @@ def cmd_calibrate(args):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        try:
-            context = multiprocessing.get_context("fork")
-        except ValueError:
-            raise ValueError("calibrating several markets at once needs the fork start "
-                             "method; set ELNN_THREADS=1 to calibrate them one by one") from None
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             for f in [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]:
                 f.result()
     _finish("calibrate", cfg, cfg["seed"], markets, out, args._started)

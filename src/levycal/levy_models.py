@@ -77,29 +77,16 @@ def f_exponent(w, density, support):
 
 def char_fn(w, model, T):
     """Characteristic function Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w)))."""
-    _check_domain(w, T)
-    out = _char_unchecked(np.asarray(w, dtype=complex), model, T)
-    _check_finite(out)
-    return out
-
-
-def _check_domain(w, T):
     if T <= 0:
         raise ValueError("T must be positive")
     _check_strip(w)
-
-
-def _char_unchecked(w, model, T):
-    """char_fn's values at a complex array w, without its checks: a fit's loss
-    evaluates Phi on the same checked nodes many times."""
-    f_w = model.jump_exponent(w)
-    psi = -0.5 * model.sigma**2 * w**2 + 1j * model.drift() * w + f_w
-    return np.exp(T * psi)
-
-
-def _check_finite(phi):
-    if not np.all(np.isfinite(phi)):
+    w_arr = np.asarray(w, dtype=complex)
+    f_w = model.jump_exponent(w_arr)
+    psi = -0.5 * model.sigma**2 * w_arr**2 + 1j * model.drift() * w_arr + f_w
+    out = np.exp(T * psi)
+    if not np.all(np.isfinite(out)):
         raise NonFinite("characteristic function evaluation produced non-finite values")
+    return out
 
 
 @dataclass

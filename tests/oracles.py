@@ -20,8 +20,7 @@ from scipy import integrate
 from scipy.special import expit
 from scipy.stats import norm
 
-from levycal import (SpectralGrid, amplify, parametric_char_shifted, phi_from_time_values,
-                     regrid_time_values)
+from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
 from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 
@@ -150,14 +149,6 @@ def full_grid_spectral_loss(phi, w, target):
     wts = np.full(len(w), w[1] - w[0])
     wts[[0, -1]] *= 0.5
     return float(np.sum(wts * np.abs(np.asarray(phi) - target) ** 2))
-
-
-def folded_parametric_loss(model, folded, T):
-    """The folded loss of a Merton or Kou model, its Phi(w - i) taken from the
-    checked parametric_char_shifted at every evaluation."""
-    w, wts, tr, ti = folded
-    phi = parametric_char_shifted(model, w, T)
-    return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
 
 
 def _elnn_bumps(w, scale):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 
@@ -11,8 +10,8 @@ from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurv
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
 from levycal import calibrate
-from levycal.calibrate import _BOXES, _DEFAULT_STARTS, _START_RANGES, PeriodEstimate
-from levycal.errors import LengthMismatch, NonFinite
+from levycal.calibrate import _DEFAULT_STARTS, _START_RANGES, PeriodEstimate, _parametric_loss
+from levycal.errors import LengthMismatch
 
 import oracles
 
@@ -160,13 +159,12 @@ def test_budget_caps_loss_evaluations(monkeypatch):
     slc = MarketSlice("noisy", T, R, np.array([0.0]), np.array([0.0]),
                       spectral=SpectralCurve(w, target))
     calls = []
-    unchecked = calibrate._char_unchecked
 
-    def counted(*args):  # one call per loss evaluation inside the box
+    def counted(*args):
         calls.append(args)
-        return unchecked(*args)
+        return _parametric_loss(*args)
 
-    monkeypatch.setattr(calibrate, "_char_unchecked", counted)
+    monkeypatch.setattr(calibrate, "_parametric_loss", counted)
     for budget in (1, 4, 5, 100, 1000):
         calls.clear()
         fitted, loss = calibrate_parametric("merton", slc, budget=budget, seed=2)
@@ -174,37 +172,7 @@ def test_budget_caps_loss_evaluations(monkeypatch):
         if budget == 1:  # only the default start is served, and it does not move
             start = _DEFAULT_STARTS["merton"].tolist()
             assert [fitted.sigma, fitted.lam, fitted.mu, fitted.delta] == start
-            assert loss == oracles.folded_parametric_loss(MertonModel(*start),
-                                                          slc.spectral.fold(), T)
-
-
-@pytest.mark.parametrize("family", sorted(_BOXES))
-def test_box_loss_equals_the_checked_loss(family):
-    # _box_loss checks its nodes once and Phi only when the loss is not finite; its
-    # losses equal those of the checked parametric_char_shifted bit for bit
-    w = SpectralGrid(n=512, dw=0.5).w
-    rng = np.random.default_rng(11)
-    target = (parametric_char_shifted(KouModel(0.21, 1.4, 0.04, 3.7, 1.8), w, T)
-              + 0.01 * (rng.normal(size=w.size) + 1j * rng.normal(size=w.size)))
-    slc = MarketSlice("noisy", T, R, np.array([0.0]), np.array([0.0]),
-                      spectral=SpectralCurve(w, target))
-    loss, folded = calibrate._box_loss(family, slc), slc.spectral.fold()
-    for _ in range(300):
-        theta = np.array([rng.uniform(lo, hi) for lo, hi in _BOXES[family]])
-        model = calibrate.MODELS[family](*theta.tolist())
-        assert loss(theta) == oracles.folded_parametric_loss(model, folded, T)
-
-
-def test_box_loss_fails_on_a_non_finite_phi(monkeypatch):
-    w = SpectralGrid(n=64, dw=1.0).w
-    slc = MarketSlice("clean", T, R, np.array([0.0]), np.array([0.0]),
-                      spectral=SpectralCurve(w, parametric_char_shifted(
-                          MertonModel(0.2, 1.0, -0.05, 0.05), w, T)))
-    loss = calibrate._box_loss("merton", slc)
-    assert math.isfinite(loss(_DEFAULT_STARTS["merton"]))
-    monkeypatch.setattr(MertonModel, "jump_exponent", lambda self, w: np.full(w.shape, np.nan))
-    with pytest.raises(NonFinite, match="non-finite"):
-        loss(_DEFAULT_STARTS["merton"])
+            assert loss == _parametric_loss(MertonModel(*start), slc.spectral.fold(), T)
 
 
 def assert_nelder_mead_matches_scipy(f, x0, maxfev):
@@ -302,14 +270,9 @@ def test_folded_parametric_loss_matches_full_grid(model, n_pairs, dw, noise, see
     curve = SpectralCurve(w, target)
     anti = 0.5 * (target - np.conj(target[::-1]))
     constant = oracles.full_grid_spectral_loss(anti, w, 0.0)
-    phi = parametric_char_shifted(model, w, T)
-    want = oracles.full_grid_spectral_loss(phi, w, target)
-    slc = MarketSlice("noisy", T, R, np.array([0.0]), np.array([0.0]), spectral=curve)
-    got = calibrate._box_loss(model.kind, slc)(np.array(dataclasses.astuple(model))) + constant
-    # Phi - target rounds by a few ulps of |Phi| + |target|, not of the difference,
-    # so near a perfect fit the loss is exact only to ~eps sqrt(loss * scale) (Cauchy-Schwarz)
-    scale = oracles.full_grid_spectral_loss(np.abs(phi) + np.abs(target), w, 0.0)
-    assert got == pytest.approx(want, rel=1e-12, abs=1e-12 * math.sqrt(want * scale))
+    want = oracles.full_grid_spectral_loss(parametric_char_shifted(model, w, T), w, target)
+    got = _parametric_loss(model, curve.fold(), T) + constant
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 # --- stability summary ---------------------------------------------------------------

@@ -119,20 +119,6 @@ def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file):
     assert not out.exists()
 
 
-def test_calibrate_fans_out_multiple_markets(tmp_path, model_file, monkeypatch):
-    monkeypatch.setenv("ELNN_THREADS", "2")
-    m1 = tiny_simulate(tmp_path, model_file, "ma", seed=1)
-    m2 = tiny_simulate(tmp_path, model_file, "mb", seed=2)
-    out = tmp_path / "multi"
-    code = main(["calibrate", "--market", str(m1), str(m2), "--out", str(out),
-                 "--method", "elnn", "--epochs", "5", "--m-cutoff", "60",
-                 "--n-groups", "2", "--group-size", "100"])
-    assert code == 0
-    assert (out / "ma" / "report.json").exists()
-    assert (out / "mb" / "report.json").exists()
-    assert len(list(out.rglob("manifest.json"))) == 1
-
-
 def _digests(root):
     """sha256 of every file under root but the manifests, by relative path."""
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -143,20 +129,36 @@ _TINY_ELNN = ["--method", "elnn", "--epochs", "5", "--m-cutoff", "60", "--n-grou
               "--group-size", "100"]
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_fan_out_equals_one_market_runs(tmp_path, model_file, monkeypatch, workers):
-    # in-process one after another, or in forked workers: the same files as
-    # calibrating each market alone
-    monkeypatch.setenv("ELNN_THREADS", workers)
+def test_calibrate_fans_out_multiple_markets(tmp_path, model_file, monkeypatch):
     markets = [tiny_simulate(tmp_path, model_file, "ma", seed=1),
                tiny_simulate(tmp_path, model_file, "mb", seed=2)]
-    assert main(["calibrate", "--market", *map(str, markets), "--out", str(tmp_path / "multi"),
-                 *_TINY_ELNN]) == 0
     for market in markets:
         assert main(["calibrate", "--market", str(market), "--out",
                      str(tmp_path / "alone" / market.name), *_TINY_ELNN]) == 0
-    digests = _digests(tmp_path / "multi")
-    assert len(digests) == 2 * 6 and digests == _digests(tmp_path / "alone")
+    alone = _digests(tmp_path / "alone")
+    assert len(alone) == 2 * 6
+    pids = tmp_path / "pids"
+    real_run_elnn = cli.run_elnn
+
+    def run_elnn(*args, **kwargs):  # the forked workers inherit the patch
+        with pids.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real_run_elnn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_elnn", run_elnn)
+    # forked workers, the command's own process at a cap of 1, and the same where
+    # the platform cannot fork: every market's files equal those of its run alone
+    for cap, fork, forked in (("2", True, True), ("1", True, False), ("2", False, False)):
+        monkeypatch.setenv("ELNN_THREADS", cap)
+        monkeypatch.setattr(cli, "_FORK_FAN_OUT", fork)
+        pids.write_text("")
+        out = tmp_path / f"multi-{cap}-{fork}"
+        assert main(["calibrate", "--market", *map(str, markets), "--out", str(out),
+                     *_TINY_ELNN]) == 0
+        assert len(list(out.rglob("manifest.json"))) == 1
+        assert _digests(out) == alone
+        ran_in = pids.read_text().split()
+        assert len(ran_in) == 2 and (str(os.getpid()) not in ran_in) == forked, ran_in
 
 
 def test_fan_out_errors_keep_their_exit_codes(tmp_path, model_file, monkeypatch, capsys):
