@@ -238,18 +238,18 @@ def calibrate_parametric(family, market_slice, budget, seed=0):
 def spectral_target(slices, grid, n_groups=1000, group_size=10_000, seed=0):
     """Phi*(w - i) of the amplified groups, averaged over groups.
 
-    Every group is regridded onto the k nodes and the mean curve is
-    transformed once.  phi_from_time_values is affine in z, so this equals
-    the mean of the groups' own transforms.  The averaged curve is an exact
-    stand-in for full-batch training over all groups: the L2 loss against it
-    differs from the group-averaged loss only by a parameter-independent
-    constant.
+    The groups are drawn one at a time, each is regridded onto the k nodes
+    into a running sum, so memory does not grow with n_groups, and the mean
+    curve is transformed once.  phi_from_time_values is affine in z, so this
+    equals the mean of the groups' own transforms.  The averaged curve is an
+    exact stand-in for full-batch training over all groups: the L2 loss
+    against it differs from the group-averaged loss only by a constant.
     """
     groups = amplify(slices, n_groups, group_size, seed=seed)
     z_sum = np.zeros(grid.n)
     for g in groups:
         z_sum += regrid_time_values(g.k, g.z, grid)
-    return phi_from_time_values(z_sum / len(groups), groups[0].r, groups[0].T, grid)
+    return phi_from_time_values(z_sum / len(groups), groups.r, groups.T, grid)
 
 
 def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):

@@ -47,9 +47,21 @@ def _finish(command, config, seed, inputs, out_dir, started):
         "outputs": sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file()),
         "tool_version": __version__,
         "duration_seconds": time.time() - started,
+        "peak_rss_mb": _peak_rss_mb(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+
+
+def _peak_rss_mb():
+    """Peak RSS in MB of this process or its largest reaped child; None without resource."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return peak / (2**20 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
 
 
 def _merge_config(args, paths=(), optional=()):

@@ -180,16 +180,6 @@ def _phi_parts(w, annr, anni, sigma, c0, c1, T):
     return expR * np.cos(arg), expR * np.sin(arg)
 
 
-def ann_r(w, params):
-    """Even real-part network; scalar or array real w."""
-    return _forward(w, params)[0]
-
-
-def ann_i(w, params):
-    """Odd imaginary-part network (trailing factor w)."""
-    return _forward(w, params)[1]
-
-
 def phi_model(w, params, T):
     """Model Phi(w - i) for real frequencies w."""
     w = np.asarray(w, dtype=float)
@@ -197,21 +187,6 @@ def phi_model(w, params, T):
     c0, c1, _, _ = _constants(params)
     pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T)
     return pr + 1j * pi
-
-
-def objective(params, market_slice, config):
-    """Trapezoid L2 distance to the target's conjugate-symmetric part, measured
-    on w > 0, plus beta times the regularizer."""
-    w, wts, tr, ti = market_slice.spectral.fold()
-    loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=False)
-    return loss
-
-
-def gradient(params, market_slice, config):
-    """Exact gradient of the objective, laid out like ElnnParams.vector()."""
-    w, wts, tr, ti = market_slice.spectral.fold()
-    _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
-    return grad
 
 
 class _Workspace:

@@ -5,7 +5,8 @@ time value off a dense FFT curve, and perturb each sample with proportional
 noise N(0, (scale * z)^2), truncated so time values stay nonnegative.
 Amplification pools every sample across days and resamples large synthetic
 one-day groups with replacement, which is what makes the daily Fourier
-inversion well conditioned.
+inversion well conditioned.  Groups are drawn one at a time as they are
+iterated, so a calibration holds one group in memory, not all of them.
 
 Quote ingestion applies the liquidity filters (volume and minimum price),
 converts puts through put-call parity and maps prices to time values.
@@ -109,11 +110,33 @@ def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noi
     return slices
 
 
-def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
-    """Pool all samples and resample synthetic one-day groups with replacement.
+class AmplifiedGroups:
+    """amplify's groups, drawn one at a time on each pass from a fresh default_rng(seed)."""
 
-    When group_size equals the pool size and a single group is requested the
-    pool is permuted instead, so nothing is lost or duplicated.
+    def __init__(self, T, r, pool_k, pool_z, n_groups, group_size, seed):
+        self.T, self.r, self.pool_k, self.pool_z = T, r, pool_k, pool_z
+        self.n_groups, self.group_size, self.seed = n_groups, group_size, seed
+
+    def __len__(self):
+        return self.n_groups
+
+    def __iter__(self):
+        rng = np.random.default_rng(self.seed)
+        size = self.pool_k.size
+        for g in range(self.n_groups):
+            if self.n_groups == 1 and self.group_size == size:
+                idx = rng.permutation(size)
+            else:
+                idx = rng.integers(0, size, self.group_size)
+            yield MarketSlice(f"group-{g:04d}", self.T, self.r, self.pool_k[idx], self.pool_z[idx])
+
+
+def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
+    """Check and pool all samples; return the AmplifiedGroups resampled from the pool.
+
+    A group draws group_size samples with replacement; when that is the pool
+    size and one group is requested the pool is permuted instead, so nothing
+    is lost or duplicated.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be at least 1, got {n_groups}")
@@ -128,16 +151,7 @@ def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
     pool_z = np.concatenate([s.z for s in slices])
     if pool_k.size == 0:
         raise EmptyPool("sample pool is empty")
-
-    rng = np.random.default_rng(seed)
-    groups = []
-    for g in range(n_groups):
-        if n_groups == 1 and group_size == pool_k.size:
-            idx = rng.permutation(pool_k.size)
-        else:
-            idx = rng.integers(0, pool_k.size, group_size)
-        groups.append(MarketSlice(f"group-{g:04d}", T, r, pool_k[idx], pool_z[idx]))
-    return groups
+    return AmplifiedGroups(T, r, pool_k, pool_z, n_groups, group_size, seed)
 
 
 def ingest_quotes(csv_stream, filters=None):

@@ -6,10 +6,13 @@ simulation from a standalone compound-Poisson sampler, the ELNN loss and
 gradient from scipy's expit with one bump matrix per network, and CSV text
 from formatting one value at a time.  The exceptions are
 spectral_target_per_group, which reuses the library's amplification,
-regridding and transform and checks only the order of averaging, and
+regridding and transform and checks only the order of averaging,
 plancherel_gap, which checks the library's inverse transform against
-Plancherel's identity.  zeta and call_price are the pricing formulas the
-module docstring of levycal.spectral states.
+Plancherel's identity, and ann_r, ann_i, elnn_objective and elnn_gradient,
+which call the library's network forward pass and fused loss on a slice's
+folded target so that tests can probe them one quantity at a time.  zeta and
+call_price are the pricing formulas the module docstring of levycal.spectral
+states.
 """
 
 import math
@@ -21,6 +24,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
+from levycal.elnn import _forward, _loss_and_grad
 from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 
@@ -127,7 +131,7 @@ def mc_call_price(model, k, T, r, n_paths=10**6, seed=11):
 def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
     """Group-averaged Phi*(w - i) with one transform per amplified group."""
     groups = amplify(slices, n_groups, group_size, seed=seed)
-    T, r = groups[0].T, groups[0].r
+    T, r = groups.T, groups.r
     acc = np.zeros(grid.n, dtype=complex)
     for g in groups:
         z_nodes = regrid_time_values(g.k, g.z, grid)
@@ -149,6 +153,31 @@ def full_grid_spectral_loss(phi, w, target):
     wts = np.full(len(w), w[1] - w[0])
     wts[[0, -1]] *= 0.5
     return float(np.sum(wts * np.abs(np.asarray(phi) - target) ** 2))
+
+
+def ann_r(w, params):
+    """Even real-part network; scalar or array real w."""
+    return _forward(w, params)[0]
+
+
+def ann_i(w, params):
+    """Odd imaginary-part network (trailing factor w)."""
+    return _forward(w, params)[1]
+
+
+def elnn_objective(params, market_slice, config):
+    """The training loss on the slice's folded target: trapezoid L2 distance to
+    its conjugate-symmetric part on w > 0, plus beta times the regularizer."""
+    w, wts, tr, ti = market_slice.spectral.fold()
+    loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=False)
+    return loss
+
+
+def elnn_gradient(params, market_slice, config):
+    """Exact gradient of elnn_objective, laid out like ElnnParams.vector()."""
+    w, wts, tr, ti = market_slice.spectral.fold()
+    _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
+    return grad
 
 
 def _elnn_bumps(w, scale):

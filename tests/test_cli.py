@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -226,6 +227,55 @@ def test_worker_cap(monkeypatch):
     assert [cli._max_workers(n) for n in (1, 2, 8)] == [1, 2, 2]
     monkeypatch.setenv("ELNN_THREADS", "3")
     assert [cli._max_workers(n) for n in (1, 2, 8)] == [1, 2, 3]
+
+
+# a fan-out worker holds 64 MB more than the command's own process ever does
+_BIG_WORKER = """
+import os, sys
+os.environ["ELNN_THREADS"] = "2"
+import numpy as np
+from levycal import cli
+parent, real_run_elnn = os.getpid(), cli.run_elnn
+
+def run_elnn(*args, **kwargs):
+    if os.getpid() != parent:
+        np.ones(2**23)
+    return real_run_elnn(*args, **kwargs)
+
+cli.run_elnn = run_elnn
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("n_markets", [1, 2])
+def test_manifest_reports_peak_rss(tmp_path, model_file, n_markets):
+    markets = [str(tiny_simulate(tmp_path, model_file, f"m{i}", seed=i)) for i in range(n_markets)]
+    # Linux keeps a process's peak RSS across exec, and subprocess execs from a copy
+    # of this test process; a shell that forks the interpreter gives it its own peak
+    proc = _fresh_python(["-c", _BIG_WORKER, "calibrate", "--market", *markets, "--out", "out",
+                          *_TINY_ELNN], tmp_path, launcher=("sh", "-c", '"$@"; exit $?', "sh"))
+    assert proc.returncode == 0, proc.stderr
+    peak = json.loads((tmp_path / "out" / "manifest.json").read_text())["peak_rss_mb"]
+    if n_markets == 2 and cli._FORK_FAN_OUT:
+        assert peak > 64  # the reaped workers count
+    else:
+        assert 1 < peak < 64  # in MB, not KiB or bytes
+
+
+def test_peak_rss_units(monkeypatch):
+    # ru_maxrss counts KiB on Linux and bytes on macOS; without resource the peak is null
+    usage = {"self": 3 * 2**20, "children": 2**21}
+    fake = SimpleNamespace(RUSAGE_SELF="self", RUSAGE_CHILDREN="children",
+                           getrusage=lambda who: SimpleNamespace(ru_maxrss=usage[who]))
+    monkeypatch.setitem(sys.modules, "resource", fake)
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert cli._peak_rss_mb() == 3072.0
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert cli._peak_rss_mb() == 3.0
+    usage["children"] = 2**23
+    assert cli._peak_rss_mb() == 8.0
+    monkeypatch.setitem(sys.modules, "resource", None)
+    assert cli._peak_rss_mb() is None
 
 
 def test_density_of_zero_params(tmp_path):
@@ -685,12 +735,12 @@ sys.exit(code)
 """
 
 
-def _fresh_python(args, cwd):
+def _fresh_python(args, cwd, launcher=()):
     """Run a fresh interpreter with the package on its path; returns the process."""
     env = dict(os.environ)
     src = str(Path(levycal.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+    return subprocess.run([*launcher, sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
 
 

@@ -54,8 +54,9 @@ def test_amplify_permutation_when_sizes_match(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 40), rng.uniform(0, 0.02, 40))
     groups = amplify([pool], n_groups=1, group_size=40, seed=0)
     assert len(groups) == 1
-    np.testing.assert_array_equal(np.sort(groups[0].k), np.sort(pool.k))
-    np.testing.assert_array_equal(np.sort(groups[0].z), np.sort(pool.z))
+    [group] = groups
+    np.testing.assert_array_equal(np.sort(group.k), np.sort(pool.k))
+    np.testing.assert_array_equal(np.sort(group.z), np.sort(pool.z))
 
 
 def test_amplify_group_distribution_matches_pool(merton_model, default_grid):
@@ -82,12 +83,29 @@ def test_amplify_empty_pool():
         amplify([empty], 10, 10)
 
 
+def test_amplify_checks_at_call_time(rng):
+    # the groups are drawn lazily, but bad input fails before any is drawn
+    pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 10), rng.uniform(0, 0.02, 10))
+    for n_groups, group_size in ((0, 10), (10, 0)):
+        with pytest.raises(ValueError):
+            amplify([pool], n_groups, group_size)
+    later = MarketSlice("e", 2 * T, R, pool.k, pool.z)
+    with pytest.raises(MixedMaturities):
+        amplify([pool, later], 10, 10)
+
+
 def test_amplify_deterministic(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 50), rng.uniform(0, 0.02, 50))
-    g1 = amplify([pool], 4, 30, seed=9)
-    g2 = amplify([pool], 4, 30, seed=9)
-    for a, b in zip(g1, g2):
-        np.testing.assert_array_equal(a.k, b.k)
+    groups = amplify([pool], 4, 30, seed=9)
+    assert (len(groups), groups.T, groups.r) == (4, T, R)
+    # every pass over one result, and every call with the same seed, draws the same groups
+    passes = [list(groups), list(groups), list(amplify([pool], 4, 30, seed=9))]
+    assert [len(p) for p in passes] == [4, 4, 4]
+    for a, b, c in zip(*passes):
+        assert a.label == b.label == c.label
+        for field in ("k", "z"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+            np.testing.assert_array_equal(getattr(a, field), getattr(c, field))
 
 
 # --- ingestion -------------------------------------------------------------------
