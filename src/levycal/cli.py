@@ -35,8 +35,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _finish(command, config, seed, inputs, out_dir, started):
-    """Write the run's manifest.json into out_dir."""
+def _finish(command, config, seed, inputs, out_dir, started, **extra):
+    """Write the run's manifest.json into out_dir; `extra` adds fields after peak_rss_mb."""
     out_dir = Path(out_dir)
     canon = json.dumps(config, sort_keys=True, default=str)
     manifest = {
@@ -48,19 +48,20 @@ def _finish(command, config, seed, inputs, out_dir, started):
         "tool_version": __version__,
         "duration_seconds": time.time() - started,
         "peak_rss_mb": _peak_rss_mb(),
+        **extra,
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
-def _peak_rss_mb():
-    """Peak RSS in MB of this process or its largest reaped child; None without resource."""
+def _peak_rss_mb(scopes=("RUSAGE_SELF", "RUSAGE_CHILDREN")):
+    """The largest peak RSS in MB among getrusage's `scopes`, by default this process and
+    its largest reaped child; None without resource."""
     try:
         import resource
     except ImportError:
         return None
-    peak = max(resource.getrusage(who).ru_maxrss
-               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    peak = max(resource.getrusage(getattr(resource, who)).ru_maxrss for who in scopes)
     return peak / (2**20 if sys.platform == "darwin" else 1024)  # bytes on macOS, else KiB
 
 
@@ -178,6 +179,7 @@ _METHODS = ("elnn", "merton", "kou")
 
 
 def _calibrate_one(market_dir, out, cfg):
+    """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it."""
     grid, slices = _load_market(market_dir)
     out.mkdir(parents=True, exist_ok=True)
     if cfg["method"] == "elnn":
@@ -195,6 +197,7 @@ def _calibrate_one(market_dir, out, cfg):
         serialize.save_model(model, out / "params.json")
     serialize.save_report(report, out / "report.json")
     serialize.save_report_tables([report], out)
+    return _peak_rss_mb(("RUSAGE_SELF",))
 
 
 def cmd_calibrate(args):
@@ -210,8 +213,7 @@ def cmd_calibrate(args):
     targets = [out] if len(markets) == 1 else [out / name for name in names]
     workers = _max_workers(len(markets)) if len(markets) > 1 else 1
     if workers == 1 or not _FORK_FAN_OUT:
-        for market, target in zip(markets, targets):
-            _calibrate_one(market, target, cfg)
+        peaks = [_calibrate_one(market, target, cfg) for market, target in zip(markets, targets)]
     else:
         # independent markets fan out to worker processes (ELNN_THREADS caps them): an
         # ELNN epoch holds the GIL, so threads would mostly take turns.  Forked workers
@@ -221,9 +223,9 @@ def cmd_calibrate(args):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            for f in [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]:
-                f.result()
-    _finish("calibrate", cfg, cfg["seed"], markets, out, args._started)
+            futures = [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]
+            peaks = [f.result() for f in futures]
+    _finish("calibrate", cfg, cfg["seed"], markets, out, args._started, worker_peak_rss_mb=peaks)
     return EXIT_OK
 
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedLoss, ResidueTooLarge
-from .spectral import SpectralGrid, _inverse_nodes
+from .spectral import _BLOCK, _RESIDUE_LIMIT, SpectralGrid, _inverse_nodes
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator floor
@@ -162,6 +162,30 @@ def _forward(w, params, e=None, bump=None):
     return annr, anni, bump, e
 
 
+def _networks(w, params):
+    """(ann_r(w), ann_i(w)) at real w of any shape, scalar included.
+
+    _forward runs over blocks of _BLOCK nodes of w, reusing one pair of
+    (2 n_nodes, block) arrays, so memory does not grow with n_nodes times the
+    size of w.  Each value is a sum over network nodes, not over w, so a block
+    gives the floats of one pass over all of w.  BLAS's gemv sums a block
+    shorter than 4 nodes in another order, so the last block takes up a
+    remainder that short rather than standing alone.
+    """
+    w = np.asarray(w, dtype=float)
+    flat = w.reshape(-1)
+    annr, anni = np.empty((2, flat.size))
+    rows = 2 * params.n_nodes
+    buffers = np.empty((2, rows * min(flat.size, _BLOCK + 3)))
+    start = 0
+    for stop in [*range(_BLOCK, flat.size - 3, _BLOCK), flat.size]:
+        m = stop - start
+        e, bump = buffers[:, :rows * m].reshape(2, rows, m)
+        annr[start:stop], anni[start:stop], _, _ = _forward(flat[start:stop], params, e, bump)
+        start = stop
+    return annr.reshape(w.shape), anni.reshape(w.shape)
+
+
 def _constants(params):
     """(c0, c1, ur, ui) with the per-node pole factors u = 1 / (2(1 + cos scale))."""
     ur = 1.0 / (2.0 * (1.0 + np.cos(params.wr1)))
@@ -183,7 +207,7 @@ def _phi_parts(w, annr, anni, sigma, c0, c1, T):
 def phi_model(w, params, T):
     """Model Phi(w - i) for real frequencies w."""
     w = np.asarray(w, dtype=float)
-    annr, anni, _, _ = _forward(w, params)
+    annr, anni = _networks(w, params)
     c0, c1, _, _ = _constants(params)
     pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T)
     return pr + 1j * pi
@@ -191,16 +215,17 @@ def phi_model(w, params, T):
 
 class _Workspace:
     """What every epoch of one training run reuses: the per-run constants of the
-    quadrature nodes and the three (2n, nodes) arrays of the shared bump block.
+    quadrature nodes and two (2n, nodes) arrays, the shared bump block and e,
+    which the backward pass overwrites with bump * e.
 
-    Each run builds its own, so runs on concurrent threads share no arrays.
+    Each run builds its own, so no two runs share an array.
     """
 
     def __init__(self, w, wts, config, n_nodes):
         self.aw = np.abs(w)
         self.w2 = w * w
         self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
-        self.e, self.bump, self.pe = np.empty((3, 2 * n_nodes, len(w)))
+        self.e, self.bump = np.empty((2, 2 * n_nodes, len(w)))
 
 
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True, work=None):
@@ -247,7 +272,7 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     rows = np.stack((GR, LR, GAw, LI * w)).reshape(2, 2, -1)
     rows = np.concatenate((rows, rows * work.aw), axis=1)
     bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
-    pe = np.multiply(P, e, out=work.pe).reshape(2, n, -1).transpose(0, 2, 1)
+    pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
     dots = rows @ bumps
     # scale slopes: sum over w of row |w| (1 - 2e) bump = (row |w|) . bump
     # - 2 (row |w|) . PE, times the per-node sign -sgn(scale)
@@ -325,10 +350,10 @@ def implied_levy_density(params, grid=None):
     e^{-x} factor is applied; restrict attention to the region of interest.
     """
     grid = grid or SpectralGrid()
-    annr, anni, _, _ = _forward(grid.w, params)
+    annr, anni = _networks(grid.w, params)
     g = _inverse_nodes(grid, annr + 1j * anni)
     residue = float(np.max(np.abs(g.imag)))
-    if residue > 1e-6:
+    if residue > _RESIDUE_LIMIT:
         raise ResidueTooLarge(f"imaginary residue {residue:.3e} in density recovery")
     x = grid.k
     return x.copy(), np.exp(-x) * g.real

@@ -32,6 +32,9 @@ DEFAULT_N = 2**14
 DEFAULT_DW = 0.05
 
 _RESIDUE_LIMIT = 1e-6
+# nodes or query points per block of an evaluation whose temporaries would
+# otherwise grow with its input: the networks' bumps, the spline's terms
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -233,10 +236,16 @@ def spline_on_grid(grid, z):
 
     def spline(q):
         q = np.asarray(q, dtype=float)
-        i = np.clip(np.searchsorted(k, q, "right") - 1, 0, n - 2)
-        x = q - k[i]
-        # PPoly's sum starts from 0.0, which turns a -0.0 into 0.0
-        return 0.0 + c3[i] + c2[i] * x + c1[i] * (x * x) + c0[i] * (x * x * x)
+        flat = q.reshape(-1)
+        out = np.empty(flat.size)
+        for start in range(0, flat.size, _BLOCK):  # temporaries of one block at a time
+            block = flat[start:start + _BLOCK]
+            i = np.clip(np.searchsorted(k, block, "right") - 1, 0, n - 2)
+            x = block - k[i]
+            # PPoly's sum starts from 0.0, which turns a -0.0 into 0.0
+            out[start:start + _BLOCK] = (0.0 + c3[i] + c2[i] * x + c1[i] * (x * x)
+                                         + c0[i] * (x * x * x))
+        return out.reshape(q.shape)
 
     return spline
 

@@ -255,11 +255,17 @@ def test_manifest_reports_peak_rss(tmp_path, model_file, n_markets):
     proc = _fresh_python(["-c", _BIG_WORKER, "calibrate", "--market", *markets, "--out", "out",
                           *_TINY_ELNN], tmp_path, launcher=("sh", "-c", '"$@"; exit $?', "sh"))
     assert proc.returncode == 0, proc.stderr
-    peak = json.loads((tmp_path / "out" / "manifest.json").read_text())["peak_rss_mb"]
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    peak, workers = manifest["peak_rss_mb"], manifest["worker_peak_rss_mb"]
+    assert len(workers) == n_markets
     if n_markets == 2 and cli._FORK_FAN_OUT:
         assert peak > 64  # the reaped workers count
+        # each worker reports its own peak, and the two held their markets at once
+        assert all(worker > 64 for worker in workers)
+        assert sum(workers) > peak
     else:
         assert 1 < peak < 64  # in MB, not KiB or bytes
+        assert 1 < workers[-1] <= peak
 
 
 def test_peak_rss_units(monkeypatch):
@@ -274,6 +280,7 @@ def test_peak_rss_units(monkeypatch):
     assert cli._peak_rss_mb() == 3.0
     usage["children"] = 2**23
     assert cli._peak_rss_mb() == 8.0
+    assert cli._peak_rss_mb(("RUSAGE_SELF",)) == 3.0  # a worker's own peak
     monkeypatch.setitem(sys.modules, "resource", None)
     assert cli._peak_rss_mb() is None
 

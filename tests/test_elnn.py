@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
                      char_fn, elnn, implied_lambda, implied_levy_density, phi_model, train)
-from levycal.elnn import Adam, _guard_pole, _loss_and_grad
+from levycal.elnn import Adam, _guard_pole, _loss_and_grad, _phi_parts, _Workspace
 from levycal.errors import DivergedLoss
-from levycal.spectral import trapezoid_weights
+from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
 
 import oracles
 from oracles import ann_i, ann_r, elnn_gradient, elnn_objective
@@ -117,6 +122,118 @@ def test_phi_model_pure_diffusion_closed_form():
     # exp(T(-sigma^2 w^2/2 + i sigma^2 w/2)) = e^{-0.1} (cos 0.01 + i sin 0.01)
     want = math.exp(-0.1) * complex(math.cos(0.01), math.sin(0.01))
     assert val == pytest.approx(want, abs=1e-12)
+
+
+# --- blocked network evaluation -------------------------------------------------
+
+
+def full_block_phi(w, p):
+    """phi_model from one bump block over all of w, as training's _forward builds it."""
+    w = np.asarray(w, dtype=float)
+    pr, pi = _phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, p.c0, p.c1, T)
+    return pr + 1j * pi
+
+
+def full_block_density(p, grid):
+    """implied_levy_density's dnu/dx from one bump block over the whole grid."""
+    g = _inverse_nodes(grid, ann_r(grid.w, p) + 1j * ann_i(grid.w, p))
+    return np.exp(-grid.k) * g.real
+
+
+def assert_same_bits(got, want):
+    assert np.shape(got) == np.shape(want)
+    bits = [np.asarray(a).reshape(-1).view(np.int64) for a in (got, want)]
+    np.testing.assert_array_equal(*bits)
+
+
+# Beyond one block (plus the 3 nodes the last block may take up), lengths are
+# multiples of 256.  A multi-threaded BLAS splits a gemv's w nodes into one
+# share per thread and sums a share's last (length mod 4) nodes in another
+# order, so there a blocked and a full pass agree bit for bit only where every
+# share is a multiple of 4 long: true for power-of-two grids on up to 64
+# threads.  With one BLAS thread they agree at every length; the next test
+# checks that.
+_LENGTHS = st.one_of(st.integers(1, _BLOCK + 3), st.integers(1, 40).map(lambda j: 256 * j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nodes=st.integers(1, 120), length=_LENGTHS, two_d=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n_nodes=1, length=1, two_d=False, seed=0)
+@example(n_nodes=120, length=5 * 256, two_d=True, seed=1)
+def test_blocked_evaluation_matches_full_block(n_nodes, length, two_d, seed):
+    p = random_params(np.random.default_rng(seed), n=n_nodes)
+    w = np.random.default_rng(seed).uniform(-400.0, 400.0, length)
+    if two_d and length % 2 == 0:
+        w = w.reshape(2, -1)
+    assert_same_bits(phi_model(w, p, T), full_block_phi(w, p))
+    assert_same_bits(phi_model(float(w.flat[0]), p, T), full_block_phi(float(w.flat[0]), p))
+    grid = SpectralGrid(2 ** (2 + seed % 13), 0.05 + 0.01 * (seed % 7))
+    x, dens = implied_levy_density(p, grid)
+    np.testing.assert_array_equal(x, grid.k)
+    assert_same_bits(dens, full_block_density(p, grid))
+
+
+_ONE_THREAD_CHECK = """
+import numpy as np
+from levycal import SpectralGrid, implied_levy_density, phi_model
+from levycal.spectral import _BLOCK
+import test_elnn as t
+
+for n_nodes in (1, 3, 20, 57, 120):
+    p = t.random_params(np.random.default_rng(n_nodes), n=n_nodes)
+    for length in (0, 1, 2, 3, 4, 5, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3,
+                   _BLOCK + 4, _BLOCK + 5, 2 * _BLOCK + 3, 3 * _BLOCK + 7, 5001):
+        print(n_nodes, length)
+        w = np.random.default_rng(length).uniform(-400.0, 400.0, length)
+        t.assert_same_bits(phi_model(w, p, t.T), t.full_block_phi(w, p))
+        t.assert_same_bits(phi_model(w.reshape(1, -1), p, t.T), t.full_block_phi(w, p)[None])
+    grid = SpectralGrid(2**14, 0.05)
+    t.assert_same_bits(implied_levy_density(p, grid)[1], t.full_block_density(p, grid))
+"""
+
+
+def test_blocked_evaluation_matches_full_block_on_one_blas_thread():
+    # a fresh interpreter, as a BLAS reads its thread count when numpy loads it
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = str(Path(elnn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, str(tests), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _ONE_THREAD_CHECK], env=env, cwd=tests,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout.splitlines()[-1:] + [proc.stderr]
+
+
+def test_network_evaluation_memory_is_one_block():
+    # a 100-node network on a 2^16-node grid: the full (200, 2^16) bump block and its
+    # e array take 210 MB of float64
+    grid = SpectralGrid(2**16, 0.05)
+    p = ElnnParams.init_random(100, 0)
+    w = grid.w
+    full_block = 2 * (2 * p.n_nodes) * grid.n * 8
+    for evaluate in (lambda: phi_model(w, p, T), lambda: implied_levy_density(p, grid)):
+        tracemalloc.start()
+        try:
+            evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_block / 10
+
+
+def test_workspace_holds_two_blocks():
+    n_nodes, w = 7, np.linspace(0.025, 40.0, 1600)
+    config = TrainConfig(m_cutoff=20.0)
+    tracemalloc.start()
+    try:
+        work = _Workspace(w, np.ones_like(w), config, n_nodes)
+        allocated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    blocks = 2 * (2 * n_nodes) * len(w) * 8
+    per_node = 3 * len(w) * 8  # |w|, w^2 and the regularizer weights
+    assert blocks + per_node <= allocated < blocks + per_node + 4096
+    assert work.e.shape == work.bump.shape == (2 * n_nodes, len(w))
 
 
 def test_property8_identity(rng):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from levycal import (CustomModel, MertonModel, SpectralCurve, SpectralGrid, char
                      phi_from_time_values, regrid_time_values, time_value_curve,
                      time_values_from_phi)
 from levycal.errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
-from levycal.spectral import spline_on_grid
+from levycal.spectral import _BLOCK, spline_on_grid
 
 import oracles
 from oracles import call_price, plancherel_gap, zeta
@@ -227,6 +228,35 @@ def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng):
                       for _ in range(20)]:
         np.testing.assert_array_equal(spline_on_grid(grid, z)(q).view(np.int64),
                                       CubicSpline(grid.k, z)(q).view(np.int64))
+
+
+def test_grid_spline_blocks_match_point_by_point(merton_model, rng):
+    # a 2-D q of several blocks and a partial one, points beyond both grid ends included
+    grid = SpectralGrid(1024, 0.1)
+    k, z = time_value_curve(merton_model.triplet(), T, R, grid)
+    spline = spline_on_grid(grid, z)
+    q = rng.uniform(k[0] - 2.0, k[-1] + 2.0, 3 * (_BLOCK + 7)).reshape(3, -1)
+    q[0, :4] = k[0] - 1e-12, k[0] - 5.0, k[-1] + 1e-12, k[-1] + 5.0
+    got = spline(q)
+    want = np.array([spline(x) for x in q.ravel()]).reshape(q.shape)
+    assert got.shape == q.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert spline(q[0, 0]).shape == ()
+    assert spline(np.empty((0, 3))).shape == (0, 3)
+
+
+def test_grid_spline_memory_is_its_output_plus_one_block(merton_model):
+    grid = SpectralGrid(2**14, 0.05)
+    _, z = time_value_curve(merton_model.triplet(), T, R, grid)
+    spline = spline_on_grid(grid, z)
+    q = np.random.default_rng(3).uniform(-0.5, 0.5, 10**6)
+    tracemalloc.start()
+    try:
+        spline(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * q.nbytes  # the output is as large as q
 
 
 def test_regrid_noisy_phi_within_propagated_band(merton_model, merton_triplet, default_grid, rng):
