@@ -1,11 +1,13 @@
 """End-to-end calibration drivers, bucketed error reports and stability tables.
 
-Network and parametric fits share one pooled target.  Raw daily slices are
-amplified into large synthetic groups, each group is regridded onto the k
-nodes, and the mean of the regridded curves is Fourier-transformed once into
-Phi*(w - i).  That equals the average of the groups' own transforms because
-the transform is affine in z, and training against the group average carries
-exactly the full-batch gradient of training on every group at once.
+Network and parametric fits share one pooled slice.  amplify pools the raw
+daily slices once; the pooled slice holds that pool as its quotes, and its
+target comes from the synthetic groups resampled from it: each group is
+regridded onto the k nodes, and the mean of the regridded curves is
+Fourier-transformed once into Phi*(w - i).  That equals the average of the
+groups' own transforms because the transform is affine in z, and training
+against the group average carries exactly the full-batch gradient of training
+on every group at once.
 Parametric fits minimize the same folded trapezoid L2 spectral loss as the
 network (SpectralCurve.fold), without the regularizer, by Nelder-Mead from
 five starts that share one budget of loss evaluations, inside a box of
@@ -235,17 +237,16 @@ def calibrate_parametric(family, market_slice, budget, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def spectral_target(slices, grid, n_groups=1000, group_size=10_000, seed=0):
-    """Phi*(w - i) of the amplified groups, averaged over groups.
+def spectral_target(groups, grid):
+    """Phi*(w - i) of amplify's groups, averaged over groups.
 
     The groups are drawn one at a time, each is regridded onto the k nodes
-    into a running sum, so memory does not grow with n_groups, and the mean
-    curve is transformed once.  phi_from_time_values is affine in z, so this
-    equals the mean of the groups' own transforms.  The averaged curve is an
-    exact stand-in for full-batch training over all groups: the L2 loss
+    into a running sum, so memory does not grow with their number, and the
+    mean curve is transformed once.  phi_from_time_values is affine in z, so
+    this equals the mean of the groups' own transforms.  The averaged curve is
+    an exact stand-in for full-batch training over all groups: the L2 loss
     against it differs from the group-averaged loss only by a constant.
     """
-    groups = amplify(slices, n_groups, group_size, seed=seed)
     z_sum = np.zeros(grid.n)
     for g in groups:
         z_sum += regrid_time_values(g.k, g.z, grid)
@@ -253,19 +254,20 @@ def spectral_target(slices, grid, n_groups=1000, group_size=10_000, seed=0):
 
 
 def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
-    """One slice holding every quote of `slices` and the pooled spectral target.
+    """One slice holding amplify's pool of every quote of `slices` and the pooled
+    spectral target.
 
-    The target is amplified from seed + 1 and clipped to |w| <= 4 * m_cutoff,
-    which must keep at least the two innermost nodes +-dw/2.
+    The target's groups are amplified from seed + 1, and the target is clipped
+    to |w| <= 4 * m_cutoff, which must keep at least the two innermost nodes
+    +-dw/2.
     """
     if 4.0 * m_cutoff < grid.w_offset:
         raise ValueError(f"m_cutoff must be at least dw / 8 = {grid.dw / 8} on a grid with "
                          f"dw {grid.dw}, so that the target keeps two nodes |w| <= 4 m_cutoff; "
                          f"got {m_cutoff}")
-    target = spectral_target(slices, grid, n_groups, group_size, seed=seed + 1)
-    return MarketSlice("pooled", slices[0].T, slices[0].r,
-                       np.concatenate([s.k for s in slices]),
-                       np.concatenate([s.z for s in slices]),
+    groups = amplify(slices, n_groups, group_size, seed=seed + 1)
+    target = spectral_target(groups, grid)
+    return MarketSlice("pooled", groups.T, groups.r, groups.pool_k, groups.pool_z,
                        spectral=target.clip(4.0 * m_cutoff))
 
 

@@ -171,10 +171,10 @@ def _load_market(market_dir):
 
 # --- calibrate ------------------------------------------------------------------
 
-_CAL_DEFAULTS = {"method": "elnn", "m_cutoff": 100.0, "epochs": 30_000,
-                 "alpha_reg": 4.0, "beta_reg": 1e-3, "learning_rate": 1e-3,
-                 "n_nodes": 20, "seed": 0, "n_groups": 1000, "group_size": 10_000,
-                 "budget": 6000}
+# the ELNN settings are TrainConfig's fields with its defaults; seed also seeds a
+# parametric fit's starts, and m_cutoff clips its target
+_CAL_DEFAULTS = {"method": "elnn", **{f.name: f.default for f in fields(TrainConfig)},
+                 "n_groups": 1000, "group_size": 10_000, "budget": 6000}
 _METHODS = ("elnn", "merton", "kou")
 
 
@@ -297,7 +297,7 @@ def cmd_report(args):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_report_tables(reports, out)
-    (out / "report.json").write_text(json.dumps(reports, indent=2, allow_nan=False) + "\n")
+    serialize.save_report(reports, out / "report.json")
     _finish("report", cfg, None, args.runs, out, args._started)
     return EXIT_OK
 

@@ -47,8 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss, ResidueTooLarge
-from .spectral import _BLOCK, _RESIDUE_LIMIT, SpectralGrid, _inverse_nodes
+from .errors import DivergedLoss
+from .spectral import _BLOCK, SpectralGrid, inverse_real
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator floor
@@ -71,14 +71,6 @@ class ElnnParams:
     @property
     def n_nodes(self):
         return len(self.wr0)
-
-    @property
-    def c0(self):
-        return _constants(self)[0]
-
-    @property
-    def c1(self):
-        return _constants(self)[1]
 
     @classmethod
     def init_random(cls, n_nodes=20, seed=0):
@@ -106,15 +98,16 @@ class ElnnParams:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of one training run."""
+    """Hyperparameters of one training run; the defaults are the paper's, and
+    calibrate's settings table takes its ELNN settings from these fields."""
 
-    m_cutoff: float
+    m_cutoff: float = 100.0
     epochs: int = 30_000
     alpha_reg: float = 4.0
     beta_reg: float = 1e-3
-    seed: int = 0
-    n_nodes: int = 20
     learning_rate: float = 1e-3
+    n_nodes: int = 20
+    seed: int = 0
 
     def __post_init__(self):
         if self.m_cutoff <= 0:
@@ -351,14 +344,11 @@ def implied_levy_density(params, grid=None):
     """
     grid = grid or SpectralGrid()
     annr, anni = _networks(grid.w, params)
-    g = _inverse_nodes(grid, annr + 1j * anni)
-    residue = float(np.max(np.abs(g.imag)))
-    if residue > _RESIDUE_LIMIT:
-        raise ResidueTooLarge(f"imaginary residue {residue:.3e} in density recovery")
     x = grid.k
-    return x.copy(), np.exp(-x) * g.real
+    return x.copy(), np.exp(-x) * inverse_real(grid, annr + 1j * anni)
 
 
 def implied_lambda(params):
     """Jump intensity implied by the trained constants: c0 - c1."""
-    return params.c0 - params.c1
+    c0, c1, _, _ = _constants(params)
+    return c0 - c1

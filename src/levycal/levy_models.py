@@ -43,12 +43,6 @@ def _check_strip(w):
         raise ValueError(f"Im(w) must lie in [{_STRIP_LO}, {_STRIP_HI}], got range {im}")
 
 
-def _quad_pieces(lo, hi):
-    """Split the integration domain at the +-1 kinks of the truncation indicator."""
-    cuts = [lo] + [c for c in (-1.0, 1.0) if lo < c < hi] + [hi]
-    return list(zip(cuts[:-1], cuts[1:]))
-
-
 def f_exponent(w, density, support):
     """Jump part f(w) of the Levy-Khinchine exponent by adaptive quadrature.
 
@@ -66,8 +60,11 @@ def f_exponent(w, density, support):
         trunc = 1.0 if abs(x) <= 1.0 else 0.0
         return (np.exp(1j * w_arr * x) - 1.0 - 1j * w_arr * x * trunc) * density(x)
 
+    # pieces split at the +-1 kinks of the truncation indicator
+    lo, hi = support
+    cuts = [lo] + [c for c in (-1.0, 1.0) if lo < c < hi] + [hi]
     total = np.zeros_like(w_arr)
-    for a, b in _quad_pieces(*support):
+    for a, b in zip(cuts[:-1], cuts[1:]):
         piece, _ = quad_vec(integrand, a, b, epsabs=1e-12, epsrel=1e-10, limit=2000)
         total += piece
     if not np.all(np.isfinite(total)):
@@ -190,12 +187,6 @@ class MertonModel(_JumpModel):
         if self.delta <= 0:
             raise ValueError("delta must be positive")
 
-    @property
-    def support(self):
-        lo = min(-1.0, self.mu - 10.0 * self.delta)
-        hi = max(1.0, self.mu + 10.0 * self.delta)
-        return (lo, hi)
-
     def density(self, x):
         """lam * N(mu, delta^2) pdf at x."""
         scalar = np.ndim(x) == 0
@@ -249,11 +240,6 @@ class KouModel(_JumpModel):
             raise ValueError("lam_plus must exceed 2 for a finite second exponential moment")
         if self.lam_minus <= 0.0:
             raise ValueError("lam_minus must be positive")
-
-    @property
-    def support(self):
-        half = max(1.5, 40.0 / min(self.lam_plus - 2.0, self.lam_minus))
-        return (-half, half)
 
     def density(self, x):
         """Kou Levy density; the measure-zero point x=0 is assigned the value 0."""
@@ -313,10 +299,6 @@ class CustomModel(_JumpModel):
             raise ValueError("x and dvdx tables must be aligned")
         if np.any(self.dvdx < 0):
             raise ValueError("density values must be nonnegative")
-
-    @property
-    def support(self):
-        return (float(self.x[0]), float(self.x[-1]))
 
     def density(self, xq):
         return np.interp(xq, self.x, self.dvdx, left=0.0, right=0.0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyPool, MixedMaturities, NonFinite, ParseError
+from .errors import EmptyPool, MixedMaturities, ParseError
 from .levy_models import cumulants
 from .spectral import SpectralCurve, SpectralGrid, spline_on_grid, time_value_curve
 
@@ -234,8 +234,6 @@ class MomentRow:
     """Empirical moments of non-overlapping returns at one horizon."""
 
     horizon_days: int
-    horizon_years: float
-    n_returns: int
     mean: float
     std: float
     skewness: float
@@ -269,7 +267,6 @@ def moment_table(price_series, horizons, triplet=None, r=0.0):
     for h in horizons:
         steps = logp[::h]
         rets = np.diff(steps)
-        n = rets.size
         mean = float(np.mean(rets))
         centered = rets - mean
         m2 = float(np.mean(centered**2))
@@ -294,5 +291,5 @@ def moment_table(price_series, horizons, triplet=None, r=0.0):
                 "gauss_skewness": 0.0,
                 "gauss_excess_kurtosis": 0.0,
             }
-        rows.append(MomentRow(h, delta, n, mean, std, skew, exkurt, theory))
+        rows.append(MomentRow(h, mean, std, skew, exkurt, theory))
     return rows

@@ -118,21 +118,20 @@ def load_model(path):
 # --- network parameters -------------------------------------------------------
 
 
+# a params file's weight groups, ElnnParams' fields after s, in file order
+_WEIGHTS = tuple(f.name for f in fields(ElnnParams)[1:])
+
+
 def params_to_dict(params):
-    return {
-        "sigma": params.sigma,
-        "wr0": list(map(float, params.wr0)),
-        "wr1": list(map(float, params.wr1)),
-        "wi0": list(map(float, params.wi0)),
-        "wi1": list(map(float, params.wi1)),
-    }
+    return {"sigma": params.sigma} | {k: list(map(float, getattr(params, k))) for k in _WEIGHTS}
 
 
 def params_from_dict(doc, where):
     sigma = field(doc, "sigma", float, where)
-    weights = {k: field(doc, k, list, where) for k in ("wr0", "wr1", "wi0", "wi1")}
+    weights = {k: field(doc, k, list, where) for k in _WEIGHTS}
     if len({len(v) for v in weights.values()}) > 1:
-        raise ValueError(f"{where}: wr0, wr1, wi0 and wi1 must have the same length")
+        raise ValueError(f"{where}: {', '.join(_WEIGHTS[:-1])} and {_WEIGHTS[-1]} must have the "
+                         "same length")
     return ElnnParams(s=sigma, **weights)
 
 

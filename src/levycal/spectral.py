@@ -124,6 +124,19 @@ def _inverse_nodes(grid, values):
     return (grid.dw / (2.0 * math.pi)) * np.exp(-1j * grid.k * w0) * spec
 
 
+def inverse_real(grid, values):
+    """The real part of _inverse_nodes(grid, values), a transform that should be real.
+
+    Raises ResidueTooLarge when the imaginary residue exceeds _RESIDUE_LIMIT
+    at any k node, which signals a grid too coarse for the values.
+    """
+    g = _inverse_nodes(grid, values)
+    residue = float(np.max(np.abs(g.imag)))
+    if residue > _RESIDUE_LIMIT:
+        raise ResidueTooLarge(f"imaginary residue {residue:.3e} exceeds {_RESIDUE_LIMIT:.0e}")
+    return g.real
+
+
 def _forward_nodes(grid, values):
     """integral h(k) e^{ikw} dk on the w nodes, trapezoid weighted."""
     w0 = grid.w[0]
@@ -146,15 +159,12 @@ def time_values_from_phi(phi_shifted, r, T, grid):
     w = grid.w
     iw = 1j * w
     regular = np.exp(iw * r * T) * np.asarray(phi_shifted) / (iw * (1.0 + iw))
-    z_complex = _inverse_nodes(grid, regular)
-    residue = float(np.max(np.abs(z_complex.imag)))
-    if residue > _RESIDUE_LIMIT:
-        raise ResidueTooLarge(f"imaginary residue {residue:.3e} exceeds {_RESIDUE_LIMIT:.0e}")
+    z_regular = inverse_real(grid, regular)
     k = grid.k
     singular = np.sign(k - r * T) / 2.0
     below = k < r * T
     singular[below] += np.exp(k[below] - r * T)
-    return z_complex.real + singular
+    return z_regular + singular
 
 
 def time_value_curve(triplet, T, r, grid=None):

@@ -55,6 +55,17 @@ def merton_series_z(k, model, T, r, n_terms=60):
     return total - np.maximum(1.0 - np.exp(kappa), 0.0)
 
 
+def support(model):
+    """(lo, hi): the span of x that the quadratures integrate a model's Levy density
+    over; the Merton and Kou densities are negligible outside it, a table's is zero."""
+    if model.kind == "merton":
+        return (min(-1.0, model.mu - 10.0 * model.delta), max(1.0, model.mu + 10.0 * model.delta))
+    if model.kind == "kou":
+        half = max(1.5, 40.0 / min(model.lam_plus - 2.0, model.lam_minus))
+        return (-half, half)
+    return (float(model.x[0]), float(model.x[-1]))
+
+
 def _cuts(support, split):
     lo, hi = support
     return sorted({lo, hi, *(c for c in split if lo < c < hi)})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
-                     SpectralGrid, TrainConfig, bucketed_errors, calibrate_parametric,
+                     SpectralGrid, TrainConfig, amplify, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
 from levycal import calibrate
@@ -328,7 +328,7 @@ def test_spectral_target_averages_groups(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
     slices = generate_virtual_market(merton_model, 10, 200, T, R,
                                      noise=NoiseSpec(scale=0.0, seed=1), grid=grid)
-    target = spectral_target(slices, grid, n_groups=4, group_size=500, seed=3)
+    target = spectral_target(amplify(slices, n_groups=4, group_size=500, seed=3), grid)
     from levycal import char_fn
     truth = char_fn(grid.w - 1j, merton_model.triplet(), T)
     mask = np.abs(grid.w) <= 30
@@ -339,7 +339,7 @@ def test_spectral_target_matches_per_group_reference(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
     slices = generate_virtual_market(merton_model, 10, 200, T, R,
                                      noise=NoiseSpec(scale=0.05, seed=4), grid=grid)
-    target = spectral_target(slices, grid, n_groups=8, group_size=500, seed=5)
+    target = spectral_target(amplify(slices, n_groups=8, group_size=500, seed=5), grid)
     want = oracles.spectral_target_per_group(slices, grid, 8, 500, seed=5)
     np.testing.assert_array_equal(target.w, grid.w)
     assert np.max(np.abs(target.values - want)) <= 1e-9 * np.max(np.abs(want))
@@ -351,12 +351,12 @@ def test_spectral_target_memory_does_not_grow_with_groups(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
     slices = generate_virtual_market(merton_model, 10, 200, T, R,
                                      noise=NoiseSpec(scale=0.05, seed=4), grid=grid)
-    spectral_target(slices, grid, n_groups=2, group_size=5000, seed=5)  # warm-up
+    spectral_target(amplify(slices, n_groups=2, group_size=5000, seed=5), grid)  # warm-up
     peaks = {}
     for n_groups in (4, 64):
         tracemalloc.start()
         try:
-            spectral_target(slices, grid, n_groups=n_groups, group_size=5000, seed=5)
+            spectral_target(amplify(slices, n_groups=n_groups, group_size=5000, seed=5), grid)
             peaks[n_groups] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

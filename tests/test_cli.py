@@ -15,11 +15,11 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycal
-from levycal import CustomModel, KouModel, MertonModel, cli, moment_table
+from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_table
 from levycal.cli import main
 from levycal.errors import DivergedLoss
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
-                               save_columns, save_model)
+                               save_columns, save_model, save_params)
 
 import oracles
 
@@ -106,6 +106,24 @@ def test_calibrate_parametric_method(tmp_path, model_file):
     report = json.loads((out / "report.json").read_text())
     assert "z_rmse" in report and "sum" in report["z_rmse"]
     assert (out / "report_z.csv").exists()
+
+
+def test_calibrate_settings_keep_the_paper_defaults(tmp_path, monkeypatch):
+    # the ELNN settings come from TrainConfig's fields; the table keeps its keys,
+    # their order, defaults and types, and a default run keeps its config digest
+    assert list(cli._CAL_DEFAULTS.items()) == [
+        ("method", "elnn"), ("m_cutoff", 100.0), ("epochs", 30_000), ("alpha_reg", 4.0),
+        ("beta_reg", 1e-3), ("learning_rate", 1e-3), ("n_nodes", 20), ("seed", 0),
+        ("n_groups", 1000), ("group_size", 10_000), ("budget", 6000)]
+    assert [type(v) for v in cli._CAL_DEFAULTS.values()] == [
+        str, float, int, float, float, float, int, int, int, int, int]
+    # a fit at the paper's defaults takes minutes; the manifest needs none
+    monkeypatch.setattr(cli, "_calibrate_one", lambda market_dir, out, cfg: None)
+    out = tmp_path / "fit"
+    assert main(["calibrate", "--market", str(tmp_path / "mkt"), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config_digest"] == (
+        "51a012fcc9236678d3c65c183247d870c382b7c826c28fc16b2ddddf30f23cf3")
 
 
 def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file):
@@ -836,3 +854,17 @@ def test_exit_code_on_merton_moment_overflow(tmp_path):
                           "--out", "wide", "--days", "2", "--per-day", "10"], tmp_path)
     assert proc.returncode == 3
     assert _only_numerical_failure(proc.stderr), proc.stderr
+
+
+def test_density_exit_code_on_residue(tmp_path):
+    # weights this large leave an imaginary residue of 2.7e-6 in the inverse
+    # transform on this coarse grid, above the limit time_values_from_phi also keeps
+    params = ElnnParams.init_random(20, 0)
+    params.wr0 *= 1e8
+    params.wi0 *= 1e8
+    save_params(params, tmp_path / "params.json")
+    proc = _fresh_python(["-m", "levycal.cli", "density", "--params", "params.json",
+                          "--grid-n", "1024", "--grid-dw", "0.4", "--out", "dens"], tmp_path)
+    assert proc.returncode == 3
+    assert _only_numerical_failure(proc.stderr), proc.stderr
+    assert proc.stderr == "numerical failure: imaginary residue 2.683e-06 exceeds 1e-06\n"

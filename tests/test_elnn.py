@@ -14,7 +14,7 @@ from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
                      char_fn, elnn, implied_lambda, implied_levy_density, phi_model, train)
-from levycal.elnn import Adam, _guard_pole, _loss_and_grad, _phi_parts, _Workspace
+from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _phi_parts, _Workspace
 from levycal.errors import DivergedLoss
 from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
 
@@ -130,7 +130,8 @@ def test_phi_model_pure_diffusion_closed_form():
 def full_block_phi(w, p):
     """phi_model from one bump block over all of w, as training's _forward builds it."""
     w = np.asarray(w, dtype=float)
-    pr, pi = _phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, p.c0, p.c1, T)
+    c0, c1, _, _ = _constants(p)
+    pr, pi = _phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, c0, c1, T)
     return pr + 1j * pi
 
 
@@ -241,7 +242,8 @@ def test_property8_identity(rng):
         p = random_params(rng, n=5)
         lhs = float(np.sum(p.wr0 / (2 * (1 + np.cos(p.wr1)))
                            - p.wi0 / (2 * (1 + np.cos(p.wi1)))))
-        assert lhs == pytest.approx(p.c0 - p.c1, abs=1e-12)
+        c0, c1, _, _ = _constants(p)
+        assert lhs == pytest.approx(c0 - c1, abs=1e-12)
 
 
 def test_c0_c1_from_complex_evaluation(rng):
@@ -255,8 +257,9 @@ def test_c0_c1_from_complex_evaluation(rng):
         # ann_r(i) + i ann_i(i), where ann_i carries the trailing factor w = i
         at_i = np.sum(p.wr0 * bump_at_i(p.wr1)) + 1j * np.sum(p.wi0 * bump_at_i(p.wi1)) * 1j
         assert abs(at_i.imag) < 1e-12
-        assert at_i.real == pytest.approx(p.c0 - p.c1, abs=1e-12)
-        assert p.c0 == pytest.approx(float(ann_r(0.0, p)), abs=1e-14)
+        c0, c1, _, _ = _constants(p)
+        assert at_i.real == pytest.approx(c0 - c1, abs=1e-12)
+        assert c0 == pytest.approx(float(ann_r(0.0, p)), abs=1e-14)
 
 
 # --- regularizer ----------------------------------------------------------------

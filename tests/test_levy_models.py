@@ -60,12 +60,12 @@ def test_parameter_validation():
 
 
 def test_f_exponent_at_zero(merton_model):
-    val = f_exponent(0.0, merton_model.density, merton_model.support)
+    val = f_exponent(0.0, merton_model.density, oracles.support(merton_model))
     assert abs(val) < 1e-12
 
 
 def test_f_exponent_merton_minus_i(merton_model):
-    val = f_exponent(-1j, merton_model.density, merton_model.support)
+    val = f_exponent(-1j, merton_model.density, oracles.support(merton_model))
     assert val.real == pytest.approx(MERTON_F_MINUS_I, abs=1e-10)
     assert abs(val.imag) < 1e-12
     # closed form agrees with the quadrature route
@@ -73,21 +73,21 @@ def test_f_exponent_merton_minus_i(merton_model):
 
 
 def test_f_exponent_kou_minus_i(kou_model):
-    val = f_exponent(-1j, kou_model.density, kou_model.support)
+    val = f_exponent(-1j, kou_model.density, oracles.support(kou_model))
     assert val.real == pytest.approx(KOU_F_MINUS_I, abs=1e-9)
     assert complex(kou_model.jump_exponent(np.array(-1j))) == pytest.approx(val, abs=1e-9)
 
 
 def test_f_exponent_strip_validation(merton_model):
     with pytest.raises(ValueError):
-        f_exponent(1.0 + 0.5j, merton_model.density, merton_model.support)
+        f_exponent(1.0 + 0.5j, merton_model.density, oracles.support(merton_model))
     with pytest.raises(ValueError):
-        f_exponent(1.0 - 2.5j, merton_model.density, merton_model.support)
+        f_exponent(1.0 - 2.5j, merton_model.density, oracles.support(merton_model))
 
 
 def quad_drift(model):
     """Martingale drift -sigma^2/2 - f(-i) with f(-i) by quadrature of the density."""
-    f_mi = f_exponent(-1j, model.density, model.support)
+    f_mi = f_exponent(-1j, model.density, oracles.support(model))
     return -0.5 * model.sigma**2 - float(np.real(f_mi))
 
 
@@ -111,7 +111,7 @@ def test_triplet_drift_consistency(merton_model, kou_model):
     for model in (merton_model, kou_model):
         trip = model.triplet()
         assert trip.drift() == pytest.approx(quad_drift(model), abs=1e-8)
-        quad_mass = oracles.quad_moment(0, model.density, model.support)
+        quad_mass = oracles.quad_moment(0, model.density, oracles.support(model))
         assert trip.lam == pytest.approx(quad_mass, rel=1e-9)
 
 
@@ -149,7 +149,7 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
         w = rng.uniform(-100, 100, 20)
         closed = char_fn(w, trip, 0.05)
         psi = (-0.5 * model.sigma**2 * w**2 + 1j * trip.drift() * w
-               + f_exponent(w + 0j, model.density, model.support))
+               + f_exponent(w + 0j, model.density, oracles.support(model)))
         via_quad = np.exp(0.05 * psi)
         np.testing.assert_allclose(closed, via_quad, rtol=0, atol=1e-8)
 
@@ -196,7 +196,7 @@ def test_merton_cumulant_values(merton_triplet):
 def test_jump_moment_closed_forms(merton_model, kou_model):
     for model in (merton_model, kou_model):
         for n in (1, 2, 3, 4):
-            quad_val = oracles.quad_moment(n, model.density, model.support)
+            quad_val = oracles.quad_moment(n, model.density, oracles.support(model))
             assert model.jump_moment(n) == pytest.approx(quad_val, rel=1e-9, abs=1e-12)
     # e^x and e^{2x} moments: nu_hat(-ia) is bit for bit the closed form, and
     # f(-ia) by quadrature plus the mass and the truncated mean
@@ -207,7 +207,7 @@ def test_jump_moment_closed_forms(merton_model, kou_model):
                                + (1.0 - k.p) * k.lam_minus / (k.lam_minus + a))))
         for model, expected in closed:
             assert model.exp_moment(a) == expected, (model.kind, a)
-            f_w = oracles.quad_jump_exponent(-1j * a, model.density, model.support)
+            f_w = oracles.quad_jump_exponent(-1j * a, model.density, oracles.support(model))
             assert model.exp_moment(a) == pytest.approx(
                 f_w.real + model.lam + a * model.truncated_mean(), rel=1e-10)
 
@@ -227,16 +227,16 @@ def test_custom_model_closed_forms_match_quadrature():
         # the density has a kink at every knot, so the references split there
         knots = tuple(model.x)
         assert model.lam == pytest.approx(
-            oracles.quad_moment(0, model.density, model.support, knots), rel=1e-12)
+            oracles.quad_moment(0, model.density, oracles.support(model), knots), rel=1e-12)
         inside = (max(model.x[0], -1.0), min(model.x[-1], 1.0))
         assert model.truncated_mean() == pytest.approx(
             oracles.quad_moment(1, model.density, inside, knots), rel=1e-12, abs=1e-15)
         for n in (1, 2, 3, 4):
             assert model.jump_moment(n) == pytest.approx(
-                oracles.quad_moment(n, model.density, model.support, knots),
+                oracles.quad_moment(n, model.density, oracles.support(model), knots),
                 rel=1e-12, abs=1e-15)
         for w in (0.0, 1e-8, 1e-6, 1e-3, 0.025, 5.0, 3 - 2j, -1j, -2j):
-            ref = oracles.quad_jump_exponent(w, model.density, model.support,
+            ref = oracles.quad_jump_exponent(w, model.density, oracles.support(model),
                                              split=(-1.0, 1.0, *knots))
             assert abs(complex(model.jump_exponent(w)) - ref) <= 1e-12, w
         # the e^x and e^{2x} moments are nu_hat(-i) and nu_hat(-2i)
