@@ -254,8 +254,7 @@ def spectral_target(groups, grid):
 
 
 def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
-    """One slice holding amplify's pool of every quote of `slices` and the pooled
-    spectral target.
+    """One slice: the quotes of `slices`, as amplify pools them, and their target.
 
     The target's groups are amplified from seed + 1, and the target is clipped
     to |w| <= 4 * m_cutoff, which must keep at least the two innermost nodes

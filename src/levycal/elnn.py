@@ -208,10 +208,15 @@ def phi_model(w, params, T):
 
 class _Workspace:
     """What every epoch of one training run reuses: the per-run constants of the
-    quadrature nodes and two (2n, nodes) arrays, the shared bump block and e,
-    which the backward pass overwrites with bump * e.
+    quadrature nodes, two (2n, nodes) arrays, the shared bump block and e,
+    which the backward pass overwrites with bump * e, and the backward pass's
+    (2, 4, nodes) rows.
 
-    Each run builds its own, so no two runs share an array.
+    The rows are written in place: glibc's malloc maps an array that large
+    from fresh pages while its mmap threshold is still below it (128 KiB
+    until a larger mapped block is freed), so building them every epoch
+    would fault them in every epoch.  Each run builds its own workspace, so
+    no two runs share an array.
     """
 
     def __init__(self, w, wts, config, n_nodes):
@@ -219,6 +224,7 @@ class _Workspace:
         self.w2 = w * w
         self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
         self.e, self.bump = np.empty((2, 2 * n_nodes, len(w)))
+        self.rows = np.empty((2, 4, len(w)))
 
 
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True, work=None):
@@ -262,8 +268,9 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
 
     # Each network's [data, regularizer] rows, then the same rows times |w|,
     # against that network's bump rows: (network, row, w) @ (network, w, node).
-    rows = np.stack((GR, LR, GAw, LI * w)).reshape(2, 2, -1)
-    rows = np.concatenate((rows, rows * work.aw), axis=1)
+    rows = work.rows
+    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = GR, LR, GAw, LI * w
+    np.multiply(rows[:, :2], work.aw, out=rows[:, 2:])
     bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
     pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
     dots = rows @ bumps
@@ -341,6 +348,7 @@ def implied_levy_density(params, grid=None):
 
     Values far out in |x| sit below the transform's rounding floor once the
     e^{-x} factor is applied; restrict attention to the region of interest.
+    Raises ResidueTooLarge as spectral.inverse_real does.
     """
     grid = grid or SpectralGrid()
     annr, anni = _networks(grid.w, params)

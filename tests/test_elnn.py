@@ -232,9 +232,11 @@ def test_workspace_holds_two_blocks():
     finally:
         tracemalloc.stop()
     blocks = 2 * (2 * n_nodes) * len(w) * 8
-    per_node = 3 * len(w) * 8  # |w|, w^2 and the regularizer weights
+    # |w|, w^2, the regularizer weights and the backward pass's eight rows
+    per_node = 11 * len(w) * 8
     assert blocks + per_node <= allocated < blocks + per_node + 4096
     assert work.e.shape == work.bump.shape == (2 * n_nodes, len(w))
+    assert work.rows.shape == (2, 4, len(w))
 
 
 def test_property8_identity(rng):
