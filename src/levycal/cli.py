@@ -179,13 +179,17 @@ _METHODS = ("elnn", "merton", "kou")
 
 
 def _calibrate_one(market_dir, out, cfg):
-    """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it."""
+    """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it
+    and the seconds it spent loading the market, fitting it and writing the outputs."""
+    started = time.perf_counter()
     grid, slices = _load_market(market_dir)
     out.mkdir(parents=True, exist_ok=True)
+    loaded = time.perf_counter()
     if cfg["method"] == "elnn":
         train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
         params, losses, report = run_elnn(slices, train_cfg, grid=grid, n_groups=cfg["n_groups"],
                                           group_size=cfg["group_size"])
+        fitted = time.perf_counter()
         serialize.save_params(params, out / "params.json")
         serialize.save_loss_trace(out / "loss.csv", losses)
     else:
@@ -194,10 +198,13 @@ def _calibrate_one(market_dir, out, cfg):
         model, loss = calibrate_parametric(cfg["method"], pooled, budget=cfg["budget"],
                                            seed=cfg["seed"])
         report = parametric_report(model, pooled, loss, grid=grid)
+        fitted = time.perf_counter()
         serialize.save_model(model, out / "params.json")
     serialize.save_report(report, out / "report.json")
     serialize.save_report_tables([report], out)
-    return _peak_rss_mb(("RUSAGE_SELF",))
+    stages = {"load": loaded - started, "fit": fitted - loaded,
+              "write": time.perf_counter() - fitted}
+    return _peak_rss_mb(("RUSAGE_SELF",)), stages
 
 
 def cmd_calibrate(args):
@@ -213,7 +220,7 @@ def cmd_calibrate(args):
     targets = [out] if len(markets) == 1 else [out / name for name in names]
     workers = _max_workers(len(markets)) if len(markets) > 1 else 1
     if workers == 1 or not _FORK_FAN_OUT:
-        peaks = [_calibrate_one(market, target, cfg) for market, target in zip(markets, targets)]
+        done = [_calibrate_one(market, target, cfg) for market, target in zip(markets, targets)]
     else:
         # independent markets fan out to worker processes (ELNN_THREADS caps them): an
         # ELNN epoch holds the GIL, so threads would mostly take turns.  Forked workers
@@ -224,8 +231,10 @@ def cmd_calibrate(args):
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
             futures = [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]
-            peaks = [f.result() for f in futures]
-    _finish("calibrate", cfg, cfg["seed"], markets, out, args._started, worker_peak_rss_mb=peaks)
+            done = [f.result() for f in futures]
+    peaks, stages = zip(*done)
+    _finish("calibrate", cfg, cfg["seed"], markets, out, args._started,
+            worker_peak_rss_mb=list(peaks), worker_stage_s=list(stages))
     return EXIT_OK
 
 

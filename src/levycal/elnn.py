@@ -124,14 +124,14 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def _bump(w, scale, e=None, bump=None):
-    """Node bumps sig(a) sig(-a) at a = scale_j * w: one row per scale weight,
-    then the axes of w.
+def _bump(ascale, aw, e=None, bump=None):
+    """Node bumps sig(a) sig(-a) at a = scale_j * w, from the magnitudes
+    ascale = |scale| and aw = |w|: one row per scale weight, then the axes of w.
 
     The bump is e(1 - e) with e = 1 / (1 + exp|a|); (bump, e) are written into
     the given arrays when there are any.
     """
-    e = np.multiply.outer(np.abs(scale), np.abs(w), out=e)
+    e = np.multiply.outer(ascale, aw, out=e)
     with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
         np.exp(e, out=e)
     e += 1.0
@@ -149,7 +149,7 @@ def _forward(w, params, e=None, bump=None):
     """
     w = np.asarray(w)
     n = params.n_nodes
-    bump, e = _bump(w, np.concatenate((params.wr1, params.wi1)), e, bump)
+    bump, e = _bump(np.abs(np.concatenate((params.wr1, params.wi1))), np.abs(w), e, bump)
     annr = np.tensordot(params.wr0, bump[:n], 1)
     anni = np.tensordot(params.wi0, bump[n:], 1) * w
     return annr, anni, bump, e
@@ -188,13 +188,29 @@ def _constants(params):
     return c0, c1, ur, ui
 
 
-def _phi_parts(w, annr, anni, sigma, c0, c1, T):
-    """Real and imaginary parts of Phi(w - i) = exp(R) (cos Arg + i sin Arg)."""
+def _phi_parts(w, annr, anni, sigma, c0, c1, T, out=None):
+    """Real and imaginary parts of Phi(w - i) = exp(R) (cos Arg + i sin Arg).
+
+    out is five arrays shaped like w, new ones when None: the parts are
+    written into the first two, and the other three are scratch.
+    """
+    pr, pi, R, expR, arg = out if out is not None else [np.empty_like(w) for _ in range(5)]
     sig2 = sigma * sigma
-    R = T * (-0.5 * sig2 * w**2 + annr - c0)
-    arg = T * (0.5 * sig2 * w + anni - c1 * w)
-    expR = np.exp(R)
-    return expR * np.cos(arg), expR * np.sin(arg)
+    np.square(w, out=R)  # R = T(-sig2 w^2 / 2 + ann_r - c0)
+    R *= -0.5 * sig2
+    R += annr
+    R -= c0
+    R *= T
+    np.exp(R, out=expR)
+    np.multiply(0.5 * sig2, w, out=arg)  # Arg = T(sig2 w / 2 + ann_i - c1 w)
+    arg += anni
+    arg -= np.multiply(c1, w, out=R)
+    arg *= T
+    np.cos(arg, out=pr)
+    pr *= expR
+    np.sin(arg, out=pi)
+    pi *= expR
+    return pr, pi
 
 
 def phi_model(w, params, T):
@@ -206,16 +222,28 @@ def phi_model(w, params, T):
     return pr + 1j * pi
 
 
-class _Workspace:
-    """What every epoch of one training run reuses: the per-run constants of the
-    quadrature nodes, two (2n, nodes) arrays, the shared bump block and e,
-    which the backward pass overwrites with bump * e, and the backward pass's
-    (2, 4, nodes) rows.
+# floats of one row block of training's bump pass: 256 KiB per array, so that a
+# block's e and bump stay in cache from the first of its steps to the last
+_ROW_BLOCK = 32_768
 
-    The rows are written in place: glibc's malloc maps an array that large
-    from fresh pages while its mmap threshold is still below it (128 KiB
-    until a larger mapped block is freed), so building them every epoch
-    would fault them in every epoch.  Each run builds its own workspace, so
+
+class _Workspace:
+    """Every array that the epochs of one training run write, so that an epoch
+    allocates no array the size of the quadrature nodes.
+
+    Per run: |w|, w^2, the regularizer weights wrho, and 2 wts and
+    2 beta wrho, the factors of the data and regularizer residuals.  Per
+    epoch: the (2n, nodes) bump block and e, which becomes bump * e when the
+    epoch takes a gradient; ann_r and ann_i; Phi's parts pr and pi and their
+    residuals dr and di against the target; three scratch vectors; and the
+    backward pass's (2, 4, nodes) rows, whose first column holds the
+    coefficients GR of dR and GA w of dArg.  blocks holds, for each cache-sized
+    block of bump rows, its views of the scale magnitudes |[wr1, wi1]|
+    (written each epoch), of e and of the bump block.
+
+    Node-sized temporaries would cost more than their arithmetic: glibc's
+    free trims them off the heap top after each epoch, so the next epoch
+    would fault their pages in again.  Each run builds its own workspace, so
     no two runs share an array.
     """
 
@@ -223,8 +251,16 @@ class _Workspace:
         self.aw = np.abs(w)
         self.w2 = w * w
         self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
+        self.wts2 = 2.0 * wts
+        self.lrho = (2.0 * config.beta_reg) * self.wrho
         self.e, self.bump = np.empty((2, 2 * n_nodes, len(w)))
+        self.annr, self.anni, self.pr, self.pi, self.dr, self.di, *self.scratch = np.empty(
+            (9, len(w)))
         self.rows = np.empty((2, 4, len(w)))
+        self.ascale = np.empty(2 * n_nodes)
+        step = max(1, _ROW_BLOCK // len(w))
+        self.blocks = [(self.ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
+                       for i in range(0, 2 * n_nodes, step)]
 
 
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True, work=None):
@@ -233,26 +269,53 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     Returns the loss and its gradient as a flat vector laid out like
     ElnnParams.vector() (None when want_grad is False).  work is the
     _Workspace of a training run over these nodes; without one the call
-    builds its own.
+    builds its own.  Every node-sized value is written into work.
     """
     if work is None:
         work = _Workspace(w, wts, config, params.n_nodes)
     n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
-    annr, anni, P, e = _forward(w, params, work.e, work.bump)
+    # the bump block P, one row block at a time; with a gradient to take, e
+    # becomes PE = P e while the block is still in cache
+    P, e = work.bump, work.e
+    np.abs(wr1, out=work.ascale[:n])
+    np.abs(wi1, out=work.ascale[n:])
+    for ascale, e_rows, P_rows in work.blocks:
+        _bump(ascale, work.aw, e_rows, P_rows)
+        if want_grad:
+            e_rows *= P_rows
+    annr = np.dot(wr0, P[:n], out=work.annr)
+    anni = np.dot(wi0, P[n:], out=work.anni)
+    anni *= w
     c0, c1, ur, ui = _constants(params)
-    pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T)
-    dr = pr - target_re
-    di = pi - target_im
+    t0, t1, t2 = work.scratch
+    pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T, (work.pr, work.pi, t0, t1, t2))
+    dr = np.subtract(pr, target_re, out=work.dr)
+    di = np.subtract(pi, target_im, out=work.di)
 
-    reg = float(np.sum(work.wrho * (annr**2 + anni**2)))
-    loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
+    np.square(annr, out=t0)
+    t0 += np.square(anni, out=t1)
+    t0 *= work.wrho
+    reg = float(np.sum(t0))
+    np.square(dr, out=t0)
+    t0 += np.square(di, out=t1)
+    t0 *= wts
+    loss = float(np.sum(t0)) + config.beta_reg * reg
     if not want_grad:
         return loss, None
 
-    GR = 2.0 * wts * (dr * pr + di * pi)      # coefficient of dR/dtheta
-    GA = 2.0 * wts * (-dr * pi + di * pr)     # coefficient of dArg/dtheta
-    GAw = GA * w
+    # Each network's [data, regularizer] rows, then the same rows times |w|,
+    # against that network's bump rows: (network, row, w) @ (network, w, node).
+    rows = work.rows
+    GR, GAw = rows[0, 0], rows[1, 0]
+    np.multiply(dr, pr, out=GR)               # coefficient of dR/dtheta
+    GR += np.multiply(di, pi, out=t0)
+    GR *= work.wts2
+    np.negative(dr, out=GAw)                  # coefficient of dArg/dtheta, then times w
+    GAw *= pi
+    GAw += np.multiply(di, pr, out=t0)
+    GAw *= work.wts2
+    GAw *= w
     sum_GA_w = float(np.sum(GAw))
     sum_GR = float(np.sum(GR))
 
@@ -260,19 +323,16 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
     vr = np.sin(wr1) / (2.0 * (1.0 + np.cos(wr1)) ** 2)
     vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
 
+    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(np.multiply(GR, work.w2, out=t0)))
+                                           + sum_GA_w)
+
     # regularizer residuals
-    LR = (2.0 * config.beta_reg) * work.wrho * annr
-    LI = (2.0 * config.beta_reg) * work.wrho * anni
-
-    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * work.w2)) + sum_GA_w)
-
-    # Each network's [data, regularizer] rows, then the same rows times |w|,
-    # against that network's bump rows: (network, row, w) @ (network, w, node).
-    rows = work.rows
-    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = GR, LR, GAw, LI * w
+    np.multiply(work.lrho, annr, out=rows[0, 1])
+    np.multiply(work.lrho, anni, out=rows[1, 1])
+    rows[1, 1] *= w
     np.multiply(rows[:, :2], work.aw, out=rows[:, 2:])
     bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
-    pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
+    pe = e.reshape(2, n, -1).transpose(0, 2, 1)
     dots = rows @ bumps
     # scale slopes: sum over w of row |w| (1 - 2e) bump = (row |w|) . bump
     # - 2 (row |w|) . PE, times the per-node sign -sgn(scale)

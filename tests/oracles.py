@@ -10,7 +10,9 @@ regridding and transform and checks only the order of averaging,
 plancherel_gap, which checks the library's inverse transform against
 Plancherel's identity, and ann_r, ann_i, elnn_objective and elnn_gradient,
 which call the library's network forward pass and fused loss on a slice's
-folded target so that tests can probe them one quantity at a time.  zeta and
+folded target so that tests can probe them one quantity at a time, and
+elnn_allocating_epoch, the training epoch before its workspace held every
+per-node vector, which training's epoch must match bit for bit.  zeta and
 call_price are the pricing formulas the module docstring of levycal.spectral
 states.
 """
@@ -24,7 +26,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
-from levycal.elnn import _forward, _loss_and_grad
+from levycal.elnn import _constants, _forward, _loss_and_grad
 from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 
@@ -242,6 +244,94 @@ def elnn_loss_and_grad(params, w, wts, target_re, target_im, T, config):
     aw = np.abs(w)[:, None]
     dot_PW = (left_r @ (P * (1.0 - 2.0 * er) * aw)) * -np.sign(wr1)
     dot_QW = (left_i @ (Q * (1.0 - 2.0 * ei) * aw)) * -np.sign(wi1)
+    g_wr1 = wr0 * (T * (dot_PW[0] + vr * sum_GA_w) + dot_PW[1])
+    g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
+
+    return loss, np.concatenate(([g_s], g_wr0, g_wr1, g_wi0, g_wi1))
+
+
+# --- the allocating ELNN epoch ----------------------------------------------------
+# The epoch as it was before training's workspace held its temporaries: one pass
+# over the whole bump block, a new array for every per-node vector, and the
+# backward pass's own full-block bump * e.  Training's epoch keeps its ufuncs,
+# operands and order, so the two must agree bit for bit.
+
+
+def _allocating_bump(w, scale, e=None, bump=None):
+    e = np.multiply.outer(np.abs(scale), np.abs(w), out=e)
+    with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
+        np.exp(e, out=e)
+    e += 1.0
+    np.reciprocal(e, out=e)
+    bump = np.subtract(1.0, e, out=bump)
+    bump *= e
+    return bump, e
+
+
+def _allocating_forward(w, params, e=None, bump=None):
+    w = np.asarray(w)
+    n = params.n_nodes
+    bump, e = _allocating_bump(w, np.concatenate((params.wr1, params.wi1)), e, bump)
+    annr = np.tensordot(params.wr0, bump[:n], 1)
+    anni = np.tensordot(params.wi0, bump[n:], 1) * w
+    return annr, anni, bump, e
+
+
+def _allocating_phi_parts(w, annr, anni, sigma, c0, c1, T):
+    sig2 = sigma * sigma
+    R = T * (-0.5 * sig2 * w**2 + annr - c0)
+    arg = T * (0.5 * sig2 * w + anni - c1 * w)
+    expR = np.exp(R)
+    return expR * np.cos(arg), expR * np.sin(arg)
+
+
+def elnn_allocating_epoch(params, w, wts, target_re, target_im, T, config, want_grad=True,
+                          work=None):
+    """elnn._loss_and_grad as the allocating epoch wrote it; work is ignored, so
+    that train can run on this epoch in its place."""
+    aw = np.abs(w)
+    w2 = w * w
+    wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg
+    e, bump = np.empty((2, 2 * params.n_nodes, len(w)))
+    rows = np.empty((2, 4, len(w)))
+
+    n = params.n_nodes
+    wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
+    annr, anni, P, e = _allocating_forward(w, params, e, bump)
+    c0, c1, ur, ui = _constants(params)
+    pr, pi = _allocating_phi_parts(w, annr, anni, sigma, c0, c1, T)
+    dr = pr - target_re
+    di = pi - target_im
+
+    reg = float(np.sum(wrho * (annr**2 + anni**2)))
+    loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
+    if not want_grad:
+        return loss, None
+
+    GR = 2.0 * wts * (dr * pr + di * pi)
+    GA = 2.0 * wts * (-dr * pi + di * pr)
+    GAw = GA * w
+    sum_GA_w = float(np.sum(GAw))
+    sum_GR = float(np.sum(GR))
+
+    vr = np.sin(wr1) / (2.0 * (1.0 + np.cos(wr1)) ** 2)
+    vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
+
+    LR = (2.0 * config.beta_reg) * wrho * annr
+    LI = (2.0 * config.beta_reg) * wrho * anni
+
+    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * w2)) + sum_GA_w)
+
+    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = GR, LR, GAw, LI * w
+    np.multiply(rows[:, :2], aw, out=rows[:, 2:])
+    bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
+    pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
+    dots = rows @ bumps
+    slopes = (dots[:, 2:] - 2.0 * (rows[:, 2:] @ pe)) * -np.sign((wr1, wi1))[:, None]
+    (dot_P, dot_Q), (dot_PW, dot_QW) = dots[:, :2], slopes
+
+    g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]
+    g_wi0 = T * (dot_Q[0] - ui * sum_GA_w) + dot_Q[1]
     g_wr1 = wr0 * (T * (dot_PW[0] + vr * sum_GA_w) + dot_PW[1])
     g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
 

@@ -118,7 +118,7 @@ def test_calibrate_settings_keep_the_paper_defaults(tmp_path, monkeypatch):
     assert [type(v) for v in cli._CAL_DEFAULTS.values()] == [
         str, float, int, float, float, float, int, int, int, int, int]
     # a fit at the paper's defaults takes minutes; the manifest needs none
-    monkeypatch.setattr(cli, "_calibrate_one", lambda market_dir, out, cfg: None)
+    monkeypatch.setattr(cli, "_calibrate_one", lambda market_dir, out, cfg: (None, None))
     out = tmp_path / "fit"
     assert main(["calibrate", "--market", str(tmp_path / "mkt"), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -284,6 +284,26 @@ def test_manifest_reports_peak_rss(tmp_path, model_file, n_markets):
     else:
         assert 1 < peak < 64  # in MB, not KiB or bytes
         assert 1 < workers[-1] <= peak
+
+
+def test_manifest_times_each_market_by_stage(tmp_path, model_file):
+    # one {load, fit, write} entry per market in --market order, from the worker
+    # that calibrated it; the parametric fits time the same three stages
+    markets = [tiny_simulate(tmp_path, model_file, f"m{i}", days=3 + i, seed=i) for i in range(2)]
+    runs = [("elnn", [str(m) for m in markets], _TINY_ELNN),
+            ("merton", [str(markets[1])], ["--method", "merton", "--m-cutoff", "15",
+                                            "--n-groups", "2", "--group-size", "100",
+                                            "--budget", "50"])]
+    for name, market_args, flags in runs:
+        out = tmp_path / name
+        assert main(["calibrate", "--market", *market_args, "--out", str(out), *flags]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        stages = manifest["worker_stage_s"]
+        assert len(stages) == len(market_args) == len(manifest["worker_peak_rss_mb"])
+        for entry in stages:
+            assert list(entry) == ["load", "fit", "write"]
+            assert all(isinstance(v, float) and v >= 0.0 for v in entry.values())
+            assert sum(entry.values()) <= manifest["duration_seconds"]
 
 
 def test_peak_rss_units(monkeypatch):

@@ -232,11 +232,15 @@ def test_workspace_holds_two_blocks():
     finally:
         tracemalloc.stop()
     blocks = 2 * (2 * n_nodes) * len(w) * 8
-    # |w|, w^2, the regularizer weights and the backward pass's eight rows
-    per_node = 11 * len(w) * 8
+    # |w|, w^2, the regularizer weights, 2 wts and 2 beta wrho; ann_r, ann_i, pr,
+    # pi, dr, di and three scratch vectors; the backward pass's eight rows
+    per_node = (5 + 9 + 8) * len(w) * 8
     assert blocks + per_node <= allocated < blocks + per_node + 4096
     assert work.e.shape == work.bump.shape == (2 * n_nodes, len(w))
     assert work.rows.shape == (2, 4, len(w))
+    assert len(work.scratch) == 3
+    # 20 rows of 1,600 nodes fill 32,768 floats, so the 14 rows take one block
+    assert [len(scale) for scale, _, _ in work.blocks] == [2 * n_nodes]
 
 
 def test_property8_identity(rng):
@@ -389,6 +393,67 @@ def test_loss_and_grad_matches_reference_epoch(rng):
             want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
             assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
             np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=0)
+
+
+def allocating_epoch_cases(rng, n_w, dw, n_nodes):
+    """A folded toy target of n_w // 2 nodes and parameters with scales of both
+    signs, zero outer weights, and scales at which exp|w scale| overflows."""
+    nodes = toy_slice(rng, n_w=n_w, dw=dw).spectral.fold()
+    for trial in range(3):
+        p = random_params(rng, n=n_nodes)
+        p.wr1[::2] *= -1.0
+        p.wi1[1::2] *= -1.0
+        p.wr0[trial] = p.wi0[-1 - trial] = 0.0
+        p.wr1[1 + trial], p.wi1[2] = 900.0, -1000.0
+        yield p, nodes
+
+
+# 512 nodes take one row block (64 rows) at 20 network nodes and two at 37; 8,000
+# nodes take blocks of 4 rows, which do not divide 2 * 7 rows
+@pytest.mark.parametrize("n_w, dw, n_nodes", [(1024, 0.2, 20), (1024, 0.2, 37),
+                                              (16_000, 0.0125, 7), (16_000, 0.0125, 20)])
+def test_epoch_matches_allocating_epoch(rng, n_w, dw, n_nodes):
+    cfg = TrainConfig(m_cutoff=100.0)
+    for p, nodes in allocating_epoch_cases(rng, n_w, dw, n_nodes):
+        work = _Workspace(nodes[0], nodes[1], cfg, n_nodes)
+        assert len(nodes[0]) == n_w // 2
+        for want_grad in (True, False, True):  # the workspace is reused across calls
+            loss, grad = _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
+            want_loss, want = oracles.elnn_allocating_epoch(p, *nodes, T, cfg, want_grad)
+            assert loss == want_loss
+            if want_grad:
+                assert grad.tobytes() == want.tobytes()
+            else:
+                assert grad is None and want is None
+
+
+def test_training_matches_allocating_epoch(rng, monkeypatch):
+    slc = toy_slice(rng, n_w=16_000, dw=0.0125)
+    cfg = TrainConfig(m_cutoff=100.0, epochs=50, seed=3)
+    params, losses = train(slc, cfg)
+    monkeypatch.setattr(elnn, "_loss_and_grad", oracles.elnn_allocating_epoch)
+    want_params, want_losses = train(slc, cfg)
+    assert losses.tobytes() == want_losses.tobytes()
+    assert params.vector().tobytes() == want_params.vector().tobytes()
+
+
+def test_epoch_allocates_no_node_sized_array(rng):
+    # 8,000 folded nodes and 20 network nodes, the paper's defaults: the epoch
+    # allocated about 754 KiB of node-sized temporaries before its workspace
+    # held them all; one node-sized vector is 62.5 KiB
+    nodes = toy_slice(rng, n_w=16_000, dw=0.0125).spectral.fold()
+    cfg = TrainConfig()
+    p = ElnnParams.init_random(cfg.n_nodes, 0)
+    work = _Workspace(nodes[0], nodes[1], cfg, cfg.n_nodes)
+    for want_grad in (True, False):
+        _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
+        tracemalloc.start()
+        try:
+            _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 # --- training -------------------------------------------------------------------
