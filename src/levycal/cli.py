@@ -72,7 +72,8 @@ def _merge_config(args, paths=(), optional=()):
     input `paths` are str settings without a default, which a run must be
     given, and the `optional` ones may be left out.  Config values and flags
     must have their setting's type (see serialize.checked): int settings take
-    integers, float settings any finite number, str settings strings.
+    integers, float settings any finite number, str settings strings.  A seed
+    must be nonnegative, as numpy's generators take no negative seed.
     """
     kinds = ({key: type(value) for key, value in args.defaults.items()}
              | dict.fromkeys([*paths, *optional], str))
@@ -88,6 +89,8 @@ def _merge_config(args, paths=(), optional=()):
     missing = [key for key in paths if key not in cfg]
     if missing:
         raise ValueError(f"missing {_flag(missing[0])} (or the config key {missing[0]!r})")
+    if cfg.get("seed", 0) < 0:
+        raise ValueError(f"'seed' must be nonnegative, got {cfg['seed']}")
     return cfg
 
 

@@ -73,7 +73,7 @@ class ElnnParams:
         return len(self.wr0)
 
     @classmethod
-    def init_random(cls, n_nodes=20, seed=0):
+    def init_random(cls, n_nodes, seed):
         """Small near-diffusion start: outer weights ~ U(-0.05, 0.05), scales
         ~ U(0.02, 0.5) which keeps 1 + cos(.) far from the pole."""
         rng = np.random.default_rng(seed)
@@ -124,57 +124,76 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-def _bump(ascale, aw, e=None, bump=None):
-    """Node bumps sig(a) sig(-a) at a = scale_j * w, from the magnitudes
-    ascale = |scale| and aw = |w|: one row per scale weight, then the axes of w.
+# floats of one row block of the bump pass: 256 KiB per array, so that a block's
+# e and bump stay in cache from the first of its steps to the last
+_ROW_BLOCK = 32_768
 
-    The bump is e(1 - e) with e = 1 / (1 + exp|a|); (bump, e) are written into
-    the given arrays when there are any.
+
+class _Nodes:
+    """The one network pass, over a fixed number of frequency nodes w: every
+    training epoch and every evaluation of the networks runs it.
+
+    It holds |w|, the (2 n_nodes, nodes) bump block and e, one row per scale
+    weight [wr1, wi1] (r-group rows first), ann_r and ann_i, and the scale
+    magnitudes |[wr1, wi1]|.  blocks holds, for each cache-sized block of bump
+    rows, its views of the scale magnitudes, of e and of the bump block.
     """
-    e = np.multiply.outer(ascale, aw, out=e)
-    with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
-        np.exp(e, out=e)
-    e += 1.0
-    np.reciprocal(e, out=e)
-    bump = np.subtract(1.0, e, out=bump)
-    bump *= e
-    return bump, e
 
+    def __init__(self, size, n_nodes):
+        self.aw = np.empty(size)
+        self.e, self.bump = np.empty((2, 2 * n_nodes, size))
+        self.annr, self.anni = np.empty((2, size))
+        self.ascale = np.empty(2 * n_nodes)
+        step = max(1, _ROW_BLOCK // max(size, 1))
+        self.blocks = [(self.ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
+                       for i in range(0, 2 * n_nodes, step)]
 
-def _forward(w, params, e=None, bump=None):
-    """Both networks at real w, scalar or array.
+    def networks(self, w, params, pe=False):
+        """(ann_r(w), ann_i(w)) at the 1-D real nodes w, in this pass's own arrays.
 
-    Returns (ann_r(w), ann_i(w), bump, e) with bump and e the shared block of
-    _bump over the scales [wr1, wi1]: r-group rows first, then i-group rows.
-    """
-    w = np.asarray(w)
-    n = params.n_nodes
-    bump, e = _bump(np.abs(np.concatenate((params.wr1, params.wi1))), np.abs(w), e, bump)
-    annr = np.tensordot(params.wr0, bump[:n], 1)
-    anni = np.tensordot(params.wi0, bump[n:], 1) * w
-    return annr, anni, bump, e
+        The bump is e(1 - e) with e = 1 / (1 + exp|a|), built one row block
+        at a time; with pe, e then becomes PE = bump * e while the block is
+        still in cache.
+        """
+        n = params.n_nodes
+        np.abs(w, out=self.aw)
+        np.abs(params.wr1, out=self.ascale[:n])
+        np.abs(params.wi1, out=self.ascale[n:])
+        with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
+            for ascale, e, bump in self.blocks:
+                np.multiply.outer(ascale, self.aw, out=e)
+                np.exp(e, out=e)
+                e += 1.0
+                np.reciprocal(e, out=e)
+                np.subtract(1.0, e, out=bump)
+                bump *= e
+                if pe:
+                    e *= bump
+        np.dot(params.wr0, self.bump[:n], out=self.annr)
+        np.dot(params.wi0, self.bump[n:], out=self.anni)
+        self.anni *= w
+        return self.annr, self.anni
 
 
 def _networks(w, params):
     """(ann_r(w), ann_i(w)) at real w of any shape, scalar included.
 
-    _forward runs over blocks of _BLOCK nodes of w, reusing one pair of
-    (2 n_nodes, block) arrays, so memory does not grow with n_nodes times the
-    size of w.  Each value is a sum over network nodes, not over w, so a block
-    gives the floats of one pass over all of w.  BLAS's gemv sums a block
-    shorter than 4 nodes in another order, so the last block takes up a
-    remainder that short rather than standing alone.
+    The pass runs over blocks of _BLOCK nodes of w, and blocks of one length
+    share one _Nodes, so memory does not grow with n_nodes times the size of
+    w.  Each value is a sum over network nodes, not over w, so a block gives
+    the floats of one pass over all of w.  BLAS's gemv sums a block shorter
+    than 4 nodes in another order, so the last block takes up a remainder
+    that short rather than standing alone.
     """
     w = np.asarray(w, dtype=float)
     flat = w.reshape(-1)
     annr, anni = np.empty((2, flat.size))
-    rows = 2 * params.n_nodes
-    buffers = np.empty((2, rows * min(flat.size, _BLOCK + 3)))
-    start = 0
+    nodes, start = None, 0
     for stop in [*range(_BLOCK, flat.size - 3, _BLOCK), flat.size]:
-        m = stop - start
-        e, bump = buffers[:, :rows * m].reshape(2, rows, m)
-        annr[start:stop], anni[start:stop], _, _ = _forward(flat[start:stop], params, e, bump)
+        if nodes is None or len(nodes.aw) != stop - start:
+            del nodes  # the last length's arrays go before the next length's come
+            nodes = _Nodes(stop - start, params.n_nodes)
+        annr[start:stop], anni[start:stop] = nodes.networks(flat[start:stop], params)
         start = stop
     return annr.reshape(w.shape), anni.reshape(w.shape)
 
@@ -188,13 +207,13 @@ def _constants(params):
     return c0, c1, ur, ui
 
 
-def _phi_parts(w, annr, anni, sigma, c0, c1, T, out=None):
+def _phi_parts(w, annr, anni, sigma, c0, c1, T, out):
     """Real and imaginary parts of Phi(w - i) = exp(R) (cos Arg + i sin Arg).
 
-    out is five arrays shaped like w, new ones when None: the parts are
-    written into the first two, and the other three are scratch.
+    out is five arrays shaped like w: the parts are written into the first
+    two, and the other three are scratch.
     """
-    pr, pi, R, expR, arg = out if out is not None else [np.empty_like(w) for _ in range(5)]
+    pr, pi, R, expR, arg = out
     sig2 = sigma * sigma
     np.square(w, out=R)  # R = T(-sig2 w^2 / 2 + ann_r - c0)
     R *= -0.5 * sig2
@@ -218,28 +237,22 @@ def phi_model(w, params, T):
     w = np.asarray(w, dtype=float)
     annr, anni = _networks(w, params)
     c0, c1, _, _ = _constants(params)
-    pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T)
+    # a 0-d w needs 0-d outputs, which unpacking one (5,) array would not give
+    pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T,
+                        [np.empty_like(w) for _ in range(5)])
     return pr + 1j * pi
 
 
-# floats of one row block of training's bump pass: 256 KiB per array, so that a
-# block's e and bump stay in cache from the first of its steps to the last
-_ROW_BLOCK = 32_768
-
-
-class _Workspace:
+class _Workspace(_Nodes):
     """Every array that the epochs of one training run write, so that an epoch
     allocates no array the size of the quadrature nodes.
 
-    Per run: |w|, w^2, the regularizer weights wrho, and 2 wts and
-    2 beta wrho, the factors of the data and regularizer residuals.  Per
-    epoch: the (2n, nodes) bump block and e, which becomes bump * e when the
-    epoch takes a gradient; ann_r and ann_i; Phi's parts pr and pi and their
-    residuals dr and di against the target; three scratch vectors; and the
-    backward pass's (2, 4, nodes) rows, whose first column holds the
-    coefficients GR of dR and GA w of dArg.  blocks holds, for each cache-sized
-    block of bump rows, its views of the scale magnitudes |[wr1, wi1]|
-    (written each epoch), of e and of the bump block.
+    Beyond the network pass's arrays, whose e becomes bump * e when the epoch
+    takes a gradient: per run, w^2, the regularizer weights wrho, and 2 wts
+    and 2 beta wrho, the factors of the data and regularizer residuals; per
+    epoch, Phi's parts pr and pi and their residuals dr and di against the
+    target, three scratch vectors, and the backward pass's (2, 4, nodes)
+    rows, whose first column holds the coefficients GR of dR and GA w of dArg.
 
     Node-sized temporaries would cost more than their arithmetic: glibc's
     free trims them off the heap top after each epoch, so the next epoch
@@ -248,45 +261,27 @@ class _Workspace:
     """
 
     def __init__(self, w, wts, config, n_nodes):
-        self.aw = np.abs(w)
+        super().__init__(len(w), n_nodes)
         self.w2 = w * w
         self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
         self.wts2 = 2.0 * wts
         self.lrho = (2.0 * config.beta_reg) * self.wrho
-        self.e, self.bump = np.empty((2, 2 * n_nodes, len(w)))
-        self.annr, self.anni, self.pr, self.pi, self.dr, self.di, *self.scratch = np.empty(
-            (9, len(w)))
+        self.pr, self.pi, self.dr, self.di, *self.scratch = np.empty((7, len(w)))
         self.rows = np.empty((2, 4, len(w)))
-        self.ascale = np.empty(2 * n_nodes)
-        step = max(1, _ROW_BLOCK // len(w))
-        self.blocks = [(self.ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
-                       for i in range(0, 2 * n_nodes, step)]
 
 
-def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=True, work=None):
+def _loss_and_grad(params, w, wts, target_re, target_im, T, config, work, want_grad=True):
     """Fused forward/backward pass over the given quadrature nodes.
 
     Returns the loss and its gradient as a flat vector laid out like
     ElnnParams.vector() (None when want_grad is False).  work is the
-    _Workspace of a training run over these nodes; without one the call
-    builds its own.  Every node-sized value is written into work.
+    _Workspace of a training run over these nodes, and every node-sized
+    value is written into it.
     """
-    if work is None:
-        work = _Workspace(w, wts, config, params.n_nodes)
     n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
-    # the bump block P, one row block at a time; with a gradient to take, e
-    # becomes PE = P e while the block is still in cache
-    P, e = work.bump, work.e
-    np.abs(wr1, out=work.ascale[:n])
-    np.abs(wi1, out=work.ascale[n:])
-    for ascale, e_rows, P_rows in work.blocks:
-        _bump(ascale, work.aw, e_rows, P_rows)
-        if want_grad:
-            e_rows *= P_rows
-    annr = np.dot(wr0, P[:n], out=work.annr)
-    anni = np.dot(wi0, P[n:], out=work.anni)
-    anni *= w
+    annr, anni = work.networks(w, params, pe=want_grad)
+    P, e = work.bump, work.e  # e holds PE = P e when want_grad
     c0, c1, ur, ui = _constants(params)
     t0, t1, t2 = work.scratch
     pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T, (work.pr, work.pi, t0, t1, t2))
@@ -350,7 +345,7 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, want_grad=Tr
 class Adam:
     """Plain ADAM over one flat parameter vector, stepped in place."""
 
-    def __init__(self, lr=1e-3):
+    def __init__(self, lr):
         self.lr = lr
         self.m = 0.0
         self.v = 0.0
@@ -392,7 +387,7 @@ def train(market_slice, config):
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             loss, grad = _loss_and_grad(ElnnParams.from_vector(theta), w, wts, tr, ti,
-                                        market_slice.T, config, work=work)
+                                        market_slice.T, config, work)
             if not math.isfinite(loss):
                 raise DivergedLoss(f"loss became non-finite at epoch {epoch}")
             if not np.isfinite(grad).all():

@@ -170,9 +170,9 @@ def time_values_from_phi(phi_shifted, r, T, grid):
 def time_value_curve(triplet, T, r, grid=None):
     """Time values z(k) on the grid's k nodes for a martingale triplet.
 
-    Returns (k, z) arrays.  Raises ResidueTooLarge when the imaginary residue
-    of the inverse transform exceeds 1e-6, which signals a grid too coarse
-    for the model at hand.
+    Returns (k, z) arrays.  Raises ResidueTooLarge as inverse_real does, when
+    the imaginary residue of the inverse transform exceeds _RESIDUE_LIMIT,
+    which signals a grid too coarse for the model at hand.
     """
     grid = grid or SpectralGrid()
     phi = char_fn(grid.w - 1j, triplet, T)

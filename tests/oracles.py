@@ -8,11 +8,12 @@ from formatting one value at a time.  The exceptions are
 spectral_target_per_group, which reuses the library's amplification,
 regridding and transform and checks only the order of averaging,
 plancherel_gap, which checks the library's inverse transform against
-Plancherel's identity, and ann_r, ann_i, elnn_objective and elnn_gradient,
-which call the library's network forward pass and fused loss on a slice's
-folded target so that tests can probe them one quantity at a time, and
-elnn_allocating_epoch, the training epoch before its workspace held every
-per-node vector, which training's epoch must match bit for bit.  zeta and
+Plancherel's identity, elnn_objective and elnn_gradient, which call the
+library's fused loss on a slice's folded target so that tests can probe it
+one quantity at a time, and elnn_allocating_epoch, the training epoch before
+its workspace held every per-node vector, which training's epoch must match
+bit for bit.  ann_r and ann_i run that epoch's full-block network pass, which
+the library's blocked evaluation must match bit for bit too.  zeta and
 call_price are the pricing formulas the module docstring of levycal.spectral
 states.
 """
@@ -26,7 +27,7 @@ from scipy.special import expit
 from scipy.stats import norm
 
 from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
-from levycal.elnn import _constants, _forward, _loss_and_grad
+from levycal.elnn import _constants, _loss_and_grad, _Workspace
 from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 
@@ -169,27 +170,29 @@ def full_grid_spectral_loss(phi, w, target):
 
 
 def ann_r(w, params):
-    """Even real-part network; scalar or array real w."""
-    return _forward(w, params)[0]
+    """Even real-part network from one bump block over all of w; scalar or array real w."""
+    return _allocating_forward(w, params)[0]
 
 
 def ann_i(w, params):
     """Odd imaginary-part network (trailing factor w)."""
-    return _forward(w, params)[1]
+    return _allocating_forward(w, params)[1]
 
 
 def elnn_objective(params, market_slice, config):
     """The training loss on the slice's folded target: trapezoid L2 distance to
     its conjugate-symmetric part on w > 0, plus beta times the regularizer."""
     w, wts, tr, ti = market_slice.spectral.fold()
-    loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=False)
+    work = _Workspace(w, wts, config, params.n_nodes)
+    loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, work, want_grad=False)
     return loss
 
 
 def elnn_gradient(params, market_slice, config):
     """Exact gradient of elnn_objective, laid out like ElnnParams.vector()."""
     w, wts, tr, ti = market_slice.spectral.fold()
-    _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, want_grad=True)
+    work = _Workspace(w, wts, config, params.n_nodes)
+    _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, work)
     return grad
 
 
@@ -254,7 +257,8 @@ def elnn_loss_and_grad(params, w, wts, target_re, target_im, T, config):
 # The epoch as it was before training's workspace held its temporaries: one pass
 # over the whole bump block, a new array for every per-node vector, and the
 # backward pass's own full-block bump * e.  Training's epoch keeps its ufuncs,
-# operands and order, so the two must agree bit for bit.
+# operands and order, so the two must agree bit for bit; so must the library's
+# blocked network evaluation and _allocating_forward, which ann_r and ann_i run.
 
 
 def _allocating_bump(w, scale, e=None, bump=None):
@@ -285,8 +289,8 @@ def _allocating_phi_parts(w, annr, anni, sigma, c0, c1, T):
     return expR * np.cos(arg), expR * np.sin(arg)
 
 
-def elnn_allocating_epoch(params, w, wts, target_re, target_im, T, config, want_grad=True,
-                          work=None):
+def elnn_allocating_epoch(params, w, wts, target_re, target_im, T, config, work=None,
+                          want_grad=True):
     """elnn._loss_and_grad as the allocating epoch wrote it; work is ignored, so
     that train can run on this epoch in its place."""
     aw = np.abs(w)

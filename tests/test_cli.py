@@ -591,6 +591,11 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
             (calibrate + ["--group-size", "-1"], ["group_size"]),
             (calibrate + ["--method", "merton", "--budget", "0"], ["budget"]),
             (calibrate + ["--method", "kou", "--budget", "-5"], ["budget"]),
+            (calibrate + ["--seed", "-1"], ["seed"]),
+            (calibrate + ["--seed", "-2"], ["seed"]),
+            (calibrate + ["--method", "merton", "--seed", "-1"], ["seed"]),
+            (calibrate + ["--method", "kou", "--seed", "-1"], ["seed"]),
+            (simulate + ["--seed", "-1"], ["seed"]),
             (simulate + ["--k-lo", "-80", "--k-hi", "-70"], ["k_lo", "k_hi"]),
             (simulate + ["--k-lo", "0.4", "--k-hi", "-0.4"], ["k_lo", "k_hi"]),
             (density + ["--x-lo", "1", "--x-hi", "-1"], ["x_lo", "x_hi"]),

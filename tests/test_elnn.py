@@ -14,7 +14,7 @@ from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
                      char_fn, elnn, implied_lambda, implied_levy_density, phi_model, train)
-from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _phi_parts, _Workspace
+from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _Workspace
 from levycal.errors import DivergedLoss
 from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
 
@@ -128,10 +128,10 @@ def test_phi_model_pure_diffusion_closed_form():
 
 
 def full_block_phi(w, p):
-    """phi_model from one bump block over all of w, as training's _forward builds it."""
+    """phi_model from one bump block over all of w, as the allocating epoch builds it."""
     w = np.asarray(w, dtype=float)
     c0, c1, _, _ = _constants(p)
-    pr, pi = _phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, c0, c1, T)
+    pr, pi = oracles._allocating_phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, c0, c1, T)
     return pr + 1j * pi
 
 
@@ -173,6 +173,17 @@ def test_blocked_evaluation_matches_full_block(n_nodes, length, two_d, seed):
     x, dens = implied_levy_density(p, grid)
     np.testing.assert_array_equal(x, grid.k)
     assert_same_bits(dens, full_block_density(p, grid))
+
+
+def test_blocked_evaluation_where_exp_overflows():
+    # at scales of 1,000, exp|a| overflows wherever |w| > 0.71, on almost all of the
+    # grid; the pass must keep that overflow silent (pytest turns its warning into an
+    # error) and still give e = 0 exactly there
+    p = random_params(np.random.default_rng(5), n=6)
+    p.wr1[:] = p.wi1[:] = 1000.0
+    grid = SpectralGrid(2**14, 0.05)
+    assert_same_bits(phi_model(grid.w, p, T), full_block_phi(grid.w, p))
+    assert_same_bits(implied_levy_density(p, grid)[1], full_block_density(p, grid))
 
 
 _ONE_THREAD_CHECK = """
@@ -389,7 +400,7 @@ def test_loss_and_grad_matches_reference_epoch(rng):
         p.wr0[3] = p.wi0[5] = 0.0
         p.wr1[1], p.wi1[2] = 900.0, -1000.0
         for nodes in (full_grid_nodes(slc), slc.spectral.fold()):
-            loss, grad = _loss_and_grad(p, *nodes, T, cfg)
+            loss, grad = _loss_and_grad(p, *nodes, T, cfg, _Workspace(nodes[0], nodes[1], cfg, 8))
             want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
             assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
             np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=0)
@@ -419,7 +430,8 @@ def test_epoch_matches_allocating_epoch(rng, n_w, dw, n_nodes):
         assert len(nodes[0]) == n_w // 2
         for want_grad in (True, False, True):  # the workspace is reused across calls
             loss, grad = _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
-            want_loss, want = oracles.elnn_allocating_epoch(p, *nodes, T, cfg, want_grad)
+            want_loss, want = oracles.elnn_allocating_epoch(p, *nodes, T, cfg,
+                                                            want_grad=want_grad)
             assert loss == want_loss
             if want_grad:
                 assert grad.tobytes() == want.tobytes()
