@@ -162,13 +162,19 @@ def _load_market(market_dir):
     T, r = (serialize.field(meta, key, float, meta_file) for key in ("T", "r"))
     if T <= 0:
         raise ValueError(f"{meta_file}: 'T' must be positive, got {T}")
+    days = serialize.field(meta, "days", int, meta_file)
     grid = serialize.load_grid(market_dir / "grid.json")
+    files = sorted((market_dir / "slices").glob("*.csv"))
+    if not files:
+        raise ValueError(f"no slices found under {market_dir}")
+    # a simulate into a directory that held a longer market leaves its extra days behind
+    if len(files) != days:
+        raise ValueError(f"{market_dir}: market.json gives {days} days, but slices/ holds "
+                         f"{len(files)} CSV files")
     slices = []
-    for f in sorted((market_dir / "slices").glob("*.csv")):
+    for f in files:
         k, z = serialize.load_time_values(f)
         slices.append(MarketSlice(f.stem, T, r, k, z))
-    if not slices:
-        raise ValueError(f"no slices found under {market_dir}")
     return grid, slices
 
 
@@ -181,7 +187,7 @@ _CAL_DEFAULTS = {"method": "elnn", **{f.name: f.default for f in fields(TrainCon
 _METHODS = ("elnn", "merton", "kou")
 
 
-def _calibrate_one(market_dir, out, cfg):
+def _calibrate_one(market_dir, out, cfg, train_cfg):
     """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it
     and the seconds it spent loading the market, fitting it and writing the outputs."""
     started = time.perf_counter()
@@ -189,7 +195,6 @@ def _calibrate_one(market_dir, out, cfg):
     out.mkdir(parents=True, exist_ok=True)
     loaded = time.perf_counter()
     if cfg["method"] == "elnn":
-        train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
         params, losses, report = run_elnn(slices, train_cfg, grid=grid, n_groups=cfg["n_groups"],
                                           group_size=cfg["group_size"])
         fitted = time.perf_counter()
@@ -214,6 +219,8 @@ def cmd_calibrate(args):
     cfg = _merge_config(args)
     if cfg["method"] not in _METHODS:
         raise ValueError(f"'method' must be one of {', '.join(_METHODS)}, got {cfg['method']!r}")
+    # checks the ELNN settings' ranges, whatever the method, before any market is read
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
     markets = args.market
     names = [Path(m).name for m in markets]
     if len(set(names)) < len(names):
@@ -223,7 +230,8 @@ def cmd_calibrate(args):
     targets = [out] if len(markets) == 1 else [out / name for name in names]
     workers = _max_workers(len(markets)) if len(markets) > 1 else 1
     if workers == 1 or not _FORK_FAN_OUT:
-        done = [_calibrate_one(market, target, cfg) for market, target in zip(markets, targets)]
+        done = [_calibrate_one(market, target, cfg, train_cfg)
+                for market, target in zip(markets, targets)]
     else:
         # independent markets fan out to worker processes (ELNN_THREADS caps them): an
         # ELNN epoch holds the GIL, so threads would mostly take turns.  Forked workers
@@ -233,7 +241,8 @@ def cmd_calibrate(args):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(_calibrate_one, m, t, cfg) for m, t in zip(markets, targets)]
+            futures = [pool.submit(_calibrate_one, m, t, cfg, train_cfg)
+                       for m, t in zip(markets, targets)]
             done = [f.result() for f in futures]
     peaks, stages = zip(*done)
     _finish("calibrate", cfg, cfg["seed"], markets, out, args._started,

@@ -32,8 +32,8 @@ DEFAULT_N = 2**14
 DEFAULT_DW = 0.05
 
 _RESIDUE_LIMIT = 1e-6
-# nodes or query points per block of an evaluation whose temporaries would
-# otherwise grow with its input: the networks' bumps, the spline's terms
+# nodes, query points or rows per block of a step whose temporaries would
+# otherwise grow with its input: the networks' bumps, the spline's solve and terms
 _BLOCK = 2048
 
 
@@ -209,7 +209,8 @@ def spline_on_grid(grid, z):
     the start-up time of importing scipy.interpolate.  Every step repeats
     SciPy's arithmetic in SciPy's order: the same bands and right-hand side,
     LAPACK gtsv's elimination and back-substitution for the slopes, and
-    PPoly's coefficients and evaluation sum.
+    PPoly's coefficients and evaluation sum.  The solve runs over blocks of
+    _BLOCK rows, so it holds Python floats for one block at a time.
     """
     k = grid.k
     z = np.asarray(z, dtype=float)
@@ -217,29 +218,43 @@ def spline_on_grid(grid, z):
     dx = np.diff(k)
     slope = np.diff(z) / dx
     h0, h1 = k[2] - k[0], k[-1] - k[-3]
-    d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])).tolist()
-    du = np.concatenate(([h0], dx[:-1])).tolist()
-    dl = np.concatenate((dx[1:], [h1])).tolist()
+    d = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    du = np.concatenate(([h0], dx[:-1]))
+    dl = np.concatenate((dx[1:], [h1]))
     b = np.empty(n)
     b[0] = ((dx[0] + 2 * h0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h0
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h1 + dx[-1]) * dx[-2] * slope[-1]) / h1
-    b = b.tolist()
 
-    for i in range(n - 1):
-        # gtsv swaps rows i and i + 1 unless |d_i| >= |dl_i|; on a uniform grid
-        # the diagonal always dominates, so it never does, and neither do we
-        assert abs(d[i]) >= abs(dl[i])
-        fact = dl[i] / d[i]
-        d[i + 1] = d[i + 1] - fact * du[i]
-        b[i + 1] = b[i + 1] - fact * b[i]
-    s = [0.0] * n
-    s[-1] = b[-1] / d[-1]
-    s[-2] = (b[-2] - du[-1] * s[-1]) / d[-2]
-    for i in range(n - 3, -1, -1):
-        # gtsv's fill-in without row swaps is 0.0, which can still flip the sign of a zero
-        s[i] = (b[i] - du[i] * s[i + 1] - 0.0 * s[i + 2]) / d[i]
-    s = np.array(s)
+    # gtsv's elimination, then its back-substitution, over blocks of rows: the
+    # last modified diagonal di and right-hand side bi carry into the next block,
+    # and so do the last two slopes s0 and s1
+    di, bi = float(d[0]), float(b[0])
+    for start in range(1, n, _BLOCK):
+        stop = min(start + _BLOCK, n)
+        dblk, bblk = d[start:stop].tolist(), b[start:stop].tolist()
+        dlblk, dublk = dl[start - 1:stop - 1].tolist(), du[start - 1:stop - 1].tolist()
+        for j in range(stop - start):
+            # gtsv swaps rows i and i + 1 unless |d_i| >= |dl_i|; on a uniform grid
+            # the diagonal always dominates, so it never does, and neither do we
+            assert abs(di) >= abs(dlblk[j])
+            fact = dlblk[j] / di
+            di = dblk[j] = dblk[j] - fact * dublk[j]
+            bi = bblk[j] = bblk[j] - fact * bi
+        d[start:stop], b[start:stop] = dblk, bblk
+    s = np.empty(n)
+    s1 = bi / di  # the last row's
+    s0 = (float(b[-2]) - float(du[-1]) * s1) / float(d[-2])
+    s[-2:] = s0, s1
+    for stop in range(n - 2, 0, -_BLOCK):
+        start = max(stop - _BLOCK, 0)
+        sblk, dublk, dblk = (a[start:stop].tolist() for a in (b, du, d))
+        for j in range(stop - start - 1, -1, -1):
+            # gtsv's fill-in without row swaps is 0.0, which can still flip the sign of a zero
+            s0, s1 = (sblk[j] - dublk[j] * s0 - 0.0 * s1) / dblk[j], s0
+            sblk[j] = s0
+        s[start:stop] = sblk
+    del d, du, dl, b
 
     t = (s[:-1] + s[1:] - 2 * slope) / dx
     c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], z[:-1]

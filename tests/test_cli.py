@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 import levycal
 from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_table
-from levycal.cli import main
+from levycal.cli import _METHODS, main
 from levycal.errors import DivergedLoss
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
                                save_columns, save_model, save_params)
@@ -118,7 +118,8 @@ def test_calibrate_settings_keep_the_paper_defaults(tmp_path, monkeypatch):
     assert [type(v) for v in cli._CAL_DEFAULTS.values()] == [
         str, float, int, float, float, float, int, int, int, int, int]
     # a fit at the paper's defaults takes minutes; the manifest needs none
-    monkeypatch.setattr(cli, "_calibrate_one", lambda market_dir, out, cfg: (None, None))
+    monkeypatch.setattr(cli, "_calibrate_one",
+                        lambda market_dir, out, cfg, train_cfg: (None, None))
     out = tmp_path / "fit"
     assert main(["calibrate", "--market", str(tmp_path / "mkt"), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -607,6 +608,16 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and all(name in err for name in names), err
         assert not [p for p in out.rglob("*") if p.is_file()], argv
+    # the ELNN settings are checked before any market is read or --out is made, for
+    # every method
+    for method in _METHODS:
+        capsys.readouterr()
+        out = tmp_path / f"unread-{method}"
+        assert main(["calibrate", "--market", str(tmp_path / "missing"), "--method", method,
+                     "--n-nodes", "0", "--out", str(out)]) == 2, method
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_nodes" in err, err
+        assert not out.exists(), method
     # moments runs without a model, which is optional
     assert main(["moments", "--prices", str(prices), "--horizons", "1,2",
                  "--out", str(tmp_path / "moments")]) == 0
@@ -638,6 +649,22 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
                          "--out", str(tmp_path / "threads"), "--n-groups", "2",
                          "--group-size", "100"]) == 2, cap
             assert "ELNN_THREADS" in capsys.readouterr().err, cap
+
+
+def test_calibrate_rejects_stale_slices(tmp_path, model_file, capsys):
+    # a shorter simulate into the same directory leaves the longer market's extra
+    # days behind; calibrate must not pool them with the new market's
+    market = tiny_simulate(tmp_path, model_file, days=5)
+    tiny_simulate(tmp_path, model_file, days=3, seed=8)
+    for method in (["--method", "elnn", "--epochs", "1"], ["--method", "merton", "--budget", "5"]):
+        capsys.readouterr()
+        out = tmp_path / f"stale-{method[1]}"
+        assert main(["calibrate", "--market", str(market), "--out", str(out), "--m-cutoff", "60",
+                     "--n-groups", "2", "--group-size", "100", *method]) == 2, method
+        err = capsys.readouterr().err
+        assert err == (f"error: {market}: market.json gives 3 days, but slices/ holds "
+                       "5 CSV files\n"), err
+        assert not [p for p in out.rglob("*") if p.is_file()], method
 
 
 def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):

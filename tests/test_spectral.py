@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from levycal import (CustomModel, MertonModel, SpectralCurve, SpectralGrid, char_fn,
-                     phi_from_time_values, regrid_time_values, time_value_curve,
+                     phi_from_time_values, regrid_time_values, spectral, time_value_curve,
                      time_values_from_phi)
 from levycal.errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
 from levycal.spectral import _BLOCK, spline_on_grid
@@ -204,30 +204,35 @@ def test_regrid_insufficient_support(merton_triplet, default_grid, rng):
         regrid_time_values(k_full[sel], z_full[sel], default_grid)
 
 
-def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng):
+def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng, monkeypatch):
     from scipy.interpolate import CubicSpline
 
     x = np.linspace(-0.5, 0.5, 41)
     custom = CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2)
-    for grid in (SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)):
-        # random strikes, every knot, and points just and far beyond both ends
-        beyond = np.array([1e-12, 1e-3, 0.5, 10.0])
-        q = np.concatenate([rng.uniform(-0.4, 0.4, 20_000), grid.k,
-                            grid.k[0] - beyond, grid.k[-1] + beyond])
-        for model in (merton_model, kou_model, custom):
-            k, z = time_value_curve(model.triplet(), T, R, grid)
-            np.testing.assert_array_equal(spline_on_grid(grid, z)(q), CubicSpline(k, z)(q))
-    # signed zeros too: the same bits, not only equal values.  The first curve falls
-    # away on both sides of a -0.0 knot, where every term of the cubic is -0.0
-    grid = SpectralGrid(1024, 0.1)
-    q = np.concatenate([grid.k, rng.uniform(grid.k[0] - 1.0, grid.k[-1] + 1.0, 5000)])
-    x = grid.k - grid.k[500]
-    dip = -x**3 - x**2
-    dip[500] = -0.0
-    for z in [dip] + [rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], grid.n)
-                      for _ in range(20)]:
-        np.testing.assert_array_equal(spline_on_grid(grid, z)(q).view(np.int64),
-                                      CubicSpline(grid.k, z)(q).view(np.int64))
+    # the solve runs over blocks of _BLOCK rows; blocks of 3 and 5 rows carry the
+    # elimination and the slopes across thousands of block edges, and leave partial
+    # last blocks next to both ends' special rows
+    for block in (_BLOCK, 3, 5):
+        monkeypatch.setattr(spectral, "_BLOCK", block)
+        for grid in (SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)):
+            # random strikes, every knot, and points just and far beyond both ends
+            beyond = np.array([1e-12, 1e-3, 0.5, 10.0])
+            q = np.concatenate([rng.uniform(-0.4, 0.4, 20_000), grid.k,
+                                grid.k[0] - beyond, grid.k[-1] + beyond])
+            for model in (merton_model, kou_model, custom):
+                k, z = time_value_curve(model.triplet(), T, R, grid)
+                np.testing.assert_array_equal(spline_on_grid(grid, z)(q), CubicSpline(k, z)(q))
+        # signed zeros too: the same bits, not only equal values.  The first curve falls
+        # away on both sides of a -0.0 knot, where every term of the cubic is -0.0
+        grid = SpectralGrid(1024, 0.1)
+        q = np.concatenate([grid.k, rng.uniform(grid.k[0] - 1.0, grid.k[-1] + 1.0, 5000)])
+        x = grid.k - grid.k[500]
+        dip = -x**3 - x**2
+        dip[500] = -0.0
+        for z in [dip] + [rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], grid.n)
+                          for _ in range(20)]:
+            np.testing.assert_array_equal(spline_on_grid(grid, z)(q).view(np.int64),
+                                          CubicSpline(grid.k, z)(q).view(np.int64))
 
 
 def test_grid_spline_blocks_match_point_by_point(merton_model, rng):
@@ -257,6 +262,21 @@ def test_grid_spline_memory_is_its_output_plus_one_block(merton_model):
     finally:
         tracemalloc.stop()
     assert peak < 3 * q.nbytes  # the output is as large as q
+
+
+def test_grid_spline_build_holds_no_grid_sized_list(merton_model):
+    # the spline keeps four coefficients per node, 32 bytes; the solve's bands and
+    # right-hand side are float64 arrays read a block of rows at a time, where
+    # Python lists of floats over the whole grid took 192 bytes per node
+    grid = SpectralGrid(2**16, 0.0125)
+    _, z = time_value_curve(merton_model.triplet(), T, R, grid)
+    tracemalloc.start()
+    try:
+        spline_on_grid(grid, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 120 * grid.n, peak / grid.n
 
 
 def test_regrid_noisy_phi_within_propagated_band(merton_model, merton_triplet, default_grid, rng):
