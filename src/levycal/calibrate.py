@@ -40,6 +40,10 @@ W_EDGES = (20.0, 40.0, 60.0)
 W_BUCKETS = {"Low": 0, "Mid": 1, "High": 2}
 
 
+# coords per block of bucketed_errors' residuals
+_BLOCK = 16_384
+
+
 def bucketed_errors(coords, predicted, target, kind="time_value"):
     """Scaled per-bucket RMSE as {bucket: value, ..., "sum": total}.
 
@@ -47,30 +51,45 @@ def bucketed_errors(coords, predicted, target, kind="time_value"):
     kind "spectral":   coords are frequencies, entries are 100 * RMSE / std of
     the bucket's target.  An empty bucket, or a spectral one whose target has
     no spread, is None; the sum adds the others and is None when none is left.
+    `predicted` holds the predictions aligned with coords, or is a function
+    that gives them at an array of coords.  The coords must be finite.  A
+    bucket's squared errors are formed over blocks of _BLOCK coords, so
+    beyond them only block-sized temporaries are held.
     """
     coords = np.asarray(coords, dtype=float)
-    predicted = np.asarray(predicted, dtype=float)
     target = np.asarray(target, dtype=float)
-    if not (len(coords) == len(predicted) == len(target)):
+    if not callable(predicted):
+        predicted = np.asarray(predicted, dtype=float)
+    if len(target) != len(coords) or not callable(predicted) and len(predicted) != len(coords):
         raise LengthMismatch("coords, predicted and target must be aligned")
     if kind == "time_value":
-        which, buckets = np.searchsorted(K_EDGES, coords, side="right"), K_BUCKETS
+        edges, buckets, binned = K_EDGES, K_BUCKETS, coords
     elif kind == "spectral":
-        which, buckets = np.searchsorted(W_EDGES, np.abs(coords), side="right"), W_BUCKETS
+        edges, buckets, binned = W_EDGES, W_BUCKETS, np.abs(coords)
     else:
         raise ValueError(f"unknown bucket kind {kind!r}")
 
     table = {}
     for name, bin_ in buckets.items():
-        mask = which == bin_
-        if not mask.any():
+        # the coords in bin np.searchsorted(edges, c, side="right")
+        lo = edges[bin_ - 1] if bin_ else -math.inf
+        hi = edges[bin_] if bin_ < len(edges) else math.inf
+        squares = np.empty(np.count_nonzero((binned >= lo) & (binned < hi)))
+        if not squares.size:
             table[name] = None
             continue
-        rmse = math.sqrt(float(np.mean((predicted[mask] - target[mask]) ** 2)))
+        n = 0
+        for start in range(0, len(coords), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            mask = (binned[block] >= lo) & (binned[block] < hi)
+            pred = predicted(coords[block][mask]) if callable(predicted) else predicted[block][mask]
+            squares[n:n + pred.size] = (pred - target[block][mask]) ** 2
+            n += pred.size
+        rmse = math.sqrt(float(np.mean(squares)))
         if kind == "time_value":
             table[name] = 1e4 * rmse
         else:
-            std = float(np.std(target[mask]))
+            std = float(np.std(target[(binned >= lo) & (binned < hi)]))
             table[name] = 100.0 * rmse / std if std > 0 else None
     vals = [v for v in table.values() if v is not None]
     table["sum"] = sum(vals) if vals else None
@@ -276,8 +295,8 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
     phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
     is the slice from pooled_slice that the model was fitted to.
     """
-    z_model = time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid)
-    z_pred = spline_on_grid(grid, z_model)(pooled.k)
+    # the spline reads the quotes' k one bucket at a time, so no pool-sized prediction is held
+    z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
 
     target_curve = pooled.spectral
     keep = np.abs(target_curve.w) < W_EDGES[-1]
@@ -287,7 +306,7 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
     start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))
     phi_rep = phi_on_grid[start:start + len(w_rep)]
     return {"label": label, "sigma": sigma, "lambda": lam,
-            "z_rmse": bucketed_errors(pooled.k, z_pred, pooled.z),
+            "z_rmse": bucketed_errors(pooled.k, z_spline, pooled.z),
             "phi_re_rmse": bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, kind="spectral"),
             "phi_im_rmse": bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, kind="spectral"),
             "final_loss": final_loss}

@@ -3,10 +3,12 @@
 Virtual markets draw daily batches of log-moneyness points, read the model's
 time value off a dense FFT curve, and perturb each sample with proportional
 noise N(0, (scale * z)^2), truncated so time values stay nonnegative.
-Amplification pools every sample across days and resamples large synthetic
-one-day groups with replacement, which is what makes the daily Fourier
-inversion well conditioned.  Groups are drawn one at a time as they are
-iterated, so a calibration holds one group in memory, not all of them.
+A virtual market draws each day when it is read, so writing one out holds
+one day in memory, not all of them.  Amplification pools every sample across
+days and resamples large synthetic one-day groups with replacement, which is
+what makes the daily Fourier inversion well conditioned.  Groups are drawn
+one at a time as they are iterated, so a calibration holds one group in
+memory, not all of them.
 
 Quote ingestion applies the liquidity filters (volume and minimum price),
 converts puts through put-call parity and maps prices to time values.
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,13 +81,12 @@ class QuoteFilters:
 
 def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noise=None,
                             grid=None):
-    """Simulate `days` daily slices of `per_day` noisy time-value observations.
+    """The VirtualMarket of `days` daily slices of `per_day` noisy time-value observations.
 
     Each day draws its moneyness points uniformly from [k_lo, k_hi), a range
     within the grid's k nodes.  The model curve is computed once on the FFT
-    grid and interpolated with a cubic spline at the sampled points.  Every
-    day owns an RNG substream spawned from the master seed, so output is
-    reproducible and independent of evaluation order.
+    grid when the market is made, and each day reads it through a cubic
+    spline at its sampled points when the day is drawn.
     """
     if days < 1 or per_day < 1:
         raise ValueError(f"days and per_day must be at least 1, got {days} and {per_day}")
@@ -97,17 +99,37 @@ def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noi
         raise ValueError(f"k_lo and k_hi must lie within the grid's k nodes "
                          f"[{k_nodes[0]:.6g}, {k_nodes[-1]:.6g}], got {k_lo} and {k_hi}")
     _, z_nodes = time_value_curve(model.triplet(), T, r, grid)
-    spline = spline_on_grid(grid, z_nodes)
+    return VirtualMarket(spline_on_grid(grid, z_nodes), days, per_day, T, r, k_lo, k_hi, noise)
 
-    streams = np.random.SeedSequence(noise.seed).spawn(days)
-    slices = []
-    for day, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        k = rng.uniform(k_lo, k_hi, per_day)
-        z_clean = np.maximum(spline(k), 0.0)
-        z_noisy = z_clean + rng.normal(0.0, 1.0, per_day) * (noise.scale * z_clean)
-        slices.append(MarketSlice(f"day-{day:04d}", T, r, k, np.maximum(z_noisy, 0.0)))
-    return slices
+
+class VirtualMarket:
+    """generate_virtual_market's days, each drawn when it is read.
+
+    Day i draws from its own RNG substream, SeedSequence(noise.seed,
+    spawn_key=(i,)), which is SeedSequence(noise.seed).spawn(days)[i], so a
+    day is the same whenever and however often it is read.
+    """
+
+    def __init__(self, spline, days, per_day, T, r, k_lo, k_hi, noise):
+        self.spline, self.days, self.per_day, self.T, self.r = spline, days, per_day, T, r
+        self.k_lo, self.k_hi, self.noise = k_lo, k_hi, noise
+
+    def __len__(self):
+        return self.days
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.days))
+
+    def __getitem__(self, day):
+        day = operator.index(day)
+        if not -self.days <= day < self.days:
+            raise IndexError(f"day {day} is out of range for {self.days} days")
+        day %= self.days
+        rng = np.random.default_rng(np.random.SeedSequence(self.noise.seed, spawn_key=(day,)))
+        k = rng.uniform(self.k_lo, self.k_hi, self.per_day)
+        z_clean = np.maximum(self.spline(k), 0.0)
+        z_noisy = z_clean + rng.normal(0.0, 1.0, self.per_day) * (self.noise.scale * z_clean)
+        return MarketSlice(f"day-{day:04d}", self.T, self.r, k, np.maximum(z_noisy, 0.0))
 
 
 class AmplifiedGroups:
@@ -134,21 +156,26 @@ class AmplifiedGroups:
 def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
     """Check and pool all samples; return the AmplifiedGroups resampled from the pool.
 
-    A group draws group_size samples with replacement; when that is the pool
-    size and one group is requested the pool is permuted instead, so nothing
-    is lost or duplicated.
+    The slices are walked once, and a lone slice's arrays are the pool itself,
+    not a copy.  A group draws group_size samples with replacement; when that
+    is the pool size and one group is requested the pool is permuted instead,
+    so nothing is lost or duplicated.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be at least 1, got {n_groups}")
     if group_size < 1:
         raise ValueError(f"group_size must be at least 1, got {group_size}")
-    if not slices:
+    ks, zs = [], []
+    for s in slices:
+        if not ks:
+            T, r = s.T, s.r
+        elif s.T != T or s.r != r:
+            raise MixedMaturities("amplification requires slices sharing T and r")
+        ks.append(s.k)
+        zs.append(s.z)
+    if not ks:
         raise EmptyPool("no slices to amplify")
-    T, r = slices[0].T, slices[0].r
-    if any(s.T != T or s.r != r for s in slices):
-        raise MixedMaturities("amplification requires slices sharing T and r")
-    pool_k = np.concatenate([s.k for s in slices])
-    pool_z = np.concatenate([s.z for s in slices])
+    pool_k, pool_z = (ks[0], zs[0]) if len(ks) == 1 else (np.concatenate(ks), np.concatenate(zs))
     if pool_k.size == 0:
         raise EmptyPool("sample pool is empty")
     return AmplifiedGroups(T, r, pool_k, pool_z, n_groups, group_size, seed)

@@ -13,9 +13,14 @@ library's fused loss on a slice's folded target so that tests can probe it
 one quantity at a time, and elnn_allocating_epoch, the training epoch before
 its workspace held every per-node vector, which training's epoch must match
 bit for bit.  ann_r and ann_i run that epoch's full-block network pass, which
-the library's blocked evaluation must match bit for bit too.  zeta and
-call_price are the pricing formulas the module docstring of levycal.spectral
-states.
+the library's blocked evaluation must match bit for bit too.
+virtual_market_days is generate_virtual_market's loop before it drew each day
+when read: it spawns every day's stream up front and holds every day, and
+the lazy market must give its days bit for bit.  bucketed_errors_whole is
+bucketed_errors before it formed a bucket's errors block by block: it bins
+every coordinate at once with np.searchsorted, and the blocked table must
+equal it.  zeta and call_price are the pricing formulas the module docstring
+of levycal.spectral states.
 """
 
 import math
@@ -26,9 +31,11 @@ from scipy import integrate
 from scipy.special import expit
 from scipy.stats import norm
 
-from levycal import SpectralGrid, amplify, phi_from_time_values, regrid_time_values
+from levycal import (MarketSlice, SpectralGrid, amplify, phi_from_time_values,
+                     regrid_time_values, time_value_curve)
+from levycal.calibrate import K_BUCKETS, K_EDGES, W_BUCKETS, W_EDGES
 from levycal.elnn import _constants, _loss_and_grad, _Workspace
-from levycal.spectral import _inverse_nodes, trapezoid_weights
+from levycal.spectral import _inverse_nodes, spline_on_grid, trapezoid_weights
 
 
 def bs_call(k, sigma, T, r):
@@ -151,6 +158,45 @@ def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
         z_nodes = regrid_time_values(g.k, g.z, grid)
         acc += phi_from_time_values(z_nodes, r, T, grid).values
     return acc / len(groups)
+
+
+def virtual_market_days(model, days, per_day, T, r, k_lo, k_hi, noise, grid):
+    """Every day of a virtual market, drawn at once from SeedSequence(seed).spawn(days)."""
+    _, z_nodes = time_value_curve(model.triplet(), T, r, grid)
+    spline = spline_on_grid(grid, z_nodes)
+    streams = np.random.SeedSequence(noise.seed).spawn(days)
+    slices = []
+    for day, stream in enumerate(streams):
+        rng = np.random.default_rng(stream)
+        k = rng.uniform(k_lo, k_hi, per_day)
+        z_clean = np.maximum(spline(k), 0.0)
+        z_noisy = z_clean + rng.normal(0.0, 1.0, per_day) * (noise.scale * z_clean)
+        slices.append(MarketSlice(f"day-{day:04d}", T, r, k, np.maximum(z_noisy, 0.0)))
+    return slices
+
+
+def bucketed_errors_whole(coords, predicted, target, kind="time_value"):
+    """bucketed_errors' table, every coordinate binned at once by np.searchsorted."""
+    coords, predicted, target = (np.asarray(a, dtype=float) for a in (coords, predicted, target))
+    if kind == "time_value":
+        which, buckets = np.searchsorted(K_EDGES, coords, side="right"), K_BUCKETS
+    else:
+        which, buckets = np.searchsorted(W_EDGES, np.abs(coords), side="right"), W_BUCKETS
+    table = {}
+    for name, bin_ in buckets.items():
+        mask = which == bin_
+        if not mask.any():
+            table[name] = None
+            continue
+        rmse = math.sqrt(float(np.mean((predicted[mask] - target[mask]) ** 2)))
+        if kind == "time_value":
+            table[name] = 1e4 * rmse
+        else:
+            std = float(np.std(target[mask]))
+            table[name] = 100.0 * rmse / std if std > 0 else None
+    vals = [v for v in table.values() if v is not None]
+    table["sum"] = sum(vals) if vals else None
+    return table
 
 
 def save_columns_reference(path, header, columns):

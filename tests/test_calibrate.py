@@ -107,6 +107,38 @@ def test_bucketed_spectral_single_point_bucket():
     assert table["Low"] is None
 
 
+def test_bucketed_by_block_matches_whole_array_table(rng, monkeypatch):
+    # block by block, from an array or a function of the coords, each bucket selects
+    # what np.searchsorted selects and gives the whole-array table's floats
+    def predict(c):
+        return 0.01 + 0.1 * c * c - 0.02 * c
+
+    k = np.concatenate([rng.uniform(-0.4, 0.4, 997), [-0.05, 0.03, -0.05, 0.03, -0.0]])
+    w = np.concatenate([rng.uniform(-70.0, 70.0, 500), [-60.0, -40.0, -20.0, 20.0, 40.0, 60.0]])
+    for coords, kind in ((rng.permutation(k), "time_value"), (rng.permutation(w), "spectral")):
+        target = predict(coords) + rng.normal(0.0, 1e-3, coords.size)
+        want = oracles.bucketed_errors_whole(coords, predict(coords), target, kind)
+        for block in (16_384, 64, 1):
+            monkeypatch.setattr(calibrate, "_BLOCK", block)
+            assert bucketed_errors(coords, predict(coords), target, kind) == want, block
+            assert bucketed_errors(coords, predict, target, kind) == want, block
+
+
+def test_report_reads_the_spline_by_bucket(merton_model, monkeypatch):
+    grid = SpectralGrid(n=2**12, dw=0.2)
+    slices = generate_virtual_market(merton_model, 8, 100, T, R,
+                                     noise=NoiseSpec(scale=0.05, seed=3), grid=grid)
+    pooled = calibrate.pooled_slice(slices, grid, 60.0, 2, 500, 0)
+    phi = parametric_char_shifted(merton_model, grid.w, T)
+    z_model = calibrate.time_values_from_phi(phi, R, T, grid)
+    want = oracles.bucketed_errors_whole(
+        pooled.k, calibrate.spline_on_grid(grid, z_model)(pooled.k), pooled.z)
+    for block in (16_384, 100):
+        monkeypatch.setattr(calibrate, "_BLOCK", block)
+        report = calibrate.parametric_report(merton_model, pooled, 1.0, grid=grid)
+        assert report["z_rmse"] == want
+
+
 def test_bucketed_length_mismatch():
     with pytest.raises(LengthMismatch):
         bucketed_errors(np.zeros(3), np.zeros(2), np.zeros(3))

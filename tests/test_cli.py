@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +20,7 @@ from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_
 from levycal.cli import _METHODS, main
 from levycal.errors import DivergedLoss
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
-                               save_columns, save_model, save_params)
+                               save_columns, save_model, save_params, save_time_values)
 
 import oracles
 
@@ -67,6 +68,68 @@ def test_simulate_zero_noise_single_day(tmp_path, model_file):
     out = tiny_simulate(tmp_path, model_file, "clean", days=1, extra=("--noise", "0"))
     files = list((out / "slices").glob("*.csv"))
     assert len(files) == 1
+
+
+def test_simulate_memory_does_not_grow_with_days(tmp_path, model_file):
+    # each day is drawn, written and dropped before the next, so the traced heap's
+    # peak holds one day; holding every day put 400 days about 270 KB above 100 days
+    tiny_simulate(tmp_path, model_file, "warm-up", days=2)
+    peaks = {}
+    for days in (100, 400):
+        tracemalloc.start()
+        try:
+            tiny_simulate(tmp_path, model_file, f"days-{days}", days=days,
+                          extra=("--per-day", "100"))
+            peaks[days] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[400] - peaks[100] < 64 * 1024, peaks
+
+
+def test_manifest_lists_nested_outputs(tmp_path):
+    for name in ("a.csv", "sub/b.csv", "sub/deeper/c.json", "z.txt"):
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text("x")
+    (tmp_path / "empty").mkdir()
+    want = sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*") if p.is_file())
+    assert cli._outputs(tmp_path) == want
+
+
+def test_load_market_pools_the_days_in_file_order(tmp_path, model_file):
+    market = tiny_simulate(tmp_path, model_file, days=5)
+    grid, [pooled] = cli._load_market(market)
+    days = [load_time_values(f) for f in sorted((market / "slices").glob("*.csv"))]
+    assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
+    assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
+    assert (pooled.T, pooled.r, grid.n) == (0.05, 0.02, 4096)
+    # the pool holds the quotes once, 16 bytes each
+    assert pooled.k.base is pooled.z.base and pooled.k.base.nbytes == 16 * 5 * 40
+
+
+def test_load_market_grows_and_trims_its_pool(tmp_path, model_file):
+    # days of 50, 150 and 0 quotes: the pool, sized for three days of 50, grows
+    # geometrically and is trimmed to the 200 quotes
+    market = tiny_simulate(tmp_path, model_file, days=3)
+    rng = np.random.default_rng(3)
+    files = sorted((market / "slices").glob("*.csv"))
+    for f, rows in zip(files, (50, 150, 0)):
+        save_time_values(f, rng.uniform(-0.3, 0.3, rows), rng.uniform(0.0, 0.02, rows))
+    _, [pooled] = cli._load_market(market)
+    days = [load_time_values(f) for f in files]
+    assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
+    assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
+    assert pooled.k.size == 200 and pooled.k.base.nbytes == 16 * 200
+
+
+def test_load_market_names_the_file_and_line_of_a_bad_value(tmp_path, model_file):
+    market = tiny_simulate(tmp_path, model_file, days=3)
+    bad = sorted((market / "slices").glob("*.csv"))[1]
+    lines = bad.read_text().splitlines()
+    lines[7] = "0.1,abc"
+    bad.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as caught:
+        cli._load_market(market)
+    assert str(caught.value) == f"{bad}: line 8: could not convert string to float: 'abc'"
 
 
 def test_calibrate_zero_epochs_echoes_init(tmp_path, model_file):
@@ -117,9 +180,13 @@ def test_calibrate_settings_keep_the_paper_defaults(tmp_path, monkeypatch):
         ("n_groups", 1000), ("group_size", 10_000), ("budget", 6000)]
     assert [type(v) for v in cli._CAL_DEFAULTS.values()] == [
         str, float, int, float, float, float, int, int, int, int, int]
-    # a fit at the paper's defaults takes minutes; the manifest needs none
-    monkeypatch.setattr(cli, "_calibrate_one",
-                        lambda market_dir, out, cfg, train_cfg: (None, None))
+    # a fit at the paper's defaults takes minutes; the manifest needs none, only the
+    # output directory, which _calibrate_one makes once its market has loaded
+    def calibrate_one(market_dir, out, cfg, train_cfg):
+        out.mkdir()
+        return None, None
+
+    monkeypatch.setattr(cli, "_calibrate_one", calibrate_one)
     out = tmp_path / "fit"
     assert main(["calibrate", "--market", str(tmp_path / "mkt"), "--out", str(out)]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -191,7 +258,8 @@ def test_fan_out_errors_keep_their_exit_codes(tmp_path, model_file, monkeypatch,
     real_run_elnn = cli.run_elnn
 
     def diverge_on_four_days(slices, *args, **kwargs):
-        if len(slices) == 4:
+        # a market arrives as one pooled slice, so its days show in its quote count
+        if sum(s.k.size for s in slices) == 4 * 40:
             raise DivergedLoss("loss became non-finite")
         return real_run_elnn(slices, *args, **kwargs)
 
@@ -664,7 +732,7 @@ def test_calibrate_rejects_stale_slices(tmp_path, model_file, capsys):
         err = capsys.readouterr().err
         assert err == (f"error: {market}: market.json gives 3 days, but slices/ holds "
                        "5 CSV files\n"), err
-        assert not [p for p in out.rglob("*") if p.is_file()], method
+        assert not out.exists(), method
 
 
 def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):

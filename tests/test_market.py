@@ -50,6 +50,54 @@ def test_generation_reproducible(merton_model, default_grid):
         np.testing.assert_array_equal(s.z, t.z)
 
 
+def test_virtual_market_draws_each_day_when_read(merton_model, default_grid):
+    noise = NoiseSpec(scale=0.05, seed=5)
+    market = generate_virtual_market(merton_model, 6, 30, T, R, k_lo=-0.3, k_hi=0.35,
+                                     noise=noise, grid=default_grid)
+    want = oracles.virtual_market_days(merton_model, 6, 30, T, R, -0.3, 0.35, noise,
+                                       default_grid)
+    # two passes, reads in any order and negative indices give the same days
+    got = [list(market), list(market), [market[i] for i in reversed(range(6))][::-1],
+           [market[i - 6] for i in range(6)]]
+    assert len(market) == 6
+    for days in got:
+        assert len(days) == 6
+        for day, ref in zip(days, want):
+            assert (day.label, day.T, day.r) == (ref.label, T, R)
+            np.testing.assert_array_equal(day.k, ref.k)
+            np.testing.assert_array_equal(day.z, ref.z)
+    for i in (6, -7):
+        with pytest.raises(IndexError):
+            market[i]
+
+
+def test_day_stream_is_the_spawned_stream():
+    # day i draws from SeedSequence(seed, spawn_key=(i,)), which is spawn(days)[i]
+    for seed in (0, 7, 2**40 + 3):
+        spawned = np.random.SeedSequence(seed).spawn(12)
+        for i in (0, 1, 11):
+            mine = np.random.SeedSequence(seed, spawn_key=(i,))
+            np.testing.assert_array_equal(mine.generate_state(8), spawned[i].generate_state(8))
+
+
+def test_amplify_pools_a_lone_slice_without_copying(merton_model, default_grid):
+    days = list(generate_virtual_market(merton_model, 5, 40, T, R, noise=NoiseSpec(seed=6),
+                                        grid=default_grid))
+    pooled = MarketSlice("pool", T, R, np.concatenate([d.k for d in days]),
+                         np.concatenate([d.z for d in days]))
+    lone = amplify([pooled], n_groups=3, group_size=70, seed=4)
+    assert np.shares_memory(lone.pool_k, pooled.k) and np.shares_memory(lone.pool_z, pooled.z)
+    for a, b in zip(lone, amplify(days, n_groups=3, group_size=70, seed=4)):
+        np.testing.assert_array_equal(a.k, b.k)
+        np.testing.assert_array_equal(a.z, b.z)
+
+
+def test_amplify_walks_its_slices_once(rng):
+    pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 10), rng.uniform(0, 0.02, 10))
+    groups = amplify(iter([pool, pool]), n_groups=2, group_size=5, seed=0)
+    assert groups.pool_k.size == 20
+
+
 def test_amplify_permutation_when_sizes_match(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 40), rng.uniform(0, 0.02, 40))
     groups = amplify([pool], n_groups=1, group_size=40, seed=0)
