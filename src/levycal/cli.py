@@ -161,7 +161,7 @@ def cmd_simulate(args):
 
     out = Path(args.out)
     (out / "slices").mkdir(parents=True, exist_ok=True)
-    for s in market:  # each day is drawn here, written and dropped before the next
+    for s in market:  # days are drawn as the loop reaches them and dropped once written
         serialize.save_time_values(out / "slices" / f"{s.label}.csv", s.k, s.z)
     serialize.save_grid(out / "grid.json", grid)
     meta = {k: cfg[k] for k in _SIM_DEFAULTS} | {"model": serialize.model_to_dict(model)}

@@ -71,8 +71,9 @@ def test_simulate_zero_noise_single_day(tmp_path, model_file):
 
 
 def test_simulate_memory_does_not_grow_with_days(tmp_path, model_file):
-    # each day is drawn, written and dropped before the next, so the traced heap's
-    # peak holds one day; holding every day put 400 days about 270 KB above 100 days
+    # days are drawn 64 at a time and written before the next 64, so the traced heap's
+    # peak does not grow with the days; holding every day put 400 days about 270 KB
+    # above 100 days
     tiny_simulate(tmp_path, model_file, "warm-up", days=2)
     peaks = {}
     for days in (100, 400):
