@@ -21,8 +21,6 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__, serialize
 from .calibrate import calibrate_parametric, parametric_report, pooled_slice, run_elnn
 from .elnn import TrainConfig, implied_levy_density
@@ -190,20 +188,7 @@ def _load_market(market_dir):
     if len(files) != days:
         raise ValueError(f"{market_dir}: market.json gives {days} days, but slices/ holds "
                          f"{len(files)} CSV files")
-    # the days' quotes go straight into one (2, quotes) pool, sized for as many days
-    # as the first day's, grown geometrically and trimmed once if the days differ
-    pool, n = np.empty((2, 0)), 0
-    for name in files:
-        k, z = serialize.load_time_values(slices_dir / name)
-        stop = n + k.size
-        if stop > pool.shape[1]:
-            grown = np.empty((2, max(stop, 2 * pool.shape[1]) if n else k.size * len(files)))
-            grown[:, :n] = pool[:, :n]
-            pool = grown
-        pool[0, n:stop], pool[1, n:stop] = k, z
-        n = stop
-    if n < pool.shape[1]:
-        pool = pool[:, :n].copy()
+    pool = serialize.load_time_value_pool(slices_dir, files)
     return grid, [MarketSlice(market_dir.name, T, r, pool[0], pool[1])]
 
 

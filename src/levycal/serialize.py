@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -155,7 +156,11 @@ def save_columns(path, header, columns):
 
 
 def load_columns(path, expected_header=None):
-    lines = Path(path).read_text().strip().splitlines()
+    text = Path(path).read_text()
+    body = text.lstrip()
+    # the header's line number, counting the blank lines stripped before it
+    header_line = len((text[:len(text) - len(body)] + "x").splitlines())
+    lines = body.rstrip().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty file, expected a header line")
     header = lines[0].split(",")
@@ -169,18 +174,19 @@ def load_columns(path, expected_header=None):
             raise ValueError
         data = np.array(",".join(rows).split(",") if rows else [], dtype=float)
     except ValueError:
-        data = _parse_rows(path, rows, len(header))
+        data = _parse_rows(path, rows, len(header), header_line + 1)
     data = data.reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
-        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value")
+        raise ValueError(f"{path}: line {bad[0] + header_line + 1}: non-finite value")
     return header, data
 
 
-def _parse_rows(path, rows, width):
-    """The values of the CSV rows, parsed line by line to name the first bad line."""
+def _parse_rows(path, rows, width, first):
+    """The values of the CSV rows, the first on line `first`, parsed line by line to name
+    the first bad line."""
     values = []
-    for line_no, line in enumerate(rows, start=2):
+    for line_no, line in enumerate(rows, start=first):
         row = line.split(",")
         if len(row) != width:
             raise ValueError(f"{path}: line {line_no}: expected {width} values, got {len(row)}")
@@ -198,6 +204,76 @@ def save_time_values(path, k, z):
 def load_time_values(path):
     _, data = load_columns(path, ["k", "z"])
     return data[:, 0], data[:, 1]
+
+
+# a market's slice files are read 64 at a time, so that a batch's bytes do not grow
+# with the market's days
+_READ_BATCH = 64
+_TIME_VALUE_HEADER = b"k,z\n"
+# the bytes save_time_values writes after the header: %.17g values, commas, line breaks
+_TIME_VALUE_BYTES = b"0123456789.+-eE,\n"
+
+
+def load_time_value_pool(directory, names):
+    """The time values of the slice files `names` under `directory` as one (2, quotes)
+    float64 pool, k over z, in the order of `names`.
+
+    The pool is sized on the first batch of files for as many files as there are, grown
+    geometrically and trimmed once if the files differ in length.  A batch that is not
+    as save_time_values writes it is read file by file through load_time_values, so an
+    error names the file and line that load_time_values names.
+    """
+    directory = Path(directory)
+    pool, n = np.empty((2, 0)), 0
+    for start in range(0, len(names), _READ_BATCH):
+        paths = [directory / name for name in names[start:start + _READ_BATCH]]
+        batch = _parse_time_value_batch(paths)
+        pieces = [load_time_values(path) for path in paths] if batch is None else [batch]
+        stop = n + sum(k.size for k, _ in pieces)
+        if stop > pool.shape[1]:
+            grown = np.empty((2, max(stop, 2 * pool.shape[1]) if n
+                              else -(-stop * len(names) // len(paths))))
+            grown[:, :n] = pool[:, :n]
+            pool = grown
+        for k, z in pieces:
+            pool[0, n:n + k.size], pool[1, n:n + k.size] = k, z
+            n += k.size
+    return pool[:, :n].copy() if n < pool.shape[1] else pool
+
+
+def _parse_time_value_batch(paths):
+    """The pooled (k, z) of the slice files at `paths` when each is exactly as
+    save_time_values writes it, parsed in one pass; None for any other batch.
+
+    numpy's text parser reads each value with PyOS_string_to_double, the function
+    float() uses, so the values equal load_time_values' bit for bit.
+    """
+    try:
+        texts = [path.read_bytes() for path in paths]
+    except OSError:  # read file by file, an earlier file's error comes first
+        return None
+    if not all(t.startswith(_TIME_VALUE_HEADER) and t.endswith(b"\n") for t in texts):
+        return None
+    body = b"".join(t[len(_TIME_VALUE_HEADER):] for t in texts)
+    if body.translate(None, _TIME_VALUE_BYTES):
+        return None
+    chars = np.frombuffer(body, np.uint8)
+    commas, ends = np.flatnonzero(chars == ord(",")), np.flatnonzero(chars == ord("\n"))
+    # each row is two non-empty values joined by one comma
+    if commas.size != ends.size or commas.size and not (
+            commas[0] > 0 and (ends - commas > 1).all() and (commas[1:] - ends[:-1] > 1).all()):
+        return None
+    with warnings.catch_warnings():
+        # numpy rejects unmatched data with a ValueError; older releases only warn
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(body.replace(b"\n", b","), sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    # fromstring passes a trailing comma, reads 1e999 as inf and reads nan(x)
+    if values.size != 2 * ends.size or not np.isfinite(values).all():
+        return None
+    return values[0::2], values[1::2]
 
 
 def save_grid(path, grid):

@@ -289,7 +289,8 @@ def regrid_time_values(k_samples, z_samples, grid):
     if k_samples.size < 2:
         raise InsufficientSupport("need at least two samples")
 
-    edges_lo = grid.k[0] - 0.5 * grid.dk
+    # grid.k[0], without building the grid's k nodes
+    edges_lo = (0 - grid.n / 2) * grid.dk - 0.5 * grid.dk
     idx = np.floor((k_samples - edges_lo) / grid.dk).astype(int)
     if np.any(idx < 0) or np.any(idx >= grid.n):
         raise InsufficientSupport("samples fall outside the grid's k range")

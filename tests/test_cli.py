@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import levycal
-from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_table
+from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_table, serialize
 from levycal.cli import _METHODS, main
 from levycal.errors import DivergedLoss
 from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
@@ -131,6 +132,97 @@ def test_load_market_names_the_file_and_line_of_a_bad_value(tmp_path, model_file
     with pytest.raises(ValueError) as caught:
         cli._load_market(market)
     assert str(caught.value) == f"{bad}: line 8: could not convert string to float: 'abc'"
+
+
+def test_slice_reader_parses_simulated_markets_in_one_pass(tmp_path, model_file, monkeypatch):
+    # files as simulate writes them are parsed a batch at a time, never file by file
+    market = tiny_simulate(tmp_path, model_file, days=5)
+    days = [load_time_values(f) for f in sorted((market / "slices").glob("*.csv"))]
+
+    def refuse(path):
+        raise AssertionError(f"{path} was read file by file")
+
+    monkeypatch.setattr(serialize, "load_time_values", refuse)
+    for batch in (1, 3, 64):
+        monkeypatch.setattr(serialize, "_READ_BATCH", batch)
+        _, [pooled] = cli._load_market(market)
+        assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
+        assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
+
+
+def _lines(lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _with_row(text, header, rows, row):
+    """A slice file's text with row `row` (modulo the rows) replaced by `text`, or with
+    `text` as its one row."""
+    rows = list(rows) or [text]
+    rows[row % len(rows)] = text
+    return _lines([header, *rows])
+
+
+def _with_value(token, header, rows, row):
+    """A slice file's text with `token` in place of a row's k value."""
+    rows = rows or ["0,0.5"]
+    return _with_row(f"{token},{rows[row % len(rows)].split(',')[1]}", header, rows, row)
+
+
+# hand edits of a slice file: each takes the file's header line, its rows and a row
+# index, and gives the edited file's text
+_SLICE_EDITS = {
+    "crlf": lambda header, rows, _: "".join(line + "\r\n" for line in [header, *rows]),
+    "no final newline": lambda header, rows, _: "\n".join([header, *rows]),
+    "spaces": lambda header, rows, _: _lines([header, *(f" {r.replace(',', ' , ')} "
+                                                       for r in rows)]),
+    "leading blank lines": lambda header, rows, _: _lines(["", "", header, *rows]),
+    "trailing blank lines": lambda header, rows, _: _lines([header, *rows, "", ""]),
+    "empty body": lambda header, rows, _: _lines([header]),
+    **{f"value {token!r}": partial(_with_value, token)
+       for token in ("1_0", "\uff11", "nan", "1e999", "nan(x)", "-", "1e5e", "", "\x0c1")},
+    **{f"row {text!r}": partial(_with_row, text) for text in ("1,2,", "0.5", "1,2,3", "")},
+}
+
+_SLICE_FILES = st.lists(
+    st.tuples(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(allow_nan=False, allow_infinity=False)), max_size=6),
+              st.one_of(st.none(), st.sampled_from(sorted(_SLICE_EDITS))),
+              st.integers(0, 5)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(files=_SLICE_FILES, batch=st.sampled_from((1, 3, 64)))
+@example(files=[([(0.1, 0.2)], None, 0), ([(0.3, 0.4)], "value '1e999'", 0)], batch=64)
+@example(files=[([(0.1, 0.2)], "row '1,2,'", 0)], batch=1)
+# a ragged file beside one short of a value: the batch's commas still match its rows
+@example(files=[([(0.1, 0.2)], "row '1,2,3'", 0), ([(0.3, 0.4)], "row '0.5'", 0)], batch=64)
+# a form feed, which numpy skips as space and load_columns takes for a line break
+@example(files=[([(0.1, 0.2)], "value '\\x0c1'", 0)], batch=64)
+def test_slice_reader_pools_as_load_time_values_does(files, batch):
+    # a market mixing files as simulate writes them with hand-edited ones: the pool
+    # equals the files' load_time_values bit for bit, or the error is the first file's
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "_READ_BATCH", batch)
+        names = [f"{i:04d}.csv" for i in range(len(files))]
+        for name, (rows, edit, row) in zip(names, files):
+            path = Path(tmp) / name
+            k, z = np.array(rows, dtype=float).reshape(-1, 2).T
+            save_time_values(path, k, z)
+            if edit is not None:
+                header, *lines = path.read_text().splitlines()
+                path.write_text(_SLICE_EDITS[edit](header, lines, row))
+        try:
+            days = [load_time_values(Path(tmp) / name) for name in names]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                serialize.load_time_value_pool(tmp, names)
+            assert str(caught.value) == str(exc)
+            return
+        pool = serialize.load_time_value_pool(tmp, names)
+        assert pool.shape == (2, sum(k.size for k, _ in days))
+        assert pool[0].tobytes() == np.concatenate([k for k, _ in days]).tobytes()
+        assert pool[1].tobytes() == np.concatenate([z for _, z in days]).tobytes()
 
 
 def test_calibrate_zero_epochs_echoes_init(tmp_path, model_file):
@@ -849,6 +941,9 @@ def test_exit_code_on_bad_csv_input(tmp_path, model_file, capsys):
              (calibrate, three_columns, good_prices, "line 2"),
              (calibrate, good_slice + "0.1\n", good_prices, "line 42"),
              (calibrate, good_slice + "0.1,abc\n", good_prices, "line 42"),
+             # blank lines before the header count toward the line number
+             (calibrate, "\n\nk,z\n0.1,0.2\n0.3,abc\n", good_prices,
+              "line 5: could not convert string to float: 'abc'"),
              (moments, good_slice, "", None),
              (moments, good_slice, good_prices + "nan\n", "line 32"),
              (moments + ["--horizons", "1,-1"], good_slice, good_prices, None),

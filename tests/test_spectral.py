@@ -195,6 +195,24 @@ def test_regrid_interpolates_interior_holes(small_grid):
     assert out[303] == pytest.approx(3.5e-5, rel=1e-12)
 
 
+@settings(max_examples=100, deadline=None)
+@given(power=st.integers(2, 18), dw=st.floats(1e-3, 10.0))
+def test_regrid_bins_from_the_grid_first_k_node(power, dw):
+    # regrid_time_values places its bin edges from the first k node without building
+    # grid.k; samples on the edges, where a one-ulp shift moves a sample to the next
+    # bin, land where grid.k[0] puts them
+    grid = SpectralGrid(2**power, dw)
+    assert (0 - grid.n / 2) * grid.dk == grid.k[0]
+    edge = grid.k[0] - 0.5 * grid.dk
+    j = np.arange(1, min(grid.n, 33))
+    k = edge + j * grid.dk
+    z = 1e-6 * (1.0 + j / 64.0)  # distinct, and small enough to pass the support check
+    idx = np.floor((k - edge) / grid.dk).astype(int)
+    counts = np.bincount(idx, minlength=grid.n)
+    means = np.bincount(idx, weights=z, minlength=grid.n)[counts > 0] / counts[counts > 0]
+    assert regrid_time_values(k, z, grid)[counts > 0].tobytes() == means.tobytes()
+
+
 def test_regrid_insufficient_support(merton_triplet, default_grid, rng):
     k_full, z_full = time_value_curve(merton_triplet, T, R, default_grid)
     # samples only in a sliver around the money while the curve peak implies
