@@ -13,6 +13,9 @@ network (SpectralCurve.fold), without the regularizer, by Nelder-Mead from
 five starts that share one budget of loss evaluations, inside a box of
 admissible parameters.  The Nelder-Mead is levycal's own (_nelder_mead) and
 repeats SciPy's step for step, so a fit needs no scipy.optimize at start-up.
+Each loss evaluates the model's Phi(w - i) only on the leading nodes where it
+can still move the loss's last bit (_parametric_loss), and equals the loss over
+every node bit for bit.
 """
 
 from __future__ import annotations
@@ -118,26 +121,64 @@ _START_RANGES = {
 }
 
 
-def _parametric_loss(model, folded, T):
-    """The folded spectral L2 loss of a Merton or Kou model: its distance on
-    w > 0 to the target's conjugate-symmetric part, as SpectralCurve.fold gives it."""
+# Floor of a target part that is +-0.0: a model part below it squares to 0.0.
+# Floors below _FLOOR_MIN count as 0, so nothing from a subnormal part on is skipped:
+# near the subnormal range a computed |Phi| can exceed its bound
+_ZERO_FLOOR = 2.0 ** -540
+_FLOOR_MIN = 2.0 ** -1000
+
+
+def _parametric_loss(folded, T):
+    """The folded spectral L2 loss as a function of a Merton or Kou model: its
+    distance on w > 0 to the target's conjugate-symmetric part, as SpectralCurve.fold
+    gives it, sum(wts * ((Phi.real - tr) ** 2 + (Phi.imag - ti) ** 2)).
+
+    Phi(w - i) is evaluated only up to a cut; each later node's term is taken as
+    wts * ((0.0 - tr) ** 2 + (0.0 - ti) ** 2), and the sum runs over the same
+    full-length terms, so every loss is the plain formula's bit for bit.  The
+    cut is exact because the model's drift makes e^{X_T} a martingale: weighting
+    by e^{X_T} gives a Levy law with the same sigma and jump measure e^x nu >= 0,
+    so |Phi(w - i)| <= e^{-T sigma^2 w^2 / 2}.  Each node has a floor, an eighth
+    of the spacing of |tr| and of |ti|, whichever is smaller (_ZERO_FLOOR for a
+    part that is +-0.0); a model part below it leaves Phi - t rounded to -t, or
+    its square 0.0.  A node is skipped when e times the bound is at most the
+    smallest floor from it on, so that the nodes past the cut all qualify.
+    """
     w, wts, tr, ti = folded
-    phi = parametric_char_shifted(model, w, T)
-    return float(np.sum(wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)))
+    tail = wts * ((0.0 - tr) ** 2 + (0.0 - ti) ** 2)
+    floor = np.minimum(*(np.where(part == 0.0, _ZERO_FLOOR, np.spacing(np.abs(part)) / 8)
+                         for part in (tr, ti)))
+    floor = np.where(floor >= _FLOOR_MIN, floor, 0.0)  # a NaN floor counts as 0 too
+    if np.any(np.diff(w) <= 0):  # the bound falls along w only on ascending nodes
+        floor[:] = 0.0
+    with np.errstate(divide="ignore"):
+        # log of the suffix minimum: nondecreasing along w, as is T sigma^2 w^2 / 2
+        log_floor = np.log(np.minimum.accumulate(floor[::-1])[::-1])
+    half_w2 = 0.5 * w * w
+
+    def loss(model):
+        # the first node where log floor >= 1 + T sigma^2 w^2 / 2 (the 1 is the margin e)
+        cut = int(np.searchsorted(log_floor + model.sigma ** 2 * T * half_w2, 1.0))
+        phi = parametric_char_shifted(model, w[:cut], T)
+        terms = tail.copy()
+        terms[:cut] = wts[:cut] * ((phi.real - tr[:cut]) ** 2 + (phi.imag - ti[:cut]) ** 2)
+        return float(np.sum(terms))
+
+    return loss
 
 
 def _box_loss(family, market_slice):
     """The loss calibrate_parametric minimizes over a family's parameter vector:
     _parametric_loss against the slice's folded curve, infinite outside the box."""
     box, cls = _BOXES[family], MODELS[family]
-    folded = market_slice.spectral.fold()
+    model_loss = _parametric_loss(market_slice.spectral.fold(), market_slice.T)
 
     def loss_fn(theta):
         if not all(lo <= value <= hi for value, (lo, hi) in zip(theta, box)):
             return math.inf
         # each model holds Python floats, as one read from its file does; numpy scalars
         # would take numpy's complex division in exp_moment, which rounds differently
-        return _parametric_loss(cls(*theta.tolist()), folded, market_slice.T)
+        return model_loss(cls(*theta.tolist()))
 
     return loss_fn
 

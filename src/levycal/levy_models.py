@@ -38,7 +38,10 @@ _STRIP_SLACK = 1e-9
 
 
 def _check_strip(w):
-    im = np.min(np.imag(w)), np.max(np.imag(w))
+    im = np.imag(w)
+    if not np.size(im):
+        return
+    im = np.min(im), np.max(im)
     if im[0] < _STRIP_LO - _STRIP_SLACK or im[1] > _STRIP_HI + _STRIP_SLACK:
         raise ValueError(f"Im(w) must lie in [{_STRIP_LO}, {_STRIP_HI}], got range {im}")
 
@@ -74,10 +77,14 @@ def f_exponent(w, density, support):
 
 def char_fn(w, model, T):
     """Characteristic function Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w)))."""
+    _check_strip(w)
+    return _char_in_strip(np.asarray(w, dtype=complex), model, T)
+
+
+def _char_in_strip(w_arr, model, T):
+    """char_fn at a complex array already known to lie in the strip."""
     if T <= 0:
         raise ValueError("T must be positive")
-    _check_strip(w)
-    w_arr = np.asarray(w, dtype=complex)
     f_w = model.jump_exponent(w_arr)
     psi = -0.5 * model.sigma**2 * w_arr**2 + 1j * model.drift() * w_arr + f_w
     out = np.exp(T * psi)
@@ -365,7 +372,8 @@ def _segment_moment(c, h, m, beta, n):
 
 def parametric_char_shifted(model, w, T):
     """Phi(w - i) at real frequencies w, the curve every fit compares with its target."""
-    return char_fn(np.asarray(w, dtype=float) - 1j, model, T)
+    # Im(w - i) = -1 at every real w, inside the strip, so char_fn's check is skipped
+    return _char_in_strip(np.asarray(w, dtype=float) - 1j, model, T)
 
 
 def _norm_pdf(x):

@@ -19,7 +19,10 @@ when read: it spawns every day's stream up front and holds every day, and
 the lazy market must give its days bit for bit.  bucketed_errors_whole is
 bucketed_errors before it formed a bucket's errors block by block: it bins
 every coordinate at once with np.searchsorted, and the blocked table must
-equal it.  zeta and call_price are the pricing formulas the module docstring
+equal it.  parametric_loss is the Merton and Kou fits' loss before it skipped
+the nodes where a model cannot move it: it evaluates the library's Phi(w - i)
+on every folded node (parametric_loss_terms), and the skipping loss must equal
+it bit for bit.  zeta and call_price are the pricing formulas the module docstring
 of levycal.spectral states.
 """
 
@@ -31,8 +34,8 @@ from scipy import integrate
 from scipy.special import expit
 from scipy.stats import norm
 
-from levycal import (MarketSlice, SpectralGrid, amplify, phi_from_time_values,
-                     regrid_time_values, time_value_curve)
+from levycal import (MarketSlice, SpectralGrid, amplify, parametric_char_shifted,
+                     phi_from_time_values, regrid_time_values, time_value_curve)
 from levycal.calibrate import K_BUCKETS, K_EDGES, W_BUCKETS, W_EDGES
 from levycal.elnn import _constants, _loss_and_grad, _Workspace
 from levycal.spectral import _inverse_nodes, spline_on_grid, trapezoid_weights
@@ -213,6 +216,19 @@ def full_grid_spectral_loss(phi, w, target):
     wts = np.full(len(w), w[1] - w[0])
     wts[[0, -1]] *= 0.5
     return float(np.sum(wts * np.abs(np.asarray(phi) - target) ** 2))
+
+
+def parametric_loss_terms(model, folded, T):
+    """The terms wts * |Phi(w - i) - (tr + i ti)|^2 of the folded spectral L2 loss of a
+    model, on every node of folded = (w, wts, tr, ti) as SpectralCurve.fold gives it."""
+    w, wts, tr, ti = folded
+    phi = parametric_char_shifted(model, w, T)
+    return wts * ((phi.real - tr) ** 2 + (phi.imag - ti) ** 2)
+
+
+def parametric_loss(model, folded, T):
+    """The folded spectral L2 loss of a model: the sum of its parametric_loss_terms."""
+    return float(np.sum(parametric_loss_terms(model, folded, T)))
 
 
 def ann_r(w, params):

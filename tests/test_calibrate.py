@@ -1,18 +1,21 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
-from levycal import (KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
+from levycal import (CustomModel, KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
                      SpectralGrid, TrainConfig, amplify, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
                      spectral_target, stability_summary)
 from levycal import calibrate
-from levycal.calibrate import _DEFAULT_STARTS, _START_RANGES, PeriodEstimate, _parametric_loss
+from levycal.calibrate import _BOXES, _DEFAULT_STARTS, _START_RANGES, PeriodEstimate
 from levycal.errors import LengthMismatch
+from levycal.levy_models import MODELS
 
 import oracles
 
@@ -193,11 +196,12 @@ def test_budget_caps_loss_evaluations(monkeypatch):
                       spectral=SpectralCurve(w, target))
     calls = []
 
+    # every evaluation inside the box calls Phi once, and only evaluations do
     def counted(*args):
         calls.append(args)
-        return _parametric_loss(*args)
+        return parametric_char_shifted(*args)
 
-    monkeypatch.setattr(calibrate, "_parametric_loss", counted)
+    monkeypatch.setattr(calibrate, "parametric_char_shifted", counted)
     for budget in (1, 4, 5, 100, 1000):
         calls.clear()
         fitted, loss = calibrate_parametric("merton", slc, budget=budget, seed=2)
@@ -205,7 +209,7 @@ def test_budget_caps_loss_evaluations(monkeypatch):
         if budget == 1:  # only the default start is served, and it does not move
             start = _DEFAULT_STARTS["merton"].tolist()
             assert [fitted.sigma, fitted.lam, fitted.mu, fitted.delta] == start
-            assert loss == _parametric_loss(MertonModel(*start), slc.spectral.fold(), T)
+            assert loss == oracles.parametric_loss(MertonModel(*start), slc.spectral.fold(), T)
 
 
 def assert_nelder_mead_matches_scipy(f, x0, maxfev):
@@ -307,12 +311,144 @@ def test_folded_parametric_loss_matches_full_grid(model, n_pairs, dw, noise, see
     constant = oracles.full_grid_spectral_loss(anti, w, 0.0)
     phi = parametric_char_shifted(model, w, T)
     want = oracles.full_grid_spectral_loss(phi, w, target)
-    got = _parametric_loss(model, curve.fold(), T) + constant
+    got = calibrate._parametric_loss(curve.fold(), T)(model) + constant
     # Phi - target is rounded in ulps of |Phi| + |target|, not of the difference, so
     # near a perfect fit the loss holds only to about eps sqrt(loss sum wts (|Phi| + |target|)^2)
     scale = oracles.full_grid_spectral_loss(np.abs(phi) + np.abs(target), w, 0.0)
     rounding = 8 * np.finfo(float).eps * math.sqrt(want * scale)
     assert got == pytest.approx(want, rel=1e-12, abs=rounding)
+
+
+# --- the loss skips the nodes where a model cannot move it --------------------------
+
+
+@st.composite
+def models_in_the_box(draw, families=("merton", "kou")):
+    """A model drawn from anywhere in its family's box; a custom one from a random table."""
+    family = draw(st.sampled_from(families))
+    if family == "custom":
+        n = draw(st.integers(2, 8))
+        x = draw(st.floats(-3.0, 0.0)) + np.cumsum(
+            [0.0] + draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+        dvdx = draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n))
+        return CustomModel(draw(st.floats(*_BOXES["merton"][0])), x, np.array(dvdx))
+    return MODELS[family](*[draw(st.floats(lo, hi)) for lo, hi in _BOXES[family]])
+
+
+def signed(magnitudes):
+    return st.builds(lambda m, s: s * m, magnitudes, st.sampled_from([1.0, -1.0]))
+
+
+# target parts where the floor is special: zeros, exact powers of two (whose spacing
+# below is half the spacing above) and subnormals (whose floors count as 0)
+SPECIAL_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    signed(st.integers(-1074, 10).map(lambda e: math.ldexp(1.0, e))),
+    signed(st.integers(1, 2**52 - 1).map(lambda m: m * 5e-324)))
+
+
+def loss_and_cut(model, folded, T):
+    """The skipping loss and the number of nodes it evaluated Phi on, in its one call."""
+    lengths = []
+
+    def counted(model, w, T):
+        lengths.append(len(w))
+        return parametric_char_shifted(model, w, T)
+
+    with mock.patch.object(calibrate, "parametric_char_shifted", counted):
+        loss = calibrate._parametric_loss(folded, T)(model)
+    assert len(lengths) == 1
+    return loss, lengths[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=models_in_the_box(), truth=models_in_the_box(), T=st.floats(0.01, 1.0),
+       n=st.integers(1, 300), w0=st.floats(0.01, 60.0), dw=st.floats(0.01, 5.0),
+       noise=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_skipping_loss_equals_the_plain_loss(model, truth, T, n, w0, dw, noise, seed, data):
+    # a grid that starts far out cuts at 0 for a large sigma, and one that stays
+    # near w = 0 cuts past its end for a small one
+    w = w0 + dw * np.arange(n)
+    rng = np.random.default_rng(seed)
+    target = (parametric_char_shifted(truth, w, T)
+              + noise * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+    tr, ti = target.real.copy(), target.imag.copy()
+    if data.draw(st.booleans()):
+        # a pure diffusion reaches the bound, |Phi(w - i)| = e^{-T sigma^2 w^2 / 2}.  Target
+        # parts that are powers of two of Phi's signs, with floors 2^(k - 55) within a
+        # factor 8 of e times the bound, or zeros, put every node near the skip's edge,
+        # where a larger floor would round otherwise: the spacing below a power of two
+        # is half the spacing above, and Phi^2 must underflow where the target is 0
+        model = dataclasses.replace(model, lam=0.0)
+        phi = parametric_char_shifted(model, w, T)
+        k = (np.ceil((1.0 - 0.5 * T * model.sigma ** 2 * w ** 2) / math.log(2.0)) + 55
+             + rng.integers(-3, 3, n))
+        edge = (k >= -945) & (k <= 1000)
+        power = np.ldexp(1.0, np.clip(k, -945, 1000).astype(int))
+        tr, ti = (np.where(edge, np.where(rng.random(n) < 0.25, 0.0, np.copysign(power, part)),
+                           target_part)
+                  for part, target_part in ((phi.real, tr), (phi.imag, ti)))
+    for node, imag, value in data.draw(st.lists(st.tuples(
+            st.integers(0, n - 1), st.booleans(), SPECIAL_PARTS), max_size=n)):
+        (ti if imag else tr)[node] = value
+    wts = np.full(n, dw)
+    loss, cut = loss_and_cut(model, (w, wts, tr, ti), T)
+    event("cut at 0" if cut == 0 else "cut past the end" if cut == n else "cut mid-way")
+    terms = oracles.parametric_loss_terms(model, (w, wts, tr, ti), T)
+    assert loss == float(np.sum(terms))
+    # each skipped term on its own, as the sum can hide a last-bit change in a small one
+    np.testing.assert_array_equal(terms[cut:], (wts * ((0.0 - tr) ** 2 + (0.0 - ti) ** 2))[cut:])
+
+
+@pytest.mark.parametrize("family, sigma, w0, maturity, where", [
+    ("merton", 2.0, 50.0, 1.0, "start"), ("kou", 0.21, 0.25, T, "middle"),
+    ("merton", 1e-4, 0.25, T, "end"), ("merton", 2.0, 0.25, T, "descending")])
+def test_skipping_loss_cuts_where_the_bound_meets_the_floor(family, sigma, w0, maturity, where):
+    # the benchmark's folded grid (dw 0.5, |w| <= 400) against a noisy target; the
+    # bound falls along w only on ascending nodes, so descending ones skip none
+    w = w0 + 0.5 * np.arange(800)
+    if where == "descending":
+        w = w[::-1]
+    rng = np.random.default_rng(5)
+    target = (parametric_char_shifted(KouModel(0.21, 1.4, 0.04, 3.7, 1.8), w, maturity)
+              + 0.05 * (rng.normal(size=w.size) + 1j * rng.normal(size=w.size)))
+    folded = (w, np.full(w.size, 0.5), target.real, target.imag)
+    model = MODELS[family](sigma, *_DEFAULT_STARTS[family].tolist()[1:])
+    loss, cut = loss_and_cut(model, folded, maturity)
+    assert {"start": cut == 0, "middle": 0 < cut < w.size}.get(where, cut == w.size)
+    assert loss == oracles.parametric_loss(model, folded, maturity)
+
+
+@pytest.mark.parametrize("part", [0.0, -0.0, 1.0, -1.0, 0.75, -2.0 ** -400])
+def test_skipping_loss_is_exact_at_the_floor(part):
+    # a pure diffusion reaches the bound, |Phi(w - i)| = e^{-T sigma^2 w^2 / 2}, and its
+    # phase turns by more than 2 pi across a fine grid around the node where e times
+    # the bound meets the floor of a constant target, so some nodes past the cut hold
+    # Phi at nearly the bound with either sign
+    model, maturity = MertonModel(2.0, 0.0, 0.0, 1.0), 1.0
+    floor = calibrate._ZERO_FLOOR if part == 0.0 else np.spacing(abs(part)) / 8
+    w_edge = math.sqrt(2.0 * (1.0 - math.log(floor)) / (maturity * model.sigma ** 2))
+    w = w_edge + np.linspace(-2.0, 2.0, 4001)
+    tr = ti = np.full(w.size, part)
+    wts = np.full(w.size, 0.001)
+    loss, cut = loss_and_cut(model, (w, wts, tr, ti), maturity)
+    assert 0 < cut < w.size
+    terms = oracles.parametric_loss_terms(model, (w, wts, tr, ti), maturity)
+    assert loss == float(np.sum(terms))
+    np.testing.assert_array_equal(terms[cut:], (wts * ((0.0 - tr) ** 2 + (0.0 - ti) ** 2))[cut:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=models_in_the_box(("merton", "kou", "custom")), T=st.floats(0.01, 1.0),
+       w=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=50))
+def test_shifted_char_fn_within_the_skip_bound(model, T, w):
+    # |Phi(w - i)| <= e^{-T sigma^2 w^2 / 2} wherever that bound is above 2^-1000; the
+    # skip keeps a margin of e over it, far above the rounding allowed here
+    w = np.array(w)
+    log_bound = -0.5 * T * model.sigma ** 2 * w ** 2
+    keep = log_bound > -1000.0 * math.log(2.0)
+    phi = parametric_char_shifted(model, w, T)[keep]
+    assert np.all(np.abs(phi) <= np.exp(log_bound[keep] + 1e-9))
 
 
 # --- stability summary ---------------------------------------------------------------

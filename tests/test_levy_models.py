@@ -7,7 +7,8 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from levycal import CustomModel, KouModel, MertonModel, char_fn, cumulants, f_exponent
+from levycal import (CustomModel, KouModel, MertonModel, char_fn, cumulants, f_exponent,
+                     parametric_char_shifted)
 from levycal.calibrate import _BOXES
 from levycal.errors import NonFinite
 from levycal.levy_models import _MAXLOG, _ndtr
@@ -83,6 +84,10 @@ def test_f_exponent_strip_validation(merton_model):
         f_exponent(1.0 + 0.5j, merton_model.density, oracles.support(merton_model))
     with pytest.raises(ValueError):
         f_exponent(1.0 - 2.5j, merton_model.density, oracles.support(merton_model))
+    # char_fn keeps the check for complex callers
+    for w in (1.0 + 0.5j, 1.0 - 2.5j):
+        with pytest.raises(ValueError):
+            char_fn(np.array([0.0, w]), merton_model, 0.05)
 
 
 def quad_drift(model):
@@ -157,6 +162,20 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
 def test_char_fn_rejects_bad_T(merton_triplet):
     with pytest.raises(ValueError):
         char_fn(np.array([1.0]), merton_triplet, 0.0)
+    with pytest.raises(ValueError):
+        parametric_char_shifted(merton_triplet, np.array([1.0]), 0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1024])
+def test_parametric_char_shifted_is_char_fn_at_w_minus_i(merton_model, kou_model, n):
+    # it skips char_fn's strip check, which Im(w - i) = -1 always passes, and gives the
+    # same floats; no frequencies give an empty curve, as a fit's loss asks when it
+    # skips every node
+    w = np.linspace(0.25, 400.0, n)
+    for model in (merton_model, kou_model, custom_tables()[1]):
+        shifted = parametric_char_shifted(model, w, 0.05)
+        assert shifted.shape == (n,) and shifted.dtype == complex
+        np.testing.assert_array_equal(shifted, char_fn(w - 1j, model, 0.05))
 
 
 def test_cumulants_pure_diffusion():
