@@ -6,8 +6,8 @@ from .levy_models import (CumulantSet, CustomModel, KouModel, MertonModel, char_
                           f_exponent, parametric_char_shifted)
 from .spectral import (SpectralCurve, SpectralGrid, phi_from_time_values, regrid_time_values,
                        time_value_curve, time_values_from_phi)
-from .elnn import ElnnParams, TrainConfig, implied_lambda, implied_levy_density, phi_model, train
+from .elnn import ElnnParams, TrainConfig, implied_levy_density, train
 from .market import (MarketSlice, NoiseSpec, OptionQuote, QuoteFilters, amplify,
                      generate_virtual_market, ingest_quotes, moment_table, to_time_values)
 from .calibrate import (PeriodEstimate, bucketed_errors, calibrate_parametric,
-                        parametric_report, run_elnn, spectral_target, stability_summary)
+                        run_elnn, spectral_target, stability_summary)

@@ -29,7 +29,7 @@ from . import elnn
 from .errors import LengthMismatch
 from .levy_models import MODELS, parametric_char_shifted
 from .market import MarketSlice, amplify
-from .spectral import (SpectralGrid, phi_from_time_values, regrid_time_values, spline_on_grid,
+from .spectral import (phi_from_time_values, regrid_time_values, spline_on_grid,
                        time_values_from_phi)
 
 
@@ -293,7 +293,7 @@ def calibrate_parametric(family, market_slice, budget, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Network driver
+# Target, network fit and report
 # ---------------------------------------------------------------------------
 
 
@@ -313,29 +313,43 @@ def spectral_target(groups, grid):
     return phi_from_time_values(z_sum / len(groups), groups.r, groups.T, grid)
 
 
-def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
-    """One slice: the quotes of `slices`, as amplify pools them, and their target.
-
-    The target's groups are amplified from seed + 1, and the target is clipped
-    to |w| <= 4 * m_cutoff, which must keep at least the two innermost nodes
-    +-dw/2.
-    """
+def check_cutoff(m_cutoff, grid):
+    """Raise unless the target clipped to |w| <= 4 * m_cutoff keeps at least the two
+    innermost nodes +-dw/2 of the grid."""
     if 4.0 * m_cutoff < grid.w_offset:
         raise ValueError(f"m_cutoff must be at least dw / 8 = {grid.dw / 8} on a grid with "
                          f"dw {grid.dw}, so that the target keeps two nodes |w| <= 4 m_cutoff; "
                          f"got {m_cutoff}")
+
+
+def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
+    """One slice: the quotes of `slices`, as amplify pools them, and their target.
+
+    The target's groups are amplified from seed + 1, and the target is clipped
+    to |w| <= 4 * m_cutoff, which check_cutoff checks.
+    """
+    check_cutoff(m_cutoff, grid)
     groups = amplify(slices, n_groups, group_size, seed=seed + 1)
     target = spectral_target(groups, grid)
     return MarketSlice("pooled", groups.T, groups.r, groups.pool_k, groups.pool_z,
                        spectral=target.clip(4.0 * m_cutoff))
 
 
-def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
-    """The report.json document of one fitted model, with its bucketed z and Phi errors.
+def run_elnn(pooled, config):
+    """elnn.train on a pooled slice, as (params, final_loss, losses) beside
+    calibrate_parametric's (model, loss); final_loss is None when no epoch ran."""
+    params, losses = elnn.train(pooled, config)
+    return params, float(losses[-1]) if len(losses) else None, losses
 
-    phi_on_grid holds the model's Phi(w - i) on the grid's w nodes; `pooled`
-    is the slice from pooled_slice that the model was fitted to.
+
+def evaluate_report(fit, pooled, grid, final_loss):
+    """The report.json document of a fitted law, with its bucketed z and Phi errors.
+
+    `fit` is ElnnParams or a jump model, which give the report's label (kind),
+    sigma and lam and its Phi(w - i) on the grid's w nodes (phi_shifted);
+    `pooled` is the slice from pooled_slice that the law was fitted to.
     """
+    phi_on_grid = fit.phi_shifted(grid.w, pooled.T)
     # the spline reads the quotes' k one bucket at a time, so no pool-sized prediction is held
     z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
 
@@ -346,34 +360,11 @@ def evaluate_report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
     # target nodes are a contiguous central block of the grid's w lattice
     start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))
     phi_rep = phi_on_grid[start:start + len(w_rep)]
-    return {"label": label, "sigma": sigma, "lambda": lam,
+    return {"label": fit.kind, "sigma": fit.sigma, "lambda": fit.lam,
             "z_rmse": bucketed_errors(pooled.k, z_spline, pooled.z),
             "phi_re_rmse": bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, kind="spectral"),
             "phi_im_rmse": bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, kind="spectral"),
             "final_loss": final_loss}
-
-
-def run_elnn(market_slices, config, grid=None, n_groups=1000, group_size=10_000):
-    """Amplify, transform, train and evaluate; deterministic for fixed seeds.
-
-    Returns (params, per-epoch losses, report).  The training target is the
-    pooled slice's spectral curve, truncated to |w| <= 4 * m_cutoff.  The
-    report's final_loss is None when no epoch ran.
-    """
-    grid = grid or SpectralGrid()
-    pooled = pooled_slice(market_slices, grid, config.m_cutoff, n_groups, group_size, config.seed)
-    params, losses = elnn.train(pooled, config)
-    phi_grid = elnn.phi_model(grid.w, params, pooled.T)
-    final_loss = float(losses[-1]) if len(losses) else None
-    return params, losses, evaluate_report("elnn", params.sigma, elnn.implied_lambda(params),
-                                           phi_grid, pooled, grid, final_loss)
-
-
-def parametric_report(model, pooled, final_loss, grid=None):
-    """Evaluate a fitted parametric model against the pooled slice it was fitted to."""
-    grid = grid or SpectralGrid()
-    phi_grid = parametric_char_shifted(model, grid.w, pooled.T)
-    return evaluate_report(model.kind, model.sigma, model.lam, phi_grid, pooled, grid, final_loss)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,9 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import __version__, serialize
-from .calibrate import calibrate_parametric, parametric_report, pooled_slice, run_elnn
+from . import __version__, calibrate, serialize
+# perfbench/inproc.py's tracer rebinds these names on cli, and evaluate_report on calibrate
+from .calibrate import calibrate_parametric, check_cutoff, pooled_slice, run_elnn
 from .elnn import TrainConfig, implied_levy_density
 from .errors import DivergedLoss, LevycalError, NonFinite, ResidueTooLarge
 from .market import MarketSlice, NoiseSpec, generate_virtual_market, moment_table
@@ -168,9 +169,9 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
-def _load_market(market_dir):
+def _load_market(market_dir, m_cutoff):
     """The market's grid and its days pooled into one slice, in the sorted order of its
-    slice files."""
+    slice files; m_cutoff is checked against the grid before any slice is read."""
     market_dir = Path(market_dir)
     meta_file = market_dir / "market.json"
     meta = serialize.load_object(meta_file)
@@ -179,6 +180,7 @@ def _load_market(market_dir):
         raise ValueError(f"{meta_file}: 'T' must be positive, got {T}")
     days = serialize.field(meta, "days", int, meta_file)
     grid = serialize.load_grid(market_dir / "grid.json")
+    check_cutoff(m_cutoff, grid)
     # names, not Paths, which take about 0.5 KB each
     slices_dir = market_dir / "slices"
     files = sorted(f.name for f in slices_dir.glob("*.csv"))
@@ -205,23 +207,23 @@ def _calibrate_one(market_dir, out, cfg, train_cfg):
     """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it
     and the seconds it spent loading the market, fitting it and writing the outputs."""
     started = time.perf_counter()
-    grid, slices = _load_market(market_dir)
+    grid, slices = _load_market(market_dir, cfg["m_cutoff"])
     out.mkdir(parents=True, exist_ok=True)
     loaded = time.perf_counter()
+    pooled = pooled_slice(slices, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
+                          cfg["seed"])
     if cfg["method"] == "elnn":
-        params, losses, report = run_elnn(slices, train_cfg, grid=grid, n_groups=cfg["n_groups"],
-                                          group_size=cfg["group_size"])
-        fitted = time.perf_counter()
-        serialize.save_params(params, out / "params.json")
+        fit, loss, losses = run_elnn(pooled, train_cfg)
+    else:
+        fit, loss = calibrate_parametric(cfg["method"], pooled, budget=cfg["budget"],
+                                         seed=cfg["seed"])
+    report = calibrate.evaluate_report(fit, pooled, grid, loss)
+    fitted = time.perf_counter()
+    if fit.kind == "elnn":
+        serialize.save_params(fit, out / "params.json")
         serialize.save_loss_trace(out / "loss.csv", losses)
     else:
-        pooled = pooled_slice(slices, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
-                              cfg["seed"])
-        model, loss = calibrate_parametric(cfg["method"], pooled, budget=cfg["budget"],
-                                           seed=cfg["seed"])
-        report = parametric_report(model, pooled, loss, grid=grid)
-        fitted = time.perf_counter()
-        serialize.save_model(model, out / "params.json")
+        serialize.save_model(fit, out / "params.json")
     serialize.save_report(report, out / "report.json")
     serialize.save_report_tables([report], out)
     stages = {"load": loaded - started, "fit": fitted - loaded,
@@ -233,8 +235,12 @@ def cmd_calibrate(args):
     cfg = _merge_config(args)
     if cfg["method"] not in _METHODS:
         raise ValueError(f"'method' must be one of {', '.join(_METHODS)}, got {cfg['method']!r}")
-    # checks the ELNN settings' ranges, whatever the method, before any market is read
+    # checks every setting's range, whatever the method, before any market is read: the
+    # ELNN settings in TrainConfig, then the target's groups and the Merton and Kou budget
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig)})
+    for key in ("n_groups", "group_size", "budget"):
+        if cfg[key] < 1:
+            raise ValueError(f"{key!r} must be at least 1, got {cfg[key]}")
     markets = args.market
     names = [Path(m).name for m in markets]
     if len(set(names)) < len(names):
@@ -243,7 +249,7 @@ def cmd_calibrate(args):
     # that fails to load makes no output directory
     out = Path(args.out)
     targets = [out] if len(markets) == 1 else [out / name for name in names]
-    workers = _max_workers(len(markets)) if len(markets) > 1 else 1
+    workers = _max_workers(len(markets))  # checks ELNN_THREADS whatever the market count
     if workers == 1 or not _FORK_FAN_OUT:
         done = [_calibrate_one(market, target, cfg, train_cfg)
                 for market, target in zip(markets, targets)]
@@ -281,11 +287,8 @@ def cmd_density(args):
     if not keep.any():
         raise ValueError(f"'x_lo' to 'x_hi' ({cfg['x_lo']} to {cfg['x_hi']}) holds no k node "
                          f"of the grid, whose nodes span {x[0]:.6g} to {x[-1]:.6g}")
-    doc = serialize.load_object(cfg["params"])
-    if "model" in doc:
-        dvdx = serialize.model_from_dict(doc, cfg["params"]).density(x)
-    else:
-        _, dvdx = implied_levy_density(serialize.params_from_dict(doc, cfg["params"]), grid)
+    fit = serialize.load_fit(cfg["params"])
+    dvdx = implied_levy_density(fit, grid)[1] if fit.kind == "elnn" else fit.density(x)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_density(out / "density.csv", x[keep], dvdx[keep])

@@ -56,7 +56,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator fl
 
 @dataclass
 class ElnnParams:
-    """Trainable state: volatility through sigma = |s|, plus four weight groups."""
+    """Trainable state: volatility through sigma = |s|, plus four weight groups; as a
+    fitted law it gives a jump model's kind, sigma, lam and phi_shifted(w, T)."""
 
     s: float
     wr0: np.ndarray
@@ -64,9 +65,27 @@ class ElnnParams:
     wi0: np.ndarray
     wi1: np.ndarray
 
+    kind = "elnn"
+
     @property
     def sigma(self):
         return abs(self.s)
+
+    @property
+    def lam(self):
+        """Jump intensity implied by the trained constants: c0 - c1."""
+        c0, c1, _, _ = _constants(self)
+        return c0 - c1
+
+    def phi_shifted(self, w, T):
+        """The model's Phi(w - i) at real frequencies w."""
+        w = np.asarray(w, dtype=float)
+        annr, anni = _networks(w, self)
+        c0, c1, _, _ = _constants(self)
+        # a 0-d w needs 0-d outputs, which unpacking one (5,) array would not give
+        pr, pi = _phi_parts(w, annr, anni, self.sigma, c0, c1, T,
+                            [np.empty_like(w) for _ in range(5)])
+        return pr + 1j * pi
 
     @property
     def n_nodes(self):
@@ -230,17 +249,6 @@ def _phi_parts(w, annr, anni, sigma, c0, c1, T, out):
     np.sin(arg, out=pi)
     pi *= expR
     return pr, pi
-
-
-def phi_model(w, params, T):
-    """Model Phi(w - i) for real frequencies w."""
-    w = np.asarray(w, dtype=float)
-    annr, anni = _networks(w, params)
-    c0, c1, _, _ = _constants(params)
-    # a 0-d w needs 0-d outputs, which unpacking one (5,) array would not give
-    pr, pi = _phi_parts(w, annr, anni, params.sigma, c0, c1, T,
-                        [np.empty_like(w) for _ in range(5)])
-    return pr + 1j * pi
 
 
 class _Workspace(_Nodes):
@@ -409,9 +417,3 @@ def implied_levy_density(params, grid=None):
     annr, anni = _networks(grid.w, params)
     x = grid.k
     return x.copy(), np.exp(-x) * inverse_real(grid, annr + 1j * anni)
-
-
-def implied_lambda(params):
-    """Jump intensity implied by the trained constants: c0 - c1."""
-    c0, c1, _, _ = _constants(params)
-    return c0 - c1

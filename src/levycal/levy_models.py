@@ -149,7 +149,8 @@ class _JumpModel:
     """Levy-Khinchine bookkeeping shared by the jump models.
 
     A model supplies sigma, the mass lam, nu_hat(w) = integral( e^{iwx} nu(dx) ),
-    truncated_mean() and jump_moment(n), all in closed form.
+    truncated_mean() and jump_moment(n), all in closed form.  As a fitted law it
+    gives what ElnnParams gives: kind, sigma, lam and phi_shifted(w, T).
     """
 
     def jump_exponent(self, w):
@@ -165,6 +166,10 @@ class _JumpModel:
         """Drift b = -sigma^2/2 - f(-i) making the discounted asset a martingale."""
         f_mi = self.exp_moment(1.0) - self.lam - self.truncated_mean()
         return -0.5 * self.sigma**2 - f_mi
+
+    def phi_shifted(self, w, T):
+        """Phi(w - i) at real frequencies w."""
+        return parametric_char_shifted(self, w, T)
 
     def triplet(self):
         """The model itself, checked for [a3] finite activity and [a1**] a finite e^{2x} moment.

@@ -123,25 +123,23 @@ def load_model(path):
 _WEIGHTS = tuple(f.name for f in fields(ElnnParams)[1:])
 
 
-def params_to_dict(params):
-    return {"sigma": params.sigma} | {k: list(map(float, getattr(params, k))) for k in _WEIGHTS}
+def save_params(params, path):
+    doc = {"sigma": params.sigma} | {k: list(map(float, getattr(params, k))) for k in _WEIGHTS}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def params_from_dict(doc, where):
-    sigma = field(doc, "sigma", float, where)
-    weights = {k: field(doc, k, list, where) for k in _WEIGHTS}
+def load_fit(path):
+    """The fitted law in a params file: the jump model of a document that names its
+    "model", otherwise network parameters."""
+    doc = load_object(path)
+    if "model" in doc:
+        return model_from_dict(doc, path)
+    sigma = field(doc, "sigma", float, path)
+    weights = {k: field(doc, k, list, path) for k in _WEIGHTS}
     if len({len(v) for v in weights.values()}) > 1:
-        raise ValueError(f"{where}: {', '.join(_WEIGHTS[:-1])} and {_WEIGHTS[-1]} must have the "
+        raise ValueError(f"{path}: {', '.join(_WEIGHTS[:-1])} and {_WEIGHTS[-1]} must have the "
                          "same length")
     return ElnnParams(s=sigma, **weights)
-
-
-def save_params(params, path):
-    Path(path).write_text(json.dumps(params_to_dict(params), indent=2) + "\n")
-
-
-def load_params(path):
-    return params_from_dict(load_object(path), path)
 
 
 # --- curves -------------------------------------------------------------------

@@ -22,8 +22,13 @@ every coordinate at once with np.searchsorted, and the blocked table must
 equal it.  parametric_loss is the Merton and Kou fits' loss before it skipped
 the nodes where a model cannot move it: it evaluates the library's Phi(w - i)
 on every folded node (parametric_loss_terms), and the skipping loss must equal
-it bit for bit.  zeta and call_price are the pricing formulas the module docstring
-of levycal.spectral states.
+it bit for bit.  elnn_report and parametric_report are the two per-kind report
+paths from before every fit reported through one: each gathers its kind's
+label, sigma, lambda and Phi(w - i) on the grid itself (the network's Phi from
+the full-block pass, lambda as c0 - c1) and hands them to the report body of
+that time, which reuses the library's spline and buckets; the report of any
+fitted law must equal them bit for bit.  zeta and call_price are the pricing
+formulas the module docstring of levycal.spectral states.
 """
 
 import math
@@ -34,8 +39,9 @@ from scipy import integrate
 from scipy.special import expit
 from scipy.stats import norm
 
-from levycal import (MarketSlice, SpectralGrid, amplify, parametric_char_shifted,
-                     phi_from_time_values, regrid_time_values, time_value_curve)
+from levycal import (MarketSlice, SpectralGrid, amplify, bucketed_errors,
+                     parametric_char_shifted, phi_from_time_values, regrid_time_values,
+                     time_value_curve, time_values_from_phi)
 from levycal.calibrate import K_BUCKETS, K_EDGES, W_BUCKETS, W_EDGES
 from levycal.elnn import _constants, _loss_and_grad, _Workspace
 from levycal.spectral import _inverse_nodes, spline_on_grid, trapezoid_weights
@@ -402,6 +408,39 @@ def elnn_allocating_epoch(params, w, wts, target_re, target_im, T, config, work=
     g_wi1 = wi0 * (T * (dot_QW[0] - vi * sum_GA_w) + dot_QW[1])
 
     return loss, np.concatenate(([g_s], g_wr0, g_wr1, g_wi0, g_wi1))
+
+
+def _report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
+    """calibrate.evaluate_report when it took the label, sigma, lambda and the grid's
+    Phi(w - i) one by one."""
+    z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
+    target_curve = pooled.spectral
+    keep = np.abs(target_curve.w) < W_EDGES[-1]
+    w_rep = target_curve.w[keep]
+    tgt_rep = target_curve.values[keep]
+    start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))
+    phi_rep = phi_on_grid[start:start + len(w_rep)]
+    return {"label": label, "sigma": sigma, "lambda": lam,
+            "z_rmse": bucketed_errors(pooled.k, z_spline, pooled.z),
+            "phi_re_rmse": bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, kind="spectral"),
+            "phi_im_rmse": bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, kind="spectral"),
+            "final_loss": final_loss}
+
+
+def elnn_report(params, losses, pooled, grid):
+    """The report of a network fit with per-epoch `losses`, as run_elnn made it when it
+    also evaluated the fit: final_loss None after 0 epochs."""
+    c0, c1, _, _ = _constants(params)
+    pr, pi = _allocating_phi_parts(grid.w, ann_r(grid.w, params), ann_i(grid.w, params),
+                                   params.sigma, c0, c1, pooled.T)
+    final_loss = float(losses[-1]) if len(losses) else None
+    return _report("elnn", params.sigma, c0 - c1, pr + 1j * pi, pooled, grid, final_loss)
+
+
+def parametric_report(model, pooled, final_loss, grid):
+    """The report of a jump model, as calibrate.parametric_report made it."""
+    phi_on_grid = parametric_char_shifted(model, grid.w, pooled.T)
+    return _report(model.kind, model.sigma, model.lam, phi_on_grid, pooled, grid, final_loss)
 
 
 def zeta(w, phi_shifted, r, T):

@@ -138,8 +138,33 @@ def test_report_reads_the_spline_by_bucket(merton_model, monkeypatch):
         pooled.k, calibrate.spline_on_grid(grid, z_model)(pooled.k), pooled.z)
     for block in (16_384, 100):
         monkeypatch.setattr(calibrate, "_BLOCK", block)
-        report = calibrate.parametric_report(merton_model, pooled, 1.0, grid=grid)
+        report = calibrate.evaluate_report(merton_model, pooled, grid, 1.0)
         assert report["z_rmse"] == want
+
+
+@pytest.mark.parametrize("kind", ["elnn", "elnn-0-epochs", "merton", "kou", "custom"])
+def test_every_fit_reports_through_one_path(kind, merton_model, kou_model):
+    # evaluate_report reads the label, sigma, lambda and Phi(w - i) off any fitted law;
+    # each kind's report equals the one its own path made, key by key and bit for bit
+    grid = SpectralGrid(n=2**12, dw=0.2)
+    slices = generate_virtual_market(kou_model, 8, 100, T, R,
+                                     noise=NoiseSpec(scale=0.05, seed=3), grid=grid)
+    pooled = calibrate.pooled_slice(slices, grid, 60.0, 2, 500, 0)
+    if kind.startswith("elnn"):
+        cfg = TrainConfig(m_cutoff=60.0, epochs=0 if kind.endswith("epochs") else 40, seed=5)
+        fit, final_loss, losses = run_elnn(pooled, cfg)
+        assert final_loss == (losses[-1] if cfg.epochs else None)
+        want = oracles.elnn_report(fit, losses, pooled, grid)
+    else:
+        fit = {"merton": merton_model, "kou": kou_model,
+               "custom": CustomModel(0.2, [-0.5, -0.05, 0.4], [0.0, 2.0, 0.0])}[kind]
+        final_loss = 1.25
+        want = oracles.parametric_report(fit, pooled, final_loss, grid)
+    report = calibrate.evaluate_report(fit, pooled, grid, final_loss)
+    assert list(report) == list(want)
+    for key in want:  # repr tells every float apart, -0.0 from 0.0 too
+        assert repr(report[key]) == repr(want[key]), key
+    assert report["label"] == kind.split("-")[0]
 
 
 def test_bucketed_length_mismatch():
@@ -480,8 +505,12 @@ def test_run_elnn_smoke_and_determinism(merton_model):
     slices = generate_virtual_market(merton_model, 20, 100, T, R,
                                      noise=NoiseSpec(scale=0.05, seed=11), grid=grid)
     cfg = TrainConfig(m_cutoff=60.0, epochs=60, seed=2)
-    params1, losses1, report1 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
-    params2, losses2, report2 = run_elnn(slices, cfg, grid=grid, n_groups=10, group_size=1000)
+    runs = []
+    for _ in range(2):
+        pooled = calibrate.pooled_slice(slices, grid, cfg.m_cutoff, 10, 1000, cfg.seed)
+        params, final_loss, losses = run_elnn(pooled, cfg)
+        runs.append((params, losses, calibrate.evaluate_report(params, pooled, grid, final_loss)))
+    (params1, losses1, report1), (params2, losses2, report2) = runs
     assert params1.s == params2.s
     np.testing.assert_array_equal(params1.wr0, params2.wr0)
     np.testing.assert_array_equal(losses1, losses2)

@@ -20,7 +20,7 @@ import levycal
 from levycal import CustomModel, ElnnParams, KouModel, MertonModel, cli, moment_table, serialize
 from levycal.cli import _METHODS, main
 from levycal.errors import DivergedLoss
-from levycal.serialize import (load_columns, load_model, load_params, load_time_values,
+from levycal.serialize import (load_columns, load_fit, load_model, load_time_values,
                                save_columns, save_model, save_params, save_time_values)
 
 import oracles
@@ -99,7 +99,7 @@ def test_manifest_lists_nested_outputs(tmp_path):
 
 def test_load_market_pools_the_days_in_file_order(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file, days=5)
-    grid, [pooled] = cli._load_market(market)
+    grid, [pooled] = cli._load_market(market, 60.0)
     days = [load_time_values(f) for f in sorted((market / "slices").glob("*.csv"))]
     assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
     assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
@@ -116,7 +116,7 @@ def test_load_market_grows_and_trims_its_pool(tmp_path, model_file):
     files = sorted((market / "slices").glob("*.csv"))
     for f, rows in zip(files, (50, 150, 0)):
         save_time_values(f, rng.uniform(-0.3, 0.3, rows), rng.uniform(0.0, 0.02, rows))
-    _, [pooled] = cli._load_market(market)
+    _, [pooled] = cli._load_market(market, 60.0)
     days = [load_time_values(f) for f in files]
     assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
     assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
@@ -130,7 +130,7 @@ def test_load_market_names_the_file_and_line_of_a_bad_value(tmp_path, model_file
     lines[7] = "0.1,abc"
     bad.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError) as caught:
-        cli._load_market(market)
+        cli._load_market(market, 60.0)
     assert str(caught.value) == f"{bad}: line 8: could not convert string to float: 'abc'"
 
 
@@ -145,7 +145,7 @@ def test_slice_reader_parses_simulated_markets_in_one_pass(tmp_path, model_file,
     monkeypatch.setattr(serialize, "load_time_values", refuse)
     for batch in (1, 3, 64):
         monkeypatch.setattr(serialize, "_READ_BATCH", batch)
-        _, [pooled] = cli._load_market(market)
+        _, [pooled] = cli._load_market(market, 60.0)
         assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
         assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
 
@@ -232,7 +232,7 @@ def test_calibrate_zero_epochs_echoes_init(tmp_path, model_file):
                  "--method", "elnn", "--epochs", "0", "--m-cutoff", "60",
                  "--n-groups", "4", "--group-size", "200", "--seed", "3"])
     assert code == 0
-    params = load_params(out / "params.json")
+    params = load_fit(out / "params.json")
     assert params.sigma == 0.15  # untouched initialization
     assert (out / "loss.csv").read_text().strip() == "epoch,loss"
     # no epoch ran, so there is no final loss: null, not the bare token NaN that
@@ -299,6 +299,44 @@ def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file):
     assert not out.exists()
 
 
+def _refuse_to_read(monkeypatch):
+    def read(*args):
+        raise AssertionError("a slice file was read")
+
+    monkeypatch.setattr(serialize, "load_time_value_pool", read)
+
+
+@pytest.mark.parametrize("flags", [["--n-groups", "0"], ["--group-size", "0"],
+                                   ["--method", "merton", "--budget", "0"],
+                                   ["--m-cutoff", "0.001"]])
+def test_calibrate_checks_the_fit_settings_before_reading_quotes(tmp_path, model_file, monkeypatch,
+                                                                 capsys, flags):
+    # the market's grid has dw 0.2, so m_cutoff must be at least dw / 8 = 0.025
+    market = tiny_simulate(tmp_path, model_file)
+    _refuse_to_read(monkeypatch)
+    out = tmp_path / "cal"
+    capsys.readouterr()
+    assert main(["calibrate", "--market", str(market), "--out", str(out), *_TINY_ELNN,
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flags[-2][2:].replace("-", "_") in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_markets", [1, 2])
+def test_calibrate_checks_elnn_threads_before_reading_quotes(tmp_path, model_file, monkeypatch,
+                                                             capsys, n_markets):
+    markets = [str(tiny_simulate(tmp_path, model_file, f"m{i}", seed=i)) for i in range(n_markets)]
+    monkeypatch.setenv("ELNN_THREADS", "abc")
+    _refuse_to_read(monkeypatch)
+    out = tmp_path / "cal"
+    capsys.readouterr()
+    assert main(["calibrate", "--market", *markets, "--out", str(out), *_TINY_ELNN]) == 2
+    assert capsys.readouterr().err == (
+        "error: ELNN_THREADS must be a positive integer, got 'abc'\n")
+    assert not out.exists()
+
+
 def _digests(root):
     """sha256 of every file under root but the manifests, by relative path."""
     return {str(p.relative_to(root)): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -350,11 +388,11 @@ def test_fan_out_errors_keep_their_exit_codes(tmp_path, model_file, monkeypatch,
             *_TINY_ELNN]
     real_run_elnn = cli.run_elnn
 
-    def diverge_on_four_days(slices, *args, **kwargs):
+    def diverge_on_four_days(pooled, *args, **kwargs):
         # a market arrives as one pooled slice, so its days show in its quote count
-        if sum(s.k.size for s in slices) == 4 * 40:
+        if pooled.k.size == 4 * 40:
             raise DivergedLoss("loss became non-finite")
-        return real_run_elnn(slices, *args, **kwargs)
+        return real_run_elnn(pooled, *args, **kwargs)
 
     # the forked workers inherit the patch
     with monkeypatch.context() as mp:
@@ -609,10 +647,10 @@ def test_model_file_round_trip(tmp_path, merton_model, kou_model):
                                CustomModel(0.1, x, merton_model.density(x) / 3.0))):
         path = tmp_path / f"model{i}.json"
         save_model(model, path)
-        back = load_model(path)
-        assert type(back) is type(model)
-        for f in dataclasses.fields(model):
-            assert np.array_equal(getattr(back, f.name), getattr(model, f.name)), f.name
+        for back in (load_model(path), load_fit(path)):  # load_fit reads a model file too
+            assert type(back) is type(model)
+            for f in dataclasses.fields(model):
+                assert np.array_equal(getattr(back, f.name), getattr(model, f.name)), f.name
     # the file keys spell lam as lambda, in field order
     save_model(merton_model, tmp_path / "merton.json")
     save_model(kou_model, tmp_path / "kou.json")

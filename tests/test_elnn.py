@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
-                     char_fn, elnn, implied_lambda, implied_levy_density, phi_model, train)
+                     char_fn, elnn, implied_levy_density, train)
 from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _Workspace
 from levycal.errors import DivergedLoss
 from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
@@ -39,7 +39,7 @@ def random_params(rng, n=8, spread=0.6):
 
 def toy_slice(rng, n_w=256, dw=0.5, n_nodes=8, noise=0.05, seed=None):
     w = (np.arange(n_w) - n_w / 2 + 0.5) * dw
-    base = phi_model(w, ElnnParams.init_random(n_nodes, seed=seed or 7), T)
+    base = ElnnParams.init_random(n_nodes, seed=seed or 7).phi_shifted(w, T)
     target = base + noise * (rng.normal(size=n_w) + 1j * rng.normal(size=n_w))
     return SimpleNamespace(T=T, spectral=SpectralCurve(w, target))
 
@@ -53,7 +53,7 @@ def full_grid_nodes(slc):
 def regularizer(p, w, m_cutoff, alpha_reg=4.0):
     """Trapezoid value of integral |w/M|^alpha (ann_r^2 + ann_i^2) dw: the
     objective with beta 1 against the model itself, whose data term is 0."""
-    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, phi_model(w, p, T)))
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, p.phi_shifted(w, T)))
     cfg = TrainConfig(m_cutoff=m_cutoff, alpha_reg=alpha_reg, beta_reg=1.0)
     return elnn_objective(p, slc, cfg)
 
@@ -111,14 +111,14 @@ def test_ann_r_derivative_zero_at_origin(rng):
 def test_phi_model_at_zero_is_exactly_one(rng):
     for _ in range(1000):
         p = random_params(rng, n=6)
-        val = phi_model(np.array([0.0]), p, T)[0]
+        val = p.phi_shifted(np.array([0.0]), T)[0]
         assert abs(val - 1.0) < 1e-15
 
 
 def test_phi_model_pure_diffusion_closed_form():
     n = 5
     p = ElnnParams(0.2, np.zeros(n), np.full(n, 0.3), np.zeros(n), np.full(n, 0.3))
-    val = phi_model(np.array([10.0]), p, T)[0]
+    val = p.phi_shifted(np.array([10.0]), T)[0]
     # exp(T(-sigma^2 w^2/2 + i sigma^2 w/2)) = e^{-0.1} (cos 0.01 + i sin 0.01)
     want = math.exp(-0.1) * complex(math.cos(0.01), math.sin(0.01))
     assert val == pytest.approx(want, abs=1e-12)
@@ -128,7 +128,7 @@ def test_phi_model_pure_diffusion_closed_form():
 
 
 def full_block_phi(w, p):
-    """phi_model from one bump block over all of w, as the allocating epoch builds it."""
+    """phi_shifted from one bump block over all of w, as the allocating epoch builds it."""
     w = np.asarray(w, dtype=float)
     c0, c1, _, _ = _constants(p)
     pr, pi = oracles._allocating_phi_parts(w, ann_r(w, p), ann_i(w, p), p.sigma, c0, c1, T)
@@ -167,8 +167,8 @@ def test_blocked_evaluation_matches_full_block(n_nodes, length, two_d, seed):
     w = np.random.default_rng(seed).uniform(-400.0, 400.0, length)
     if two_d and length % 2 == 0:
         w = w.reshape(2, -1)
-    assert_same_bits(phi_model(w, p, T), full_block_phi(w, p))
-    assert_same_bits(phi_model(float(w.flat[0]), p, T), full_block_phi(float(w.flat[0]), p))
+    assert_same_bits(p.phi_shifted(w, T), full_block_phi(w, p))
+    assert_same_bits(p.phi_shifted(float(w.flat[0]), T), full_block_phi(float(w.flat[0]), p))
     grid = SpectralGrid(2 ** (2 + seed % 13), 0.05 + 0.01 * (seed % 7))
     x, dens = implied_levy_density(p, grid)
     np.testing.assert_array_equal(x, grid.k)
@@ -182,13 +182,13 @@ def test_blocked_evaluation_where_exp_overflows():
     p = random_params(np.random.default_rng(5), n=6)
     p.wr1[:] = p.wi1[:] = 1000.0
     grid = SpectralGrid(2**14, 0.05)
-    assert_same_bits(phi_model(grid.w, p, T), full_block_phi(grid.w, p))
+    assert_same_bits(p.phi_shifted(grid.w, T), full_block_phi(grid.w, p))
     assert_same_bits(implied_levy_density(p, grid)[1], full_block_density(p, grid))
 
 
 _ONE_THREAD_CHECK = """
 import numpy as np
-from levycal import SpectralGrid, implied_levy_density, phi_model
+from levycal import SpectralGrid, implied_levy_density
 from levycal.spectral import _BLOCK
 import test_elnn as t
 
@@ -198,8 +198,8 @@ for n_nodes in (1, 3, 20, 57, 120):
                    _BLOCK + 4, _BLOCK + 5, 2 * _BLOCK + 3, 3 * _BLOCK + 7, 5001):
         print(n_nodes, length)
         w = np.random.default_rng(length).uniform(-400.0, 400.0, length)
-        t.assert_same_bits(phi_model(w, p, t.T), t.full_block_phi(w, p))
-        t.assert_same_bits(phi_model(w.reshape(1, -1), p, t.T), t.full_block_phi(w, p)[None])
+        t.assert_same_bits(p.phi_shifted(w, t.T), t.full_block_phi(w, p))
+        t.assert_same_bits(p.phi_shifted(w.reshape(1, -1), t.T), t.full_block_phi(w, p)[None])
     grid = SpectralGrid(2**14, 0.05)
     t.assert_same_bits(implied_levy_density(p, grid)[1], t.full_block_density(p, grid))
 """
@@ -223,7 +223,7 @@ def test_network_evaluation_memory_is_one_block():
     p = ElnnParams.init_random(100, 0)
     w = grid.w
     full_block = 2 * (2 * p.n_nodes) * grid.n * 8
-    for evaluate in (lambda: phi_model(w, p, T), lambda: implied_levy_density(p, grid)):
+    for evaluate in (lambda: p.phi_shifted(w, T), lambda: implied_levy_density(p, grid)):
         tracemalloc.start()
         try:
             evaluate()
@@ -292,7 +292,7 @@ def test_regularizer_reflection_invariant(rng, default_grid):
     p = random_params(rng)
     w = default_grid.w
     # the data term against the model itself is exactly 0
-    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, phi_model(w, p, T)))
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, p.phi_shifted(w, T)))
     assert elnn_objective(p, slc, TrainConfig(m_cutoff=10.0, beta_reg=0.0)) == 0.0
     assert regularizer(p, w, 10.0) == pytest.approx(regularizer(p, -w[::-1], 10.0), rel=1e-13)
 
@@ -309,7 +309,7 @@ def test_regularizer_matches_quadrature(default_grid):
 def test_objective_zero_at_truth(rng):
     w = (np.arange(128) - 64 + 0.5) * 0.5
     p = random_params(rng, n=4)
-    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, phi_model(w, p, T)))
+    slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, p.phi_shifted(w, T)))
     cfg = TrainConfig(m_cutoff=20.0, epochs=1, beta_reg=0.0)
     assert elnn_objective(p, slc, cfg) == pytest.approx(0.0, abs=1e-25)
 
@@ -333,7 +333,7 @@ def test_objective_matches_plain_summation(rng):
     total = 0.0
     for i, wi in enumerate(w):
         weight = dw * (0.5 if i in (0, len(w) - 1) else 1.0)
-        model = phi_model(np.array([wi]), p, T)[0]
+        model = p.phi_shifted(np.array([wi]), T)[0]
         diff = model - 0.5 * (values[i] + np.conj(values[len(w) - 1 - i]))
         rho = abs(wi / cfg.m_cutoff) ** cfg.alpha_reg
         reg = rho * (float(ann_r(wi, p)) ** 2 + float(ann_i(wi, p)) ** 2)
@@ -545,7 +545,7 @@ def test_folded_training_matches_full_grid_loss(rng):
     # on a conjugate-symmetric target the fold drops nothing: train's loss is
     # the full-grid loss of the reference implementation
     w = (np.arange(128) - 64 + 0.5) * 0.5
-    truth = phi_model(w, ElnnParams.init_random(6, seed=21), T)
+    truth = ElnnParams.init_random(6, seed=21).phi_shifted(w, T)
     slc = SimpleNamespace(T=T, spectral=SpectralCurve(w, truth))
     cfg = TrainConfig(m_cutoff=20.0, epochs=3, seed=4)
     init = ElnnParams.init_random(cfg.n_nodes, seed=cfg.seed)
@@ -632,16 +632,26 @@ def test_implied_density_zero_weights(default_grid):
     p = ElnnParams(0.2, np.zeros(n), np.full(n, 0.3), np.zeros(n), np.full(n, 0.3))
     x, dens = implied_levy_density(p, default_grid)
     np.testing.assert_array_equal(dens, np.zeros(default_grid.n))
-    assert implied_lambda(p) == 0.0
+    assert p.lam == 0.0
+
+
+@given(n_nodes=st.integers(1, 40), seed=st.integers(0, 2**32 - 1),
+       spread=st.floats(1e-6, 50.0))
+def test_lam_is_c0_minus_c1(n_nodes, seed, spread):
+    # the jump intensity a fit reports is c0 - c1 of the derived constants, exactly
+    p = random_params(np.random.default_rng(seed), n=n_nodes, spread=spread)
+    c0, c1, _, _ = _constants(p)
+    assert p.lam == c0 - c1
+    assert p.kind == "elnn" and p.sigma == abs(p.s)
 
 
 def test_params_roundtrip_via_json(tmp_path, rng):
-    from levycal.serialize import load_params, save_params
+    from levycal.serialize import load_fit, save_params
 
     p = random_params(rng)
     p = ElnnParams(abs(p.s), p.wr0, p.wr1, p.wi0, p.wi1)
     save_params(p, tmp_path / "p.json")
-    q = load_params(tmp_path / "p.json")
+    q = load_fit(tmp_path / "p.json")
     assert q.sigma == p.sigma
     np.testing.assert_array_equal(q.wr0, p.wr0)
     np.testing.assert_array_equal(q.wi1, p.wi1)
