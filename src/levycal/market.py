@@ -136,7 +136,9 @@ class VirtualMarket:
         k = rng.uniform(self.k_lo, self.k_hi, self.per_day)
         z_clean = np.maximum(self.spline(k), 0.0)
         z_noisy = z_clean + rng.normal(0.0, 1.0, self.per_day) * (self.noise.scale * z_clean)
-        return MarketSlice(f"day-{day:04d}", self.T, self.r, k, np.maximum(z_noisy, 0.0))
+        # every label as wide as the last day's, so the labels sort in day order
+        width = max(4, len(str(self.days - 1)))
+        return MarketSlice(f"day-{day:0{width}d}", self.T, self.r, k, np.maximum(z_noisy, 0.0))
 
 
 class AmplifiedGroups:

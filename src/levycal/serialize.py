@@ -164,16 +164,7 @@ def load_columns(path, expected_header=None):
     header = lines[0].split(",")
     if expected_header is not None and header != list(expected_header):
         raise ValueError(f"{path}: expected header {expected_header}, got {header}")
-    rows = lines[1:]
-    # numpy parses each string as float() does; when a row is ragged or a value
-    # bad, the rows are parsed again one by one to name the first bad line
-    try:
-        if any(row.count(",") != len(header) - 1 for row in rows):
-            raise ValueError
-        data = np.array(",".join(rows).split(",") if rows else [], dtype=float)
-    except ValueError:
-        data = _parse_rows(path, rows, len(header), header_line + 1)
-    data = data.reshape(-1, len(header))
+    data = _parse_rows(path, lines[1:], len(header), header_line + 1).reshape(-1, len(header))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: line {bad[0] + header_line + 1}: non-finite value")
@@ -181,15 +172,15 @@ def load_columns(path, expected_header=None):
 
 
 def _parse_rows(path, rows, width, first):
-    """The values of the CSV rows, the first on line `first`, parsed line by line to name
-    the first bad line."""
+    """The values of the CSV rows, the first on line `first`, each parsed by float(); an
+    error names the first ragged or bad line."""
     values = []
     for line_no, line in enumerate(rows, start=first):
         row = line.split(",")
         if len(row) != width:
             raise ValueError(f"{path}: line {line_no}: expected {width} values, got {len(row)}")
         try:
-            values += [float(v) for v in row]
+            values += map(float, row)
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from None
     return np.array(values, dtype=float)

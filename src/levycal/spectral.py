@@ -32,8 +32,8 @@ DEFAULT_N = 2**14
 DEFAULT_DW = 0.05
 
 _RESIDUE_LIMIT = 1e-6
-# nodes, query points or rows per block of a step whose temporaries would
-# otherwise grow with its input: the networks' bumps, the spline's solve and terms
+# nodes or query points per block of a step whose temporaries would otherwise
+# grow with its input: the networks' bumps and the spline's terms
 _BLOCK = 2048
 
 
@@ -209,8 +209,8 @@ def spline_on_grid(grid, z):
     the start-up time of importing scipy.interpolate.  Every step repeats
     SciPy's arithmetic in SciPy's order: the same bands and right-hand side,
     LAPACK gtsv's elimination and back-substitution for the slopes, and
-    PPoly's coefficients and evaluation sum.  The solve runs over blocks of
-    _BLOCK rows, so it holds Python floats for one block at a time.
+    PPoly's coefficients and evaluation sum.  The solve reads and writes its
+    float64 bands through memoryviews, so it holds no grid-sized list.
     """
     k = grid.k
     z = np.asarray(z, dtype=float)
@@ -226,34 +226,26 @@ def spline_on_grid(grid, z):
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h1 + dx[-1]) * dx[-2] * slope[-1]) / h1
 
-    # gtsv's elimination, then its back-substitution, over blocks of rows: the
-    # last modified diagonal di and right-hand side bi carry into the next block,
-    # and so do the last two slopes s0 and s1
-    di, bi = float(d[0]), float(b[0])
-    for start in range(1, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
-        dblk, bblk = d[start:stop].tolist(), b[start:stop].tolist()
-        dlblk, dublk = dl[start - 1:stop - 1].tolist(), du[start - 1:stop - 1].tolist()
-        for j in range(stop - start):
-            # gtsv swaps rows i and i + 1 unless |d_i| >= |dl_i|; on a uniform grid
-            # the diagonal always dominates, so it never does, and neither do we
-            assert abs(di) >= abs(dlblk[j])
-            fact = dlblk[j] / di
-            di = dblk[j] = dblk[j] - fact * dublk[j]
-            bi = bblk[j] = bblk[j] - fact * bi
-        d[start:stop], b[start:stop] = dblk, bblk
+    # gtsv's elimination, then its back-substitution, row by row through memoryviews
+    # of the float64 arrays, which read and write one Python float at a time
     s = np.empty(n)
-    s1 = bi / di  # the last row's
-    s0 = (float(b[-2]) - float(du[-1]) * s1) / float(d[-2])
-    s[-2:] = s0, s1
-    for stop in range(n - 2, 0, -_BLOCK):
-        start = max(stop - _BLOCK, 0)
-        sblk, dublk, dblk = (a[start:stop].tolist() for a in (b, du, d))
-        for j in range(stop - start - 1, -1, -1):
+    with (memoryview(d) as dv, memoryview(du) as duv, memoryview(dl) as dlv,
+          memoryview(b) as bv, memoryview(s) as sv):
+        d_j, b_j = dv[0], bv[0]
+        for j, dl_j, du_j in zip(range(n - 1), dlv, duv):
+            # gtsv swaps rows j and j + 1 unless |d_j| >= |dl_j|; on a uniform grid
+            # the diagonal always dominates, so it never does, and neither do we
+            assert abs(d_j) >= abs(dl_j)
+            fact = dl_j / d_j
+            d_j = dv[j + 1] = dv[j + 1] - fact * du_j
+            b_j = bv[j + 1] = bv[j + 1] - fact * b_j
+        s1 = sv[n - 1] = b_j / d_j
+        s0 = sv[n - 2] = (bv[n - 2] - duv[n - 2] * s1) / dv[n - 2]
+        for j, b_j, du_j, d_j in zip(range(n - 3, -1, -1), bv[n - 3::-1], duv[n - 3::-1],
+                                     dv[n - 3::-1]):
             # gtsv's fill-in without row swaps is 0.0, which can still flip the sign of a zero
-            s0, s1 = (sblk[j] - dublk[j] * s0 - 0.0 * s1) / dblk[j], s0
-            sblk[j] = s0
-        s[start:stop] = sblk
+            s0, s1 = (b_j - du_j * s0 - 0.0 * s1) / d_j, s0
+            sv[j] = s0
     del d, du, dl, b
 
     t = (s[:-1] + s[1:] - 2 * slope) / dx

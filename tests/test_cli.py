@@ -604,19 +604,24 @@ def test_rerun_is_byte_identical_beyond_simulate(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file)
     cal = ["calibrate", "--market", str(market), "--m-cutoff", "60", "--n-groups", "2",
            "--group-size", "200"]
+    prices = tmp_path / "prices.csv"
+    closes = 100 * np.exp(np.cumsum(np.random.default_rng(0).normal(0, 0.01, 200)))
+    prices.write_text("close\n" + "\n".join(f"{p:.10f}" for p in closes) + "\n")
 
     def run(root):
         for argv in (cal + ["--epochs", "5", "--out", f"{root}/elnn"],
                      cal + ["--method", "merton", "--budget", "300", "--out", f"{root}/merton"],
                      ["density", "--params", f"{root}/elnn/params.json", "--out", f"{root}/dens"],
                      ["report", "--runs", f"{root}/elnn", f"{root}/merton", "--out",
-                      f"{root}/report"]):
+                      f"{root}/report"],
+                     ["moments", "--prices", str(prices), "--model", str(model_file), "--out",
+                      f"{root}/moments"]):
             assert main(argv) == 0, argv
         return {str(f.relative_to(root)): f.read_bytes() for f in sorted(root.rglob("*"))
                 if f.is_file() and f.name != "manifest.json"}
 
     first, second = run(tmp_path / "a"), run(tmp_path / "b")
-    assert len(first) == 16
+    assert len(first) == 17
     assert first == second
     # report.json is calibrate's report document; report merges the documents unchanged
     docs = [json.loads(first[f"{fit}/report.json"]) for fit in ("elnn", "merton")]

@@ -71,6 +71,17 @@ def test_virtual_market_draws_each_day_when_read(merton_model, default_grid):
             market[i]
 
 
+def test_day_labels_sort_in_day_order(merton_model, default_grid):
+    # cli reads a market's slice files in sorted name order, so from day 10,000 on every
+    # label takes the last day's width; a market of up to 10,000 days keeps 4 digits
+    market = generate_virtual_market(merton_model, 10_001, 1, T, R, grid=default_grid)
+    labels = [market[i].label for i in range(len(market))]
+    assert labels == sorted(labels)
+    assert labels[0] == "day-00000" and labels[-1] == "day-10000"
+    assert generate_virtual_market(merton_model, 10_000, 1, T, R,
+                                   grid=default_grid)[-1].label == "day-9999"
+
+
 def test_day_stream_is_the_spawned_stream():
     # day i draws from SeedSequence(seed, spawn_key=(i,)), which is spawn(days)[i]
     for seed in (0, 7, 2**40 + 3):

@@ -227,9 +227,9 @@ def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng, mo
 
     x = np.linspace(-0.5, 0.5, 41)
     custom = CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2)
-    # the solve runs over blocks of _BLOCK rows; blocks of 3 and 5 rows carry the
-    # elimination and the slopes across thousands of block edges, and leave partial
-    # last blocks next to both ends' special rows
+    # the spline evaluates its query points over blocks of _BLOCK points; blocks of 3
+    # and 5 points put thousands of block edges among the strikes, the knots and the
+    # points beyond both ends, and leave partial last blocks
     for block in (_BLOCK, 3, 5):
         monkeypatch.setattr(spectral, "_BLOCK", block)
         for grid in (SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)):
@@ -283,9 +283,10 @@ def test_grid_spline_memory_is_its_output_plus_one_block(merton_model):
 
 
 def test_grid_spline_build_holds_no_grid_sized_list(merton_model):
-    # the spline keeps four coefficients per node, 32 bytes; the solve's bands and
-    # right-hand side are float64 arrays read a block of rows at a time, where
-    # Python lists of floats over the whole grid took 192 bytes per node
+    # the spline keeps four coefficients per node, 32 bytes; the solve's bands,
+    # right-hand side and slopes are float64 arrays read and written one row at a time
+    # through memoryviews, where Python lists of floats over the whole grid took 192
+    # bytes per node
     grid = SpectralGrid(2**16, 0.0125)
     _, z = time_value_curve(merton_model.triplet(), T, R, grid)
     tracemalloc.start()
