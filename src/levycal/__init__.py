@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .levy_models import (CumulantSet, CustomModel, KouModel, MertonModel, char_fn, cumulants,
+from .levy_models import (CumulantSet, CustomModel, KouModel, MertonModel, cumulants,
                           f_exponent, parametric_char_shifted)
 from .spectral import (SpectralCurve, SpectralGrid, phi_from_time_values, regrid_time_values,
                        time_value_curve, time_values_from_phi)

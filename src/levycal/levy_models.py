@@ -75,14 +75,8 @@ def f_exponent(w, density, support):
     return total[0] if np.isscalar(w) or np.ndim(w) == 0 else total
 
 
-def char_fn(w, model, T):
-    """Characteristic function Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w)))."""
-    _check_strip(w)
-    return _char_in_strip(np.asarray(w, dtype=complex), model, T)
-
-
 def _char_in_strip(w_arr, model, T):
-    """char_fn at a complex array already known to lie in the strip."""
+    """Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w))) at a complex array in the strip."""
     if T <= 0:
         raise ValueError("T must be positive")
     f_w = model.jump_exponent(w_arr)
@@ -377,7 +371,7 @@ def _segment_moment(c, h, m, beta, n):
 
 def parametric_char_shifted(model, w, T):
     """Phi(w - i) at real frequencies w, the curve every fit compares with its target."""
-    # Im(w - i) = -1 at every real w, inside the strip, so char_fn's check is skipped
+    # Im(w - i) = -1 at every real w, inside the strip, so no strip check is needed
     return _char_in_strip(np.asarray(w, dtype=float) - 1j, model, T)
 
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
-from .levy_models import char_fn
 
 DEFAULT_N = 2**14
 DEFAULT_DW = 0.05
@@ -167,15 +166,17 @@ def time_values_from_phi(phi_shifted, r, T, grid):
     return z_regular + singular
 
 
-def time_value_curve(triplet, T, r, grid=None):
-    """Time values z(k) on the grid's k nodes for a martingale triplet.
+def time_value_curve(law, T, r, grid=None):
+    """Time values z(k) on the grid's k nodes for a fitted law.
 
-    Returns (k, z) arrays.  Raises ResidueTooLarge as inverse_real does, when
-    the imaginary residue of the inverse transform exceeds _RESIDUE_LIMIT,
-    which signals a grid too coarse for the model at hand.
+    The law is a jump model or ElnnParams: anything with phi_shifted(w, T),
+    its Phi(w - i) at real frequencies.  Returns (k, z) arrays.  Raises
+    ResidueTooLarge as inverse_real does, when the imaginary residue of the
+    inverse transform exceeds _RESIDUE_LIMIT, which signals a grid too coarse
+    for the law at hand.
     """
     grid = grid or SpectralGrid()
-    phi = char_fn(grid.w - 1j, triplet, T)
+    phi = law.phi_shifted(grid.w, T)
     return grid.k.copy(), time_values_from_phi(phi, r, T, grid)
 
 

@@ -526,8 +526,7 @@ def test_spectral_target_averages_groups(merton_model):
     slices = generate_virtual_market(merton_model, 10, 200, T, R,
                                      noise=NoiseSpec(scale=0.0, seed=1), grid=grid)
     target = spectral_target(amplify(slices, n_groups=4, group_size=500, seed=3), grid)
-    from levycal import char_fn
-    truth = char_fn(grid.w - 1j, merton_model.triplet(), T)
+    truth = merton_model.triplet().phi_shifted(grid.w, T)
     mask = np.abs(grid.w) <= 30
     assert np.max(np.abs(target.values - truth)[mask]) < 0.02
 

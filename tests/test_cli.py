@@ -843,7 +843,9 @@ def test_exit_code_on_bad_config(tmp_path, model_file, capsys):
     cfg.write_text(json.dumps({"m_cutoff": 60, "epochs": 1}))
     assert main(["calibrate", "--market", str(market), "--config", str(cfg),
                  "--out", str(tmp_path / "int"), "--n-groups", "2", "--group-size", "100"]) == 0
-    # the worker cap is read only when several markets fan out
+    # a bad worker cap is an error; calibrate checks it whatever the market count
+    # (test_calibrate_checks_elnn_threads_before_reading_quotes pins one market), and
+    # here two markets would fan out
     other = tiny_simulate(tmp_path, model_file, "other")
     with pytest.MonkeyPatch.context() as mp:
         for cap in ("abc", "0", "-2"):

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
-                     char_fn, elnn, implied_levy_density, train)
+                     elnn, implied_levy_density, train)
 from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _Workspace
 from levycal.errors import DivergedLoss
 from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
@@ -604,7 +604,7 @@ def test_target_needs_symmetric_grid(rng, w):
 @pytest.fixture(scope="module")
 def merton_quick_fit(merton_triplet):
     grid = SpectralGrid()
-    curve = SpectralCurve(grid.w, char_fn(grid.w - 1j, merton_triplet, T)).clip(100.0)
+    curve = SpectralCurve(grid.w, merton_triplet.phi_shifted(grid.w, T)).clip(100.0)
     slc = SimpleNamespace(T=T, spectral=curve)
     cfg = TrainConfig(m_cutoff=100.0, epochs=4000, seed=0)
     params, losses = train(slc, cfg)

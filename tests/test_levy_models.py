@@ -7,11 +7,11 @@ from scipy import integrate
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from levycal import (CustomModel, KouModel, MertonModel, char_fn, cumulants, f_exponent,
+from levycal import (CustomModel, KouModel, MertonModel, cumulants, f_exponent,
                      parametric_char_shifted)
 from levycal.calibrate import _BOXES
 from levycal.errors import NonFinite
-from levycal.levy_models import _MAXLOG, _ndtr
+from levycal.levy_models import _MAXLOG, _char_in_strip, _ndtr
 
 import oracles
 
@@ -84,10 +84,6 @@ def test_f_exponent_strip_validation(merton_model):
         f_exponent(1.0 + 0.5j, merton_model.density, oracles.support(merton_model))
     with pytest.raises(ValueError):
         f_exponent(1.0 - 2.5j, merton_model.density, oracles.support(merton_model))
-    # char_fn keeps the check for complex callers
-    for w in (1.0 + 0.5j, 1.0 - 2.5j):
-        with pytest.raises(ValueError):
-            char_fn(np.array([0.0, w]), merton_model, 0.05)
 
 
 def quad_drift(model):
@@ -122,27 +118,27 @@ def test_triplet_drift_consistency(merton_model, kou_model):
 
 def test_char_fn_at_zero_is_one(merton_triplet, kou_triplet):
     for trip in (merton_triplet, kou_triplet):
-        val = char_fn(np.array([0.0]), trip, 0.05)[0]
+        val = _char_in_strip(np.array([0.0 + 0j]), trip, 0.05)[0]
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-14)
 
 
 def test_char_fn_martingale_identity(merton_triplet, kou_triplet):
     for trip in (merton_triplet, kou_triplet):
-        val = char_fn(np.array(-1j), trip, 0.05)
+        val = _char_in_strip(np.array(-1j), trip, 0.05)
         assert abs(complex(val) - 1.0) < 1e-8
 
 
 def test_char_fn_parity(merton_triplet):
     w = np.array([0.5, 3.0, 17.0, 80.0])
-    plus = char_fn(w, merton_triplet, 0.05)
-    minus = char_fn(-w, merton_triplet, 0.05)
+    plus = _char_in_strip(w + 0j, merton_triplet, 0.05)
+    minus = _char_in_strip(-w + 0j, merton_triplet, 0.05)
     np.testing.assert_allclose(minus.real, plus.real, rtol=0, atol=1e-15)
     np.testing.assert_allclose(minus.imag, -plus.imag, rtol=0, atol=1e-15)
 
 
 def test_char_fn_monte_carlo(merton_triplet, merton_model):
     est, se_re, se_im = oracles.mc_char_fn(merton_model, 10.0, 0.05)
-    val = complex(char_fn(np.array([10.0]), merton_triplet, 0.05)[0])
+    val = complex(_char_in_strip(np.array([10.0 + 0j]), merton_triplet, 0.05)[0])
     assert abs(val.real - est.real) < 3 * se_re
     assert abs(val.imag - est.imag) < 3 * se_im
 
@@ -152,7 +148,7 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
     for model in (merton_model, kou_model):
         trip = model.triplet()
         w = rng.uniform(-100, 100, 20)
-        closed = char_fn(w, trip, 0.05)
+        closed = _char_in_strip(w + 0j, trip, 0.05)
         psi = (-0.5 * model.sigma**2 * w**2 + 1j * trip.drift() * w
                + f_exponent(w + 0j, model.density, oracles.support(model)))
         via_quad = np.exp(0.05 * psi)
@@ -161,21 +157,22 @@ def test_char_fn_closed_form_vs_quadrature(merton_model, kou_model, rng):
 
 def test_char_fn_rejects_bad_T(merton_triplet):
     with pytest.raises(ValueError):
-        char_fn(np.array([1.0]), merton_triplet, 0.0)
+        _char_in_strip(np.array([1.0 + 0j]), merton_triplet, 0.0)
     with pytest.raises(ValueError):
         parametric_char_shifted(merton_triplet, np.array([1.0]), 0.0)
 
 
 @pytest.mark.parametrize("n", [0, 1, 7, 1024])
 def test_parametric_char_shifted_is_char_fn_at_w_minus_i(merton_model, kou_model, n):
-    # it skips char_fn's strip check, which Im(w - i) = -1 always passes, and gives the
-    # same floats; no frequencies give an empty curve, as a fit's loss asks when it
-    # skips every node
+    # it gives the floats of Phi at the complex array w - i, the strip check that
+    # Im(w - i) = -1 always passes left out, and every jump model prices through it;
+    # no frequencies give an empty curve, as a fit's loss asks when it skips every node
     w = np.linspace(0.25, 400.0, n)
     for model in (merton_model, kou_model, custom_tables()[1]):
         shifted = parametric_char_shifted(model, w, 0.05)
         assert shifted.shape == (n,) and shifted.dtype == complex
-        np.testing.assert_array_equal(shifted, char_fn(w - 1j, model, 0.05))
+        np.testing.assert_array_equal(shifted, _char_in_strip(w - 1j, model, 0.05))
+        np.testing.assert_array_equal(model.phi_shifted(w, 0.05), shifted)
 
 
 def test_cumulants_pure_diffusion():
@@ -338,7 +335,7 @@ def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_mode
     for model in (merton_model, kou_model):
         trip = model.triplet()
         assert trip.lam == model.lam
-        char_fn(np.array([0.5 - 1j]), trip, 0.05)
+        trip.phi_shifted(np.array([0.5]), 0.05)
         cumulants(trip, 1.0 / 252)
     with pytest.raises(NonFinite):
         MertonModel(sigma=0.2, lam=float("inf"), mu=-0.05, delta=0.05).triplet()

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from levycal import (CustomModel, MertonModel, SpectralCurve, SpectralGrid, char_fn,
+from levycal import (CustomModel, ElnnParams, MertonModel, SpectralCurve, SpectralGrid,
                      phi_from_time_values, regrid_time_values, spectral, time_value_curve,
                      time_values_from_phi)
 from levycal.errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
+from levycal.levy_models import _char_in_strip
 from levycal.spectral import _BLOCK, spline_on_grid
 
 import oracles
@@ -43,7 +44,7 @@ def test_zeta_degenerate_phi_is_zero():
 
 def test_zeta_near_zero_bounded(merton_triplet, default_grid):
     w_min = default_grid.w[np.argmin(np.abs(default_grid.w))]
-    phi = char_fn(np.array([w_min]) - 1j, merton_triplet, T)
+    phi = merton_triplet.phi_shifted(np.array([w_min]), T)
     val = zeta(np.array([w_min]), phi, R, T)[0]
     assert np.isfinite(val.real) and np.isfinite(val.imag)
     assert abs(val) < 1.0
@@ -55,7 +56,7 @@ def test_zeta_rejects_zero_frequency():
 
 
 def test_zeta_against_transform_oracle(merton_triplet):
-    phi = char_fn(np.array([5.0]) - 1j, merton_triplet, T)
+    phi = merton_triplet.phi_shifted(np.array([5.0]), T)
     val = zeta(np.array([5.0]), phi, R, T)[0]
     assert val == pytest.approx(ZETA_AT_5, abs=1e-9)
 
@@ -96,6 +97,22 @@ def test_time_value_vs_series_oracle(merton_model, merton_triplet, default_grid)
                                rtol=0, atol=1e-10)
 
 
+@pytest.mark.parametrize("grid", [SpectralGrid(2**10, 0.1), SpectralGrid(2**14, 0.05)],
+                         ids=["2^10", "2^14"])
+def test_time_value_curve_prices_every_fitted_law(merton_model, kou_model, grid):
+    # every fitted law, jump model or network, prices through its phi_shifted(w, T); a
+    # jump model's curve keeps the floats of Phi at the complex array w - i
+    for t, r in ((T, R), (0.25, 0.0)):
+        for model in (merton_model, kou_model, _custom_model()):
+            k, z = time_value_curve(model.triplet(), t, r, grid)
+            want = time_values_from_phi(_char_in_strip(grid.w - 1j, model, t), r, t, grid)
+            assert k.tobytes() == grid.k.tobytes() and z.tobytes() == want.tobytes()
+        params = ElnnParams.init_random(20, 0)
+        _, z = time_value_curve(params, t, r, grid)
+        want = time_values_from_phi(params.phi_shifted(grid.w, t), r, t, grid)
+        assert z.tobytes() == want.tobytes()
+
+
 def test_time_value_nonnegative(merton_triplet, kou_triplet, default_grid):
     for trip in (merton_triplet, kou_triplet):
         _, z = time_value_curve(trip, T, R, default_grid)
@@ -113,7 +130,7 @@ def test_residue_check_fires(default_grid):
 def test_roundtrip_merton(merton_triplet, default_grid):
     k, z = time_value_curve(merton_triplet, T, R, default_grid)
     curve = phi_from_time_values(z, R, T, default_grid)
-    truth = char_fn(curve.w - 1j, merton_triplet, T)
+    truth = merton_triplet.phi_shifted(curve.w, T)
     mask = np.abs(curve.w) <= 100.0
     assert np.max(np.abs(curve.values[mask] - truth[mask])) < 1e-3
 
@@ -121,7 +138,7 @@ def test_roundtrip_merton(merton_triplet, default_grid):
 def test_roundtrip_kou(kou_triplet, default_grid):
     k, z = time_value_curve(kou_triplet, T, R, default_grid)
     curve = phi_from_time_values(z, R, T, default_grid)
-    truth = char_fn(curve.w - 1j, kou_triplet, T)
+    truth = kou_triplet.phi_shifted(curve.w, T)
     mask = np.abs(curve.w) <= 55.0
     assert np.max(np.abs(curve.values[mask] - truth[mask])) < 1e-3
 
@@ -222,22 +239,31 @@ def test_regrid_insufficient_support(merton_triplet, default_grid, rng):
         regrid_time_values(k_full[sel], z_full[sel], default_grid)
 
 
+def _custom_model():
+    """A 41-point table: a Gaussian bump of jumps centred at -0.05."""
+    x = np.linspace(-0.5, 0.5, 41)
+    return CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2)
+
+
 def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng, monkeypatch):
     from scipy.interpolate import CubicSpline
 
-    x = np.linspace(-0.5, 0.5, 41)
-    custom = CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2)
     # the spline evaluates its query points over blocks of _BLOCK points; blocks of 3
     # and 5 points put thousands of block edges among the strikes, the knots and the
-    # points beyond both ends, and leave partial last blocks
-    for block in (_BLOCK, 3, 5):
+    # points beyond both ends, and leave partial last blocks.  Where the edges fall
+    # depends only on the number of query points, so the small blocks run on one grid
+    # and one model, every grid and model at _BLOCK
+    every = ((SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)),
+             (merton_model, kou_model, _custom_model()))
+    small = ((SpectralGrid(1024, 0.1),), (kou_model,))
+    for block, (grids, models) in ((_BLOCK, every), (3, small), (5, small)):
         monkeypatch.setattr(spectral, "_BLOCK", block)
-        for grid in (SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)):
+        for grid in grids:
             # random strikes, every knot, and points just and far beyond both ends
             beyond = np.array([1e-12, 1e-3, 0.5, 10.0])
             q = np.concatenate([rng.uniform(-0.4, 0.4, 20_000), grid.k,
                                 grid.k[0] - beyond, grid.k[-1] + beyond])
-            for model in (merton_model, kou_model, custom):
+            for model in models:
                 k, z = time_value_curve(model.triplet(), T, R, grid)
                 np.testing.assert_array_equal(spline_on_grid(grid, z)(q), CubicSpline(k, z)(q))
         # signed zeros too: the same bits, not only equal values.  The first curve falls
@@ -309,7 +335,7 @@ def test_regrid_noisy_phi_within_propagated_band(merton_model, merton_triplet, d
     z_noisy = np.maximum(z_true + rng.normal(0, 1, n) * 0.05 * z_true, 0.0)
     z_binned = regrid_time_values(k, z_noisy, default_grid)
     curve = phi_from_time_values(z_binned, R, T, default_grid)
-    truth = char_fn(curve.w - 1j, merton_triplet, T)
+    truth = merton_triplet.phi_shifted(curve.w, T)
 
     # propagate the per-bin noise variance through the forward transform;
     # each component of F[noise](w) is Gaussian with variance dk^2 sum(var)/2
@@ -340,7 +366,7 @@ def test_refinement_ratio(merton_model, merton_triplet):
 
 def test_plancherel_identity(merton_triplet, kou_triplet, default_grid):
     def phi_of(trip):
-        return lambda u: char_fn(u, trip, T)
+        return lambda u: _char_in_strip(u, trip, T)
 
     lhs, rhs = plancherel_gap(phi_of(merton_triplet), phi_of(merton_triplet), default_grid)
     assert lhs == 0.0 and rhs == 0.0
