@@ -1,13 +1,13 @@
 """End-to-end calibration drivers, bucketed error reports and stability tables.
 
-Network and parametric fits share one pooled slice.  amplify pools the raw
-daily slices once; the pooled slice holds that pool as its quotes, and its
-target comes from the synthetic groups resampled from it: each group is
-regridded onto the k nodes, and the mean of the regridded curves is
-Fourier-transformed once into Phi*(w - i).  That equals the average of the
-groups' own transforms because the transform is affine in z, and training
-against the group average carries exactly the full-batch gradient of training
-on every group at once.
+Network and parametric fits share one pooled slice.  A market's daily slices
+are pooled once, as it is loaded; the pooled slice holds that pool as its
+quotes, and its target comes from the synthetic groups amplify resamples
+from it: each group is regridded onto the k nodes, and the mean of the
+regridded curves is Fourier-transformed once into Phi*(w - i).  That equals
+the average of the groups' own transforms because the transform is affine in
+z, and training against the group average carries exactly the full-batch
+gradient of training on every group at once.
 Parametric fits minimize the same folded trapezoid L2 spectral loss as the
 network (SpectralCurve.fold), without the regularizer, by Nelder-Mead from
 five starts that share one budget of loss evaluations, inside a box of
@@ -310,7 +310,7 @@ def spectral_target(groups, grid):
     z_sum = np.zeros(grid.n)
     for g in groups:
         z_sum += regrid_time_values(g.k, g.z, grid)
-    return phi_from_time_values(z_sum / len(groups), groups.r, groups.T, grid)
+    return phi_from_time_values(z_sum / len(groups), groups.market.r, groups.market.T, grid)
 
 
 def check_cutoff(m_cutoff, grid):
@@ -322,16 +322,16 @@ def check_cutoff(m_cutoff, grid):
                          f"got {m_cutoff}")
 
 
-def pooled_slice(slices, grid, m_cutoff, n_groups, group_size, seed):
-    """One slice: the quotes of `slices`, as amplify pools them, and their target.
+def pooled_slice(market, grid, m_cutoff, n_groups, group_size, seed):
+    """The slice `market`, which pools every day's quotes, with its target.
 
-    The target's groups are amplified from seed + 1, and the target is clipped
-    to |w| <= 4 * m_cutoff, which check_cutoff checks.
+    The pooled slice holds the market's own arrays, not a copy.  The target's
+    groups are amplified from seed + 1, and the target is clipped to
+    |w| <= 4 * m_cutoff, which check_cutoff checks.
     """
     check_cutoff(m_cutoff, grid)
-    groups = amplify(slices, n_groups, group_size, seed=seed + 1)
-    target = spectral_target(groups, grid)
-    return MarketSlice("pooled", groups.T, groups.r, groups.pool_k, groups.pool_z,
+    target = spectral_target(amplify(market, n_groups, group_size, seed=seed + 1), grid)
+    return MarketSlice("pooled", market.T, market.r, market.k, market.z,
                        spectral=target.clip(4.0 * m_cutoff))
 
 
@@ -353,17 +353,15 @@ def evaluate_report(fit, pooled, grid, final_loss):
     # the spline reads the quotes' k one bucket at a time, so no pool-sized prediction is held
     z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
 
-    target_curve = pooled.spectral
-    keep = np.abs(target_curve.w) < W_EDGES[-1]
-    w_rep = target_curve.w[keep]
-    tgt_rep = target_curve.values[keep]
-    # target nodes are a contiguous central block of the grid's w lattice
-    start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))
-    phi_rep = phi_on_grid[start:start + len(w_rep)]
+    # the target's nodes are a contiguous central block of the grid's w lattice; those
+    # with |w| >= W_EDGES[-1] fall in no bucket
+    w, target = pooled.spectral.w, pooled.spectral.values
+    start = int(np.searchsorted(grid.w, w[0] - 0.25 * grid.dw))
+    phi_rep = phi_on_grid[start:start + len(w)]
     return {"label": fit.kind, "sigma": fit.sigma, "lambda": fit.lam,
             "z_rmse": bucketed_errors(pooled.k, z_spline, pooled.z),
-            "phi_re_rmse": bucketed_errors(w_rep, phi_rep.real, tgt_rep.real, kind="spectral"),
-            "phi_im_rmse": bucketed_errors(w_rep, phi_rep.imag, tgt_rep.imag, kind="spectral"),
+            "phi_re_rmse": bucketed_errors(w, phi_rep.real, target.real, kind="spectral"),
+            "phi_im_rmse": bucketed_errors(w, phi_rep.imag, target.imag, kind="spectral"),
             "final_loss": final_loss}
 
 

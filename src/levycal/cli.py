@@ -21,6 +21,8 @@ from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, calibrate, serialize
 # perfbench/inproc.py's tracer rebinds these names on cli, and evaluate_report on calibrate
 from .calibrate import calibrate_parametric, check_cutoff, pooled_slice, run_elnn
@@ -170,8 +172,9 @@ def cmd_simulate(args):
 
 
 def _load_market(market_dir, m_cutoff):
-    """The market's grid and its days pooled into one slice, in the sorted order of its
-    slice files; m_cutoff is checked against the grid before any slice is read."""
+    """(grid, market): the market's grid and the one MarketSlice that pools its days, in
+    the sorted order of its slice files, which amplify and pooled_slice read as it is;
+    m_cutoff is checked against the grid before any slice is read."""
     market_dir = Path(market_dir)
     meta_file = market_dir / "market.json"
     meta = serialize.load_object(meta_file)
@@ -191,7 +194,7 @@ def _load_market(market_dir, m_cutoff):
         raise ValueError(f"{market_dir}: market.json gives {days} days, but slices/ holds "
                          f"{len(files)} CSV files")
     pool = serialize.load_time_value_pool(slices_dir, files)
-    return grid, [MarketSlice(market_dir.name, T, r, pool[0], pool[1])]
+    return grid, MarketSlice(market_dir.name, T, r, pool[0], pool[1])
 
 
 # --- calibrate ------------------------------------------------------------------
@@ -207,10 +210,10 @@ def _calibrate_one(market_dir, out, cfg, train_cfg):
     """Calibrate one market into `out`; returns the peak RSS in MB of the process that ran it
     and the seconds it spent loading the market, fitting it and writing the outputs."""
     started = time.perf_counter()
-    grid, slices = _load_market(market_dir, cfg["m_cutoff"])
+    grid, market = _load_market(market_dir, cfg["m_cutoff"])
     out.mkdir(parents=True, exist_ok=True)
     loaded = time.perf_counter()
-    pooled = pooled_slice(slices, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
+    pooled = pooled_slice(market, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
                           cfg["seed"])
     if cfg["method"] == "elnn":
         fit, loss, losses = run_elnn(pooled, train_cfg)
@@ -288,7 +291,11 @@ def cmd_density(args):
         raise ValueError(f"'x_lo' to 'x_hi' ({cfg['x_lo']} to {cfg['x_hi']}) holds no k node "
                          f"of the grid, whose nodes span {x[0]:.6g} to {x[-1]:.6g}")
     fit = serialize.load_fit(cfg["params"])
-    dvdx = implied_levy_density(fit, grid)[1] if fit.kind == "elnn" else fit.density(x)
+    # the curve is checked below, so numpy's overflow and invalid-value warnings are not shown
+    with np.errstate(over="ignore", invalid="ignore"):
+        dvdx = implied_levy_density(fit, grid)[1] if fit.kind == "elnn" else fit.density(x)
+    if not np.all(np.isfinite(dvdx[keep])):
+        raise NonFinite("the Levy density between 'x_lo' and 'x_hi' holds non-finite values")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     serialize.save_density(out / "density.csv", x[keep], dvdx[keep])

@@ -79,9 +79,11 @@ def _char_in_strip(w_arr, model, T):
     """Phi_{X_T}(w) = exp(T(-sigma^2 w^2/2 + i b w + f(w))) at a complex array in the strip."""
     if T <= 0:
         raise ValueError("T must be positive")
-    f_w = model.jump_exponent(w_arr)
-    psi = -0.5 * model.sigma**2 * w_arr**2 + 1j * model.drift() * w_arr + f_w
-    out = np.exp(T * psi)
+    # the result is checked below, so numpy's overflow and invalid-value warnings are not shown
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_w = model.jump_exponent(w_arr)
+        psi = -0.5 * model.sigma**2 * w_arr**2 + 1j * model.drift() * w_arr + f_w
+        out = np.exp(T * psi)
     if not np.all(np.isfinite(out)):
         raise NonFinite("characteristic function evaluation produced non-finite values")
     return out

@@ -4,11 +4,11 @@ Virtual markets draw daily batches of log-moneyness points, read the model's
 time value off a dense FFT curve, and perturb each sample with proportional
 noise N(0, (scale * z)^2), truncated so time values stay nonnegative.
 A virtual market draws each day when it is read, so writing one out holds
-a batch of days in memory, not all of them.  Amplification pools every sample across
-days and resamples large synthetic one-day groups with replacement, which is
-what makes the daily Fourier inversion well conditioned.  Groups are drawn
-one at a time as they are iterated, so a calibration holds one group in
-memory, not all of them.
+a batch of days in memory, not all of them.  Amplification resamples large
+synthetic one-day groups with replacement from one slice that pools every
+day's samples, which is what makes the daily Fourier inversion well
+conditioned.  Groups are drawn one at a time as they are iterated, so a
+calibration holds one group in memory, not all of them.
 
 Quote ingestion applies the liquidity filters (volume and minimum price),
 converts puts through put-call parity and maps prices to time values.
@@ -144,50 +144,39 @@ class VirtualMarket:
 class AmplifiedGroups:
     """amplify's groups, drawn one at a time on each pass from a fresh default_rng(seed)."""
 
-    def __init__(self, T, r, pool_k, pool_z, n_groups, group_size, seed):
-        self.T, self.r, self.pool_k, self.pool_z = T, r, pool_k, pool_z
-        self.n_groups, self.group_size, self.seed = n_groups, group_size, seed
+    def __init__(self, market, n_groups, group_size, seed):
+        self.market, self.n_groups, self.group_size, self.seed = market, n_groups, group_size, seed
 
     def __len__(self):
         return self.n_groups
 
     def __iter__(self):
         rng = np.random.default_rng(self.seed)
-        size = self.pool_k.size
+        m = self.market
+        size = m.k.size
         for g in range(self.n_groups):
             if self.n_groups == 1 and self.group_size == size:
                 idx = rng.permutation(size)
             else:
                 idx = rng.integers(0, size, self.group_size)
-            yield MarketSlice(f"group-{g:04d}", self.T, self.r, self.pool_k[idx], self.pool_z[idx])
+            yield MarketSlice(f"group-{g:04d}", m.T, m.r, m.k[idx], m.z[idx])
 
 
-def amplify(slices, n_groups=1000, group_size=10_000, seed=0):
-    """Check and pool all samples; return the AmplifiedGroups resampled from the pool.
+def amplify(market, n_groups=1000, group_size=10_000, seed=0):
+    """The AmplifiedGroups resampled from `market`, the slice that pools every day's quotes.
 
-    The slices are walked once, and a lone slice's arrays are the pool itself,
-    not a copy.  A group draws group_size samples with replacement; when that
-    is the pool size and one group is requested the pool is permuted instead,
-    so nothing is lost or duplicated.
+    The groups read the slice's own arrays, not a copy.  A group draws
+    group_size samples with replacement; when that is the pool size and one
+    group is requested the pool is permuted instead, so nothing is lost or
+    duplicated.
     """
     if n_groups < 1:
         raise ValueError(f"n_groups must be at least 1, got {n_groups}")
     if group_size < 1:
         raise ValueError(f"group_size must be at least 1, got {group_size}")
-    ks, zs = [], []
-    for s in slices:
-        if not ks:
-            T, r = s.T, s.r
-        elif s.T != T or s.r != r:
-            raise MixedMaturities("amplification requires slices sharing T and r")
-        ks.append(s.k)
-        zs.append(s.z)
-    if not ks:
-        raise EmptyPool("no slices to amplify")
-    pool_k, pool_z = (ks[0], zs[0]) if len(ks) == 1 else (np.concatenate(ks), np.concatenate(zs))
-    if pool_k.size == 0:
+    if market.k.size == 0:
         raise EmptyPool("sample pool is empty")
-    return AmplifiedGroups(T, r, pool_k, pool_z, n_groups, group_size, seed)
+    return AmplifiedGroups(market, n_groups, group_size, seed)
 
 
 def ingest_quotes(csv_stream, filters=None):

@@ -131,7 +131,7 @@ def inverse_real(grid, values):
     """
     g = _inverse_nodes(grid, values)
     residue = float(np.max(np.abs(g.imag)))
-    if residue > _RESIDUE_LIMIT:
+    if not residue <= _RESIDUE_LIMIT:  # a NaN residue fails too
         raise ResidueTooLarge(f"imaginary residue {residue:.3e} exceeds {_RESIDUE_LIMIT:.0e}")
     return g.real
 

@@ -28,7 +28,9 @@ label, sigma, lambda and Phi(w - i) on the grid itself (the network's Phi from
 the full-block pass, lambda as c0 - c1) and hands them to the report body of
 that time, which reuses the library's spline and buckets; the report of any
 fitted law must equal them bit for bit.  zeta and call_price are the pricing
-formulas the module docstring of levycal.spectral states.
+formulas the module docstring of levycal.spectral states.  pool_days is not
+a reference: it pools days into one slice as cli._load_market pools a
+market's slice files, for the tests that start from generated days.
 """
 
 import math
@@ -158,14 +160,22 @@ def mc_call_price(model, k, T, r, n_paths=10**6, seed=11):
     return payoff.mean(), payoff.std(ddof=1) / np.sqrt(n_paths)
 
 
-def spectral_target_per_group(slices, grid, n_groups, group_size, seed):
-    """Group-averaged Phi*(w - i) with one transform per amplified group."""
-    groups = amplify(slices, n_groups, group_size, seed=seed)
-    T, r = groups.T, groups.r
+def pool_days(days):
+    """One slice of every day's quotes in day order, as cli._load_market pools its files."""
+    days = list(days)
+    T, r = days[0].T, days[0].r
+    assert all((d.T, d.r) == (T, r) for d in days), "the days must share T and r"
+    return MarketSlice("pool", T, r, np.concatenate([d.k for d in days]),
+                       np.concatenate([d.z for d in days]))
+
+
+def spectral_target_per_group(market, grid, n_groups, group_size, seed):
+    """Group-averaged Phi*(w - i) with one transform per group amplified from `market`."""
+    groups = amplify(market, n_groups, group_size, seed=seed)
     acc = np.zeros(grid.n, dtype=complex)
     for g in groups:
         z_nodes = regrid_time_values(g.k, g.z, grid)
-        acc += phi_from_time_values(z_nodes, r, T, grid).values
+        acc += phi_from_time_values(z_nodes, market.r, market.T, grid).values
     return acc / len(groups)
 
 

@@ -129,9 +129,10 @@ def test_bucketed_by_block_matches_whole_array_table(rng, monkeypatch):
 
 def test_report_reads_the_spline_by_bucket(merton_model, monkeypatch):
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(merton_model, 8, 100, T, R,
-                                     noise=NoiseSpec(scale=0.05, seed=3), grid=grid)
-    pooled = calibrate.pooled_slice(slices, grid, 60.0, 2, 500, 0)
+    market = oracles.pool_days(generate_virtual_market(merton_model, 8, 100, T, R,
+                                                       noise=NoiseSpec(scale=0.05, seed=3),
+                                                       grid=grid))
+    pooled = calibrate.pooled_slice(market, grid, 60.0, 2, 500, 0)
     phi = parametric_char_shifted(merton_model, grid.w, T)
     z_model = calibrate.time_values_from_phi(phi, R, T, grid)
     want = oracles.bucketed_errors_whole(
@@ -147,9 +148,10 @@ def test_every_fit_reports_through_one_path(kind, merton_model, kou_model):
     # evaluate_report reads the label, sigma, lambda and Phi(w - i) off any fitted law;
     # each kind's report equals the one its own path made, key by key and bit for bit
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(kou_model, 8, 100, T, R,
-                                     noise=NoiseSpec(scale=0.05, seed=3), grid=grid)
-    pooled = calibrate.pooled_slice(slices, grid, 60.0, 2, 500, 0)
+    market = oracles.pool_days(generate_virtual_market(kou_model, 8, 100, T, R,
+                                                       noise=NoiseSpec(scale=0.05, seed=3),
+                                                       grid=grid))
+    pooled = calibrate.pooled_slice(market, grid, 60.0, 2, 500, 0)
     if kind.startswith("elnn"):
         cfg = TrainConfig(m_cutoff=60.0, epochs=0 if kind.endswith("epochs") else 40, seed=5)
         fit, final_loss, losses = run_elnn(pooled, cfg)
@@ -502,12 +504,13 @@ def test_stability_needs_two_periods():
 
 def test_run_elnn_smoke_and_determinism(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(merton_model, 20, 100, T, R,
-                                     noise=NoiseSpec(scale=0.05, seed=11), grid=grid)
+    market = oracles.pool_days(generate_virtual_market(merton_model, 20, 100, T, R,
+                                                       noise=NoiseSpec(scale=0.05, seed=11),
+                                                       grid=grid))
     cfg = TrainConfig(m_cutoff=60.0, epochs=60, seed=2)
     runs = []
     for _ in range(2):
-        pooled = calibrate.pooled_slice(slices, grid, cfg.m_cutoff, 10, 1000, cfg.seed)
+        pooled = calibrate.pooled_slice(market, grid, cfg.m_cutoff, 10, 1000, cfg.seed)
         params, final_loss, losses = run_elnn(pooled, cfg)
         runs.append((params, losses, calibrate.evaluate_report(params, pooled, grid, final_loss)))
     (params1, losses1, report1), (params2, losses2, report2) = runs
@@ -523,9 +526,10 @@ def test_run_elnn_smoke_and_determinism(merton_model):
 
 def test_spectral_target_averages_groups(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(merton_model, 10, 200, T, R,
-                                     noise=NoiseSpec(scale=0.0, seed=1), grid=grid)
-    target = spectral_target(amplify(slices, n_groups=4, group_size=500, seed=3), grid)
+    market = oracles.pool_days(generate_virtual_market(merton_model, 10, 200, T, R,
+                                                       noise=NoiseSpec(scale=0.0, seed=1),
+                                                       grid=grid))
+    target = spectral_target(amplify(market, n_groups=4, group_size=500, seed=3), grid)
     truth = merton_model.triplet().phi_shifted(grid.w, T)
     mask = np.abs(grid.w) <= 30
     assert np.max(np.abs(target.values - truth)[mask]) < 0.02
@@ -533,10 +537,11 @@ def test_spectral_target_averages_groups(merton_model):
 
 def test_spectral_target_matches_per_group_reference(merton_model):
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(merton_model, 10, 200, T, R,
-                                     noise=NoiseSpec(scale=0.05, seed=4), grid=grid)
-    target = spectral_target(amplify(slices, n_groups=8, group_size=500, seed=5), grid)
-    want = oracles.spectral_target_per_group(slices, grid, 8, 500, seed=5)
+    market = oracles.pool_days(generate_virtual_market(merton_model, 10, 200, T, R,
+                                                       noise=NoiseSpec(scale=0.05, seed=4),
+                                                       grid=grid))
+    target = spectral_target(amplify(market, n_groups=8, group_size=500, seed=5), grid)
+    want = oracles.spectral_target_per_group(market, grid, 8, 500, seed=5)
     np.testing.assert_array_equal(target.w, grid.w)
     assert np.max(np.abs(target.values - want)) <= 1e-9 * np.max(np.abs(want))
 
@@ -545,14 +550,15 @@ def test_spectral_target_memory_does_not_grow_with_groups(merton_model):
     # amplify draws the groups one at a time, so the peak of the traced heap holds
     # one group however many are averaged; all 64 groups at once would add 5 MB
     grid = SpectralGrid(n=2**12, dw=0.2)
-    slices = generate_virtual_market(merton_model, 10, 200, T, R,
-                                     noise=NoiseSpec(scale=0.05, seed=4), grid=grid)
-    spectral_target(amplify(slices, n_groups=2, group_size=5000, seed=5), grid)  # warm-up
+    market = oracles.pool_days(generate_virtual_market(merton_model, 10, 200, T, R,
+                                                       noise=NoiseSpec(scale=0.05, seed=4),
+                                                       grid=grid))
+    spectral_target(amplify(market, n_groups=2, group_size=5000, seed=5), grid)  # warm-up
     peaks = {}
     for n_groups in (4, 64):
         tracemalloc.start()
         try:
-            spectral_target(amplify(slices, n_groups=n_groups, group_size=5000, seed=5), grid)
+            spectral_target(amplify(market, n_groups=n_groups, group_size=5000, seed=5), grid)
             peaks[n_groups] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

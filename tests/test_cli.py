@@ -99,7 +99,7 @@ def test_manifest_lists_nested_outputs(tmp_path):
 
 def test_load_market_pools_the_days_in_file_order(tmp_path, model_file):
     market = tiny_simulate(tmp_path, model_file, days=5)
-    grid, [pooled] = cli._load_market(market, 60.0)
+    grid, pooled = cli._load_market(market, 60.0)
     days = [load_time_values(f) for f in sorted((market / "slices").glob("*.csv"))]
     assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
     assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
@@ -116,7 +116,7 @@ def test_load_market_grows_and_trims_its_pool(tmp_path, model_file):
     files = sorted((market / "slices").glob("*.csv"))
     for f, rows in zip(files, (50, 150, 0)):
         save_time_values(f, rng.uniform(-0.3, 0.3, rows), rng.uniform(0.0, 0.02, rows))
-    _, [pooled] = cli._load_market(market, 60.0)
+    _, pooled = cli._load_market(market, 60.0)
     days = [load_time_values(f) for f in files]
     assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
     assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
@@ -145,7 +145,7 @@ def test_slice_reader_parses_simulated_markets_in_one_pass(tmp_path, model_file,
     monkeypatch.setattr(serialize, "load_time_values", refuse)
     for batch in (1, 3, 64):
         monkeypatch.setattr(serialize, "_READ_BATCH", batch)
-        _, [pooled] = cli._load_market(market, 60.0)
+        _, pooled = cli._load_market(market, 60.0)
         assert pooled.k.tobytes() == np.concatenate([k for k, _ in days]).tobytes()
         assert pooled.z.tobytes() == np.concatenate([z for _, z in days]).tobytes()
 
@@ -1129,3 +1129,29 @@ def test_density_exit_code_on_residue(tmp_path):
     assert proc.returncode == 3
     assert _only_numerical_failure(proc.stderr), proc.stderr
     assert proc.stderr == "numerical failure: imaginary residue 2.683e-06 exceeds 1e-06\n"
+
+
+def test_simulate_of_an_overflowing_exponent_exits_3_with_one_stderr_line(tmp_path):
+    # lambda 1e308 overflows the jump exponent; numpy's overflow and invalid-value
+    # warnings must not reach stderr ahead of the failure
+    save_model(MertonModel(sigma=0.2, lam=1e308, mu=-0.05, delta=0.05), tmp_path / "m.json")
+    proc = _fresh_python(["-m", "levycal.cli", "simulate", "--model", "m.json",
+                          "--days", "2", "--out", "mkt"], tmp_path)
+    assert proc.returncode == 3
+    assert _only_numerical_failure(proc.stderr), proc.stderr
+    assert not (tmp_path / "mkt").exists()
+
+
+@pytest.mark.parametrize("doc", [
+    # the first layer's weights overflow, and every value of the curve is NaN
+    {"sigma": 0.2, "wr0": [1e308] * 20, "wi0": [0.0] * 20, "wr1": [0.3] * 20, "wi1": [0.3] * 20},
+    # the density's peak overflows to inf, and 0 * inf gives NaN beside it
+    {"model": "merton", "sigma": 0.2, "params": {"lambda": 1e307, "mu": 0.0, "delta": 0.001}},
+], ids=["elnn", "merton"])
+def test_density_of_a_non_finite_curve_exits_3_with_one_stderr_line(tmp_path, doc):
+    (tmp_path / "params.json").write_text(json.dumps(doc))
+    proc = _fresh_python(["-m", "levycal.cli", "density", "--params", "params.json",
+                          "--out", "dens"], tmp_path)
+    assert proc.returncode == 3
+    assert _only_numerical_failure(proc.stderr), proc.stderr
+    assert not (tmp_path / "dens").exists()

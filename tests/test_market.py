@@ -92,26 +92,22 @@ def test_day_stream_is_the_spawned_stream():
 
 
 def test_amplify_pools_a_lone_slice_without_copying(merton_model, default_grid):
-    days = list(generate_virtual_market(merton_model, 5, 40, T, R, noise=NoiseSpec(seed=6),
-                                        grid=default_grid))
-    pooled = MarketSlice("pool", T, R, np.concatenate([d.k for d in days]),
-                         np.concatenate([d.z for d in days]))
-    lone = amplify([pooled], n_groups=3, group_size=70, seed=4)
-    assert np.shares_memory(lone.pool_k, pooled.k) and np.shares_memory(lone.pool_z, pooled.z)
-    for a, b in zip(lone, amplify(days, n_groups=3, group_size=70, seed=4)):
-        np.testing.assert_array_equal(a.k, b.k)
-        np.testing.assert_array_equal(a.z, b.z)
-
-
-def test_amplify_walks_its_slices_once(rng):
-    pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 10), rng.uniform(0, 0.02, 10))
-    groups = amplify(iter([pool, pool]), n_groups=2, group_size=5, seed=0)
-    assert groups.pool_k.size == 20
+    pooled = oracles.pool_days(generate_virtual_market(merton_model, 5, 40, T, R,
+                                                       noise=NoiseSpec(seed=6), grid=default_grid))
+    groups = amplify(pooled, n_groups=3, group_size=70, seed=4)
+    assert np.shares_memory(groups.market.k, pooled.k)
+    assert np.shares_memory(groups.market.z, pooled.z)
+    # each group indexes the pool with the next draw of one default_rng(seed)
+    rng = np.random.default_rng(4)
+    for g in groups:
+        idx = rng.integers(0, pooled.k.size, 70)
+        np.testing.assert_array_equal(g.k, pooled.k[idx])
+        np.testing.assert_array_equal(g.z, pooled.z[idx])
 
 
 def test_amplify_permutation_when_sizes_match(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 40), rng.uniform(0, 0.02, 40))
-    groups = amplify([pool], n_groups=1, group_size=40, seed=0)
+    groups = amplify(pool, n_groups=1, group_size=40, seed=0)
     assert len(groups) == 1
     [group] = groups
     np.testing.assert_array_equal(np.sort(group.k), np.sort(pool.k))
@@ -119,27 +115,24 @@ def test_amplify_permutation_when_sizes_match(rng):
 
 
 def test_amplify_group_distribution_matches_pool(merton_model, default_grid):
-    slices = generate_virtual_market(merton_model, 100, 100, T, R,
-                                     noise=NoiseSpec(seed=3), grid=default_grid)
-    pool_k = np.concatenate([s.k for s in slices])
-    groups = amplify(slices, n_groups=5, group_size=10_000, seed=1)
+    pool = oracles.pool_days(generate_virtual_market(merton_model, 100, 100, T, R,
+                                                     noise=NoiseSpec(seed=3), grid=default_grid))
+    groups = amplify(pool, n_groups=5, group_size=10_000, seed=1)
     for g in groups:
-        assert ks_2samp(g.k, pool_k).statistic < 0.05
+        assert ks_2samp(g.k, pool.k).statistic < 0.05
 
 
 def test_amplify_singletons(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 10), rng.uniform(0, 0.02, 10))
-    groups = amplify([pool], n_groups=7, group_size=1, seed=0)
+    groups = amplify(pool, n_groups=7, group_size=1, seed=0)
     assert len(groups) == 7
     assert all(g.k.size == 1 for g in groups)
 
 
 def test_amplify_empty_pool():
-    with pytest.raises(EmptyPool):
-        amplify([], 10, 10)
     empty = MarketSlice("d", T, R, np.array([]), np.array([]))
     with pytest.raises(EmptyPool):
-        amplify([empty], 10, 10)
+        amplify(empty, 10, 10)
 
 
 def test_amplify_checks_at_call_time(rng):
@@ -147,21 +140,19 @@ def test_amplify_checks_at_call_time(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 10), rng.uniform(0, 0.02, 10))
     for n_groups, group_size in ((0, 10), (10, 0)):
         with pytest.raises(ValueError):
-            amplify([pool], n_groups, group_size)
-    later = MarketSlice("e", 2 * T, R, pool.k, pool.z)
-    with pytest.raises(MixedMaturities):
-        amplify([pool, later], 10, 10)
+            amplify(pool, n_groups, group_size)
 
 
 def test_amplify_deterministic(rng):
     pool = MarketSlice("d", T, R, rng.uniform(-0.3, 0.3, 50), rng.uniform(0, 0.02, 50))
-    groups = amplify([pool], 4, 30, seed=9)
-    assert (len(groups), groups.T, groups.r) == (4, T, R)
+    groups = amplify(pool, 4, 30, seed=9)
+    assert len(groups) == 4
     # every pass over one result, and every call with the same seed, draws the same groups
-    passes = [list(groups), list(groups), list(amplify([pool], 4, 30, seed=9))]
+    passes = [list(groups), list(groups), list(amplify(pool, 4, 30, seed=9))]
     assert [len(p) for p in passes] == [4, 4, 4]
     for a, b, c in zip(*passes):
         assert a.label == b.label == c.label
+        assert (a.T, a.r) == (T, R)
         for field in ("k", "z"):
             np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
             np.testing.assert_array_equal(getattr(a, field), getattr(c, field))

@@ -11,7 +11,7 @@ from levycal import (CustomModel, ElnnParams, MertonModel, SpectralCurve, Spectr
                      time_values_from_phi)
 from levycal.errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
 from levycal.levy_models import _char_in_strip
-from levycal.spectral import _BLOCK, spline_on_grid
+from levycal.spectral import _BLOCK, inverse_real, spline_on_grid
 
 import oracles
 from oracles import call_price, plancherel_gap, zeta
@@ -125,6 +125,15 @@ def test_residue_check_fires(default_grid):
     phi[: default_grid.n // 2] += 0.3j
     with pytest.raises(ResidueTooLarge):
         time_values_from_phi(phi, R, T, default_grid)
+
+
+def test_inverse_real_rejects_a_nan_residue():
+    # NaN > limit is False, so only "not residue <= limit" catches a NaN residue
+    grid = SpectralGrid(64, 0.5)
+    values = np.ones(grid.n, dtype=complex)
+    values[5] = np.nan
+    with pytest.raises(ResidueTooLarge):
+        inverse_real(grid, values)
 
 
 def test_roundtrip_merton(merton_triplet, default_grid):
