@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergedLoss
+from .errors import DivergedLoss, NonFinite
 from .spectral import _BLOCK, SpectralGrid, inverse_real
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
@@ -411,9 +411,12 @@ def implied_levy_density(params, grid=None):
 
     Values far out in |x| sit below the transform's rounding floor once the
     e^{-x} factor is applied; restrict attention to the region of interest.
-    Raises ResidueTooLarge as spectral.inverse_real does.
+    Raises NonFinite when the networks overflow, and ResidueTooLarge as
+    spectral.inverse_real does.
     """
     grid = grid or SpectralGrid()
     annr, anni = _networks(grid.w, params)
+    if not (np.all(np.isfinite(annr)) and np.all(np.isfinite(anni))):
+        raise NonFinite("the networks ann_r and ann_i overflow on the grid's frequencies")
     x = grid.k
-    return x.copy(), np.exp(-x) * inverse_real(grid, annr + 1j * anni)
+    return x, np.exp(-x) * inverse_real(grid, annr + 1j * anni)

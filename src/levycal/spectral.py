@@ -177,7 +177,7 @@ def time_value_curve(law, T, r, grid=None):
     """
     grid = grid or SpectralGrid()
     phi = law.phi_shifted(grid.w, T)
-    return grid.k.copy(), time_values_from_phi(phi, r, T, grid)
+    return grid.k, time_values_from_phi(phi, r, T, grid)
 
 
 def phi_from_time_values(z_values, r, T, grid):
@@ -199,7 +199,7 @@ def phi_from_time_values(z_values, r, T, grid):
     transform += np.exp(1j * w * r * T) / (1.0 + w**2)
     iw = 1j * w
     phi = 1.0 + np.exp(-iw * r * T) * iw * (1.0 + iw) * transform
-    return SpectralCurve(w.copy(), phi)
+    return SpectralCurve(w, phi)
 
 
 def spline_on_grid(grid, z):
@@ -298,7 +298,8 @@ def regrid_time_values(k_samples, z_samples, grid):
     interior = np.arange(first, last + 1)
     holes = interior[~occupied[interior]]
     if holes.size:
-        z[holes] = np.interp(grid.k[holes], grid.k[occupied], z[occupied])
+        k = grid.k
+        z[holes] = np.interp(k[holes], k[occupied], z[occupied])
 
     _check_support(k_samples, z)
     return z

@@ -28,7 +28,11 @@ label, sigma, lambda and Phi(w - i) on the grid itself (the network's Phi from
 the full-block pass, lambda as c0 - c1) and hands them to the report body of
 that time, which reuses the library's spline and buckets; the report of any
 fitted law must equal them bit for bit.  zeta and call_price are the pricing
-formulas the module docstring of levycal.spectral states.  pool_days is not
+formulas the module docstring of levycal.spectral states.  truncated_form is
+the jump models' exponent written with the truncation function x 1_{|x|<=1},
+as the library wrote it before it dropped that function: it reuses each
+model's closed-form transform, mass and moments, and adds the truncated mean
+(truncated_mean) to the jump part and the drift.  pool_days is not
 a reference: it pools days into one slice as cli._load_market pools a
 market's slice files, for the tests that start from generated days.
 """
@@ -92,17 +96,16 @@ def _cuts(support, split):
     return sorted({lo, hi, *(c for c in split if lo < c < hi)})
 
 
-def quad_jump_exponent(w, density, support, split=(-1.0, 1.0)):
-    """f(w) by plain scipy.quad on real and imaginary parts separately."""
+def quad_jump_exponent(w, density, support, split=()):
+    """f(w) = integral (e^{iwx} - 1) nu(dx) by plain scipy.quad on real and
+    imaginary parts separately, split at the points `split` inside the support."""
     cuts = _cuts(support, split)
 
     def real_part(x):
-        val = np.exp(1j * w * x) - 1.0 - 1j * w * x * (abs(x) <= 1.0)
-        return val.real * density(x)
+        return (np.exp(1j * w * x) - 1.0).real * density(x)
 
     def imag_part(x):
-        val = np.exp(1j * w * x) - 1.0 - 1j * w * x * (abs(x) <= 1.0)
-        return val.imag * density(x)
+        return (np.exp(1j * w * x) - 1.0).imag * density(x)
 
     re = sum(integrate.quad(real_part, a, b, epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
              for a, b in zip(cuts[:-1], cuts[1:]))
@@ -117,6 +120,36 @@ def quad_moment(n, density, support, split=(-1.0, 1.0)):
     return sum(integrate.quad(lambda x: x**n * density(x), a, b,
                               epsabs=1e-13, epsrel=1e-11, limit=2000)[0]
                for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+def truncated_mean(model):
+    """integral_{-1}^{1} x nu(dx): Merton's through scipy.stats.norm, Kou's in
+    closed form, a table's by quadrature over [-1, 1]."""
+    if model.kind == "merton":
+        alpha, beta = (-1.0 - model.mu) / model.delta, (1.0 - model.mu) / model.delta
+        return model.lam * (model.mu * (norm.cdf(beta) - norm.cdf(alpha))
+                            - model.delta * (norm.pdf(beta) - norm.pdf(alpha)))
+    if model.kind == "kou":
+        def one_sided(eta):  # integral_0^1 x eta e^{-eta x} dx
+            return 1.0 / eta - math.exp(-eta) * (1.0 + 1.0 / eta)
+
+        return model.lam * (model.p * one_sided(model.lam_plus)
+                            - (1.0 - model.p) * one_sided(model.lam_minus))
+    inside = (max(float(model.x[0]), -1.0), min(float(model.x[-1]), 1.0))
+    return quad_moment(1, model.density, inside, tuple(model.x))
+
+
+def truncated_form(model, w, T):
+    """(Phi(w - i), k1 of X_1) with the exponent written with the truncation
+    function x 1_{|x|<=1}: f(w) = nu_hat(w) - lambda - i w m, with m the
+    truncated mean, drift b = -sigma^2/2 - f(-i) and k1 = b + integral
+    (x - x 1_{|x|<=1}) nu(dx)."""
+    m = truncated_mean(model)
+    z = np.asarray(w, dtype=float) - 1j
+    f = model.nu_hat(z) - model.lam - 1j * z * m
+    b = -0.5 * model.sigma**2 - (model.exp_moment(1.0) - model.lam - m)
+    phi = np.exp(T * (-0.5 * model.sigma**2 * z**2 + 1j * b * z + f))
+    return phi, b + (model.jump_moment(1) - m)
 
 
 def simulate_terminal(model, T, n_paths, seed):

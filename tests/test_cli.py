@@ -1142,16 +1142,20 @@ def test_simulate_of_an_overflowing_exponent_exits_3_with_one_stderr_line(tmp_pa
     assert not (tmp_path / "mkt").exists()
 
 
-@pytest.mark.parametrize("doc", [
-    # the first layer's weights overflow, and every value of the curve is NaN
-    {"sigma": 0.2, "wr0": [1e308] * 20, "wi0": [0.0] * 20, "wr1": [0.3] * 20, "wi1": [0.3] * 20},
+@pytest.mark.parametrize("doc, cause", [
+    # the first layer's weights overflow the networks, before the inverse transform
+    ({"sigma": 0.2, "wr0": [1e308] * 20, "wi0": [0.0] * 20, "wr1": [0.3] * 20, "wi1": [0.3] * 20},
+     "networks"),
     # the density's peak overflows to inf, and 0 * inf gives NaN beside it
-    {"model": "merton", "sigma": 0.2, "params": {"lambda": 1e307, "mu": 0.0, "delta": 0.001}},
+    ({"model": "merton", "sigma": 0.2, "params": {"lambda": 1e307, "mu": 0.0, "delta": 0.001}},
+     "Levy density"),
 ], ids=["elnn", "merton"])
-def test_density_of_a_non_finite_curve_exits_3_with_one_stderr_line(tmp_path, doc):
+def test_density_of_a_non_finite_curve_exits_3_with_one_stderr_line(tmp_path, doc, cause):
     (tmp_path / "params.json").write_text(json.dumps(doc))
     proc = _fresh_python(["-m", "levycal.cli", "density", "--params", "params.json",
                           "--out", "dens"], tmp_path)
     assert proc.returncode == 3
     assert _only_numerical_failure(proc.stderr), proc.stderr
+    # the message names what overflowed, not the inverse transform's residue
+    assert cause in proc.stderr and "residue" not in proc.stderr, proc.stderr
     assert not (tmp_path / "dens").exists()

@@ -1,24 +1,24 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import ndtr
-from scipy.stats import norm
 
-from levycal import (CustomModel, KouModel, MertonModel, cumulants, f_exponent,
-                     parametric_char_shifted)
-from levycal.calibrate import _BOXES
+from levycal import (CustomModel, ElnnParams, KouModel, MertonModel, SpectralGrid, cumulants,
+                     f_exponent, parametric_char_shifted)
+from levycal.calibrate import _BOXES, _START_RANGES
 from levycal.errors import NonFinite
-from levycal.levy_models import _MAXLOG, _char_in_strip, _ndtr
+from levycal.levy_models import _char_in_strip
 
 import oracles
 
-# frozen by the quadrature oracles in oracles.quad_jump_exponent / scipy.quad
-MERTON_F_MINUS_I = 0.002419204739069579
-MERTON_DRIFT = -0.022419204739069578
-KOU_F_MINUS_I = -0.07155389197317333
+# f(-i) = integral (e^x - 1) nu(dx) in closed form for the conftest models, and
+# the martingale drift -sigma^2/2 - f(-i)
+MERTON_F_MINUS_I = 1.0 * (math.exp(-0.05 + 0.5 * 0.05**2) - 1.0)
+MERTON_DRIFT = -0.5 * 0.2**2 - MERTON_F_MINUS_I
+KOU_F_MINUS_I = 1.4 * (0.04 * 3.7 / (3.7 - 1.0) + 0.96 * 1.8 / (1.8 + 1.0) - 1.0)
 
 
 def test_merton_density_direct_substitution(merton_model):
@@ -215,7 +215,7 @@ def test_jump_moment_closed_forms(merton_model, kou_model):
             quad_val = oracles.quad_moment(n, model.density, oracles.support(model))
             assert model.jump_moment(n) == pytest.approx(quad_val, rel=1e-9, abs=1e-12)
     # e^x and e^{2x} moments: nu_hat(-ia) is bit for bit the closed form, and
-    # f(-ia) by quadrature plus the mass and the truncated mean
+    # f(-ia) by quadrature plus the mass
     m, k = merton_model, kou_model
     for a in (1.0, 2.0):
         closed = ((m, m.lam * np.exp(a * m.mu + 0.5 * a**2 * m.delta**2)),
@@ -224,13 +224,12 @@ def test_jump_moment_closed_forms(merton_model, kou_model):
         for model, expected in closed:
             assert model.exp_moment(a) == expected, (model.kind, a)
             f_w = oracles.quad_jump_exponent(-1j * a, model.density, oracles.support(model))
-            assert model.exp_moment(a) == pytest.approx(
-                f_w.real + model.lam + a * model.truncated_mean(), rel=1e-10)
+            assert model.exp_moment(a) == pytest.approx(f_w.real + model.lam, rel=1e-10)
 
 
 def custom_tables():
     # the benchmark's Gaussian-shaped table lies inside (-1, 1) and ends near zero;
-    # the second reaches past both truncation kinks and ends at nonzero values
+    # the second reaches past -1 and 1 and ends at nonzero values
     x = np.linspace(-0.5, 0.5, 41)
     inner = CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2005)
     x = np.linspace(-2.5, 1.7, 23)
@@ -244,22 +243,18 @@ def test_custom_model_closed_forms_match_quadrature():
         knots = tuple(model.x)
         assert model.lam == pytest.approx(
             oracles.quad_moment(0, model.density, oracles.support(model), knots), rel=1e-12)
-        inside = (max(model.x[0], -1.0), min(model.x[-1], 1.0))
-        assert model.truncated_mean() == pytest.approx(
-            oracles.quad_moment(1, model.density, inside, knots), rel=1e-12, abs=1e-15)
         for n in (1, 2, 3, 4):
             assert model.jump_moment(n) == pytest.approx(
                 oracles.quad_moment(n, model.density, oracles.support(model), knots),
                 rel=1e-12, abs=1e-15)
         for w in (0.0, 1e-8, 1e-6, 1e-3, 0.025, 5.0, 3 - 2j, -1j, -2j):
             ref = oracles.quad_jump_exponent(w, model.density, oracles.support(model),
-                                             split=(-1.0, 1.0, *knots))
+                                             split=knots)
             assert abs(complex(model.jump_exponent(w)) - ref) <= 1e-12, w
         # the e^x and e^{2x} moments are nu_hat(-i) and nu_hat(-2i)
         for a in (1.0, 2.0):
             f_w = complex(model.jump_exponent(-1j * a))
-            assert model.exp_moment(a) == pytest.approx(
-                f_w.real + model.lam + a * model.truncated_mean(), rel=1e-14)
+            assert model.exp_moment(a) == pytest.approx(f_w.real + model.lam, rel=1e-14)
 
 
 def test_custom_model_roundtrip(merton_model):
@@ -270,59 +265,6 @@ def test_custom_model_roundtrip(merton_model):
     assert trip.drift() == pytest.approx(MERTON_DRIFT, abs=1e-4)
     with pytest.raises(ValueError):
         CustomModel(0.2, x[::-1], merton_model.density(x))
-
-
-def test_merton_truncated_mean_matches_scipy_stats():
-    # the closed form without scipy.stats gives the norm.cdf/norm.pdf result bit for
-    # bit, also at seeded mu and delta anywhere in the box a Merton fit searches
-    (mu_lo, mu_hi), (delta_lo, delta_hi) = _BOXES["merton"][2:]
-    rng = np.random.default_rng(7)
-    mus = np.r_[rng.uniform(mu_lo, mu_hi, 500), mu_lo, mu_hi]
-    deltas = np.exp(np.r_[rng.uniform(math.log(delta_lo), math.log(delta_hi), 500),
-                          math.log(delta_lo), math.log(delta_hi)])
-    box = [(0.2, 1.5, mu, delta) for mu, delta in zip(mus.tolist(), deltas.tolist())]
-    for sigma, lam, mu, delta in ((0.2, 1.0, -0.05, 0.05), (0.1, 3.0, 0.4, 0.7),
-                                  (0.3, 0.5, -2.5, 0.2), (0.2, 20.0, 0.0, 1e-3), *box):
-        model = MertonModel(sigma, lam, mu, delta)
-        alpha, beta = (-1.0 - mu) / delta, (1.0 - mu) / delta
-        expected = lam * (mu * (norm.cdf(beta) - norm.cdf(alpha))
-                          - delta * (norm.pdf(beta) - norm.pdf(alpha)))
-        assert model.truncated_mean() == expected
-
-
-def _assert_ndtr_equal(points):
-    expected = ndtr(np.asarray(points, dtype=float))
-    for x, want in zip(points, expected.tolist()):
-        got = _ndtr(float(x))
-        if math.isnan(want):
-            assert math.isnan(got), x
-        else:
-            # == alone would let 0.0 stand for -0.0
-            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), x
-
-
-def test_ndtr_matches_scipy():
-    rng = np.random.default_rng(14)
-    sign = rng.choice([-1.0, 1.0], 4000)
-    cutoff = math.sqrt(2.0 * _MAXLOG)  # |x| past which Cephes' erfc returns 0, near 37.7
-    branches = (
-        (0.0, 1.0),  # erf's T/U table
-        (1.0, math.sqrt(2.0)),  # erfc falls back to 1 - erf
-        (math.sqrt(2.0), 8.0 * math.sqrt(2.0)),  # erfc's P/Q table
-        (8.0 * math.sqrt(2.0), cutoff),  # erfc's R/S table
-        (cutoff, 40.0),  # past the cut-off
-    )
-    for lo, hi in branches:
-        _assert_ndtr_equal(sign * rng.uniform(lo, hi, 4000))
-        _assert_ndtr_equal([lo, -lo, np.nextafter(lo, 0.0), -np.nextafter(lo, 0.0)])
-    at_cutoff = cutoff + np.arange(-50, 51) * np.spacing(cutoff)
-    _assert_ndtr_equal(np.r_[at_cutoff, -at_cutoff])
-    _assert_ndtr_equal([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e300, -1e300])
-
-
-@given(st.floats(allow_nan=False, allow_infinity=False))
-def test_ndtr_matches_scipy_on_any_float(x):
-    _assert_ndtr_equal([x])
 
 
 def test_parametric_triplets_take_mass_without_quadrature(merton_model, kou_model,
@@ -347,3 +289,49 @@ def test_triplet_rejects_non_integrable():
                     ([-1.0, 1.0], [1e308, 1e308])):
         with pytest.raises(NonFinite):
             CustomModel(0.2, np.array(x), np.array(dvdx)).triplet()
+
+
+def reference_models():
+    """The benchmark's Merton and Kou models, the corners of each family's box and
+    300 seeded draws from it, and both custom tables."""
+    rng = np.random.default_rng(33)
+    models = [MertonModel(0.2, 1.0, -0.05, 0.05), KouModel(0.21, 1.4, 0.04, 3.7, 1.8),
+              *custom_tables()]
+    for family, cls in (("merton", MertonModel), ("kou", KouModel)):
+        box = _BOXES[family]
+        models += [cls(*corner) for corner in itertools.product(*box)]
+        models += [cls(*[float(rng.uniform(lo, hi)) for lo, hi in box]) for _ in range(300)]
+    return models
+
+
+@pytest.mark.parametrize("T", [0.05, 0.25])
+def test_exponent_without_truncation_matches_the_truncated_form(T):
+    # a finite-activity exponent needs no truncation function: the truncated mean
+    # enters the truncated form's jump part and drift with opposite signs, so Phi
+    # and the mean are the same up to rounding
+    w = SpectralGrid().w
+    for model in reference_models():
+        phi, k1 = oracles.truncated_form(model, w, T)
+        assert np.max(np.abs(parametric_char_shifted(model, w, T) - phi)) <= 1e-12, model
+        assert cumulants(model, 1.0).k1 == pytest.approx(k1, rel=1e-13, abs=1e-15), model
+
+
+def laws():
+    """Merton and Kou models in their fits' start ranges, the custom tables and
+    random networks."""
+    return st.one_of(
+        *(st.builds(cls, *(st.floats(lo, hi) for lo, hi in _START_RANGES[cls.kind]))
+          for cls in (MertonModel, KouModel)),
+        st.sampled_from(custom_tables()),
+        st.builds(ElnnParams.init_random, st.integers(1, 30), st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=laws(), T=st.floats(0.01, 1.0),
+       w=st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=16))
+def test_phi_over_a_doubled_maturity_is_the_square(law, T, w):
+    # the increments over [0, T] and [T, 2T] are independent and alike, so
+    # Phi_{2T}(w - i) = Phi_T(w - i)^2; atol covers the subnormal range
+    w = np.array(w)
+    np.testing.assert_allclose(law.phi_shifted(w, 2 * T), law.phi_shifted(w, T) ** 2,
+                               rtol=1e-12, atol=1e-300)
