@@ -320,15 +320,10 @@ def cmd_moments(args):
     triplet = None
     if cfg.get("model"):
         triplet = serialize.load_model(cfg["model"]).triplet()
-    rows = moment_table(prices, horizons, triplet=triplet, r=cfg["r"])
-
+    header, columns = moment_table(prices, horizons, triplet=triplet, r=cfg["r"])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    theory_cols = sorted(rows[0].theory)
-    table = [[row.horizon_days, row.mean, row.std, row.skewness, row.excess_kurtosis]
-             + [row.theory[c] for c in theory_cols] for row in rows]
-    serialize.save_columns(out / "moments.csv", ["horizon_days", "mean", "std", "skewness",
-                                                 "excess_kurtosis", *theory_cols], zip(*table))
+    serialize.save_columns(out / "moments.csv", header, columns)
     inputs = [cfg["prices"]] + ([cfg["model"]] if cfg.get("model") else [])
     _finish("moments", cfg, None, inputs, out, args._started)
     return EXIT_OK
@@ -392,7 +387,7 @@ def main(argv=None):
     except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (LevycalError, ValueError, KeyError, OSError) as exc:
+    except (LevycalError, ValueError, KeyError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

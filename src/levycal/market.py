@@ -3,12 +3,12 @@
 Virtual markets draw daily batches of log-moneyness points, read the model's
 time value off a dense FFT curve, and perturb each sample with proportional
 noise N(0, (scale * z)^2), truncated so time values stay nonnegative.
-A virtual market draws each day when it is read, so writing one out holds
-a batch of days in memory, not all of them.  Amplification resamples large
-synthetic one-day groups with replacement from one slice that pools every
-day's samples, which is what makes the daily Fourier inversion well
-conditioned.  Groups are drawn one at a time as they are iterated, so a
-calibration holds one group in memory, not all of them.
+A virtual market draws its days in order as it is iterated, so writing one
+out holds a batch of days in memory, not all of them.  Amplification
+resamples large synthetic one-day groups with replacement from one slice
+that pools every day's samples, which is what makes the daily Fourier
+inversion well conditioned.  Groups are drawn one at a time as they are
+iterated, so a calibration holds one group in memory, not all of them.
 
 Quote ingestion applies the liquidity filters (volume and minimum price),
 converts puts through put-call parity and maps prices to time values.
@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,12 +80,14 @@ class QuoteFilters:
 
 def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noise=None,
                             grid=None):
-    """The VirtualMarket of `days` daily slices of `per_day` noisy time-value observations.
+    """An iterator over `days` daily slices of `per_day` noisy time-value observations.
 
     Each day draws its moneyness points uniformly from [k_lo, k_hi), a range
     within the grid's k nodes.  The model curve is computed once on the FFT
     grid when the market is made, and each day reads it through a cubic
-    spline at its sampled points when the day is drawn.
+    spline at its sampled points when the day is drawn.  Day i draws from its
+    own RNG substream, SeedSequence(noise.seed, spawn_key=(i,)), which is
+    SeedSequence(noise.seed).spawn(days)[i].
     """
     if days < 1 or per_day < 1:
         raise ValueError(f"days and per_day must be at least 1, got {days} and {per_day}")
@@ -99,46 +100,25 @@ def generate_virtual_market(model, days, per_day, T, r, k_lo=-0.4, k_hi=0.4, noi
         raise ValueError(f"k_lo and k_hi must lie within the grid's k nodes "
                          f"[{k_nodes[0]:.6g}, {k_nodes[-1]:.6g}], got {k_lo} and {k_hi}")
     _, z_nodes = time_value_curve(model.triplet(), T, r, grid)
-    return VirtualMarket(spline_on_grid(grid, z_nodes), days, per_day, T, r, k_lo, k_hi, noise)
+    spline = spline_on_grid(grid, z_nodes)
+    # every label as wide as the last day's, so the labels sort in day order
+    width = max(4, len(str(days - 1)))
+
+    def draw(day):
+        rng = np.random.default_rng(np.random.SeedSequence(noise.seed, spawn_key=(day,)))
+        k = rng.uniform(k_lo, k_hi, per_day)
+        z_clean = np.maximum(spline(k), 0.0)
+        z_noisy = z_clean + rng.normal(0.0, 1.0, per_day) * (noise.scale * z_clean)
+        return MarketSlice(f"day-{day:0{width}d}", T, r, k, np.maximum(z_noisy, 0.0))
+
+    # _DRAW_BATCH days are drawn back to back before they are yielded: drawn one at a
+    # time between the caller's writes, each day's draws took twice as long
+    return (s for start in range(0, days, _DRAW_BATCH)
+            for s in [draw(day) for day in range(start, min(start + _DRAW_BATCH, days))])
 
 
-# days a pass over a VirtualMarket draws at a time
+# days generate_virtual_market's iterator draws at a time
 _DRAW_BATCH = 64
-
-
-class VirtualMarket:
-    """generate_virtual_market's days, each drawn when it is read.
-
-    Day i draws from its own RNG substream, SeedSequence(noise.seed,
-    spawn_key=(i,)), which is SeedSequence(noise.seed).spawn(days)[i], so a
-    day is the same whenever and however often it is read.
-    """
-
-    def __init__(self, spline, days, per_day, T, r, k_lo, k_hi, noise):
-        self.spline, self.days, self.per_day, self.T, self.r = spline, days, per_day, T, r
-        self.k_lo, self.k_hi, self.noise = k_lo, k_hi, noise
-
-    def __len__(self):
-        return self.days
-
-    def __iter__(self):
-        # a pass draws _DRAW_BATCH days back to back before it yields them: drawn one
-        # at a time between the caller's writes, each day's draws took twice as long
-        for start in range(0, self.days, _DRAW_BATCH):
-            yield from [self[day] for day in range(start, min(start + _DRAW_BATCH, self.days))]
-
-    def __getitem__(self, day):
-        day = operator.index(day)
-        if not -self.days <= day < self.days:
-            raise IndexError(f"day {day} is out of range for {self.days} days")
-        day %= self.days
-        rng = np.random.default_rng(np.random.SeedSequence(self.noise.seed, spawn_key=(day,)))
-        k = rng.uniform(self.k_lo, self.k_hi, self.per_day)
-        z_clean = np.maximum(self.spline(k), 0.0)
-        z_noisy = z_clean + rng.normal(0.0, 1.0, self.per_day) * (self.noise.scale * z_clean)
-        # every label as wide as the last day's, so the labels sort in day order
-        width = max(4, len(str(self.days - 1)))
-        return MarketSlice(f"day-{day:0{width}d}", self.T, self.r, k, np.maximum(z_noisy, 0.0))
 
 
 class AmplifiedGroups:
@@ -254,25 +234,19 @@ def to_time_values(quotes, r, label="slice"):
     return MarketSlice(label, T, r, k, z), clamped
 
 
-@dataclass
-class MomentRow:
-    """Empirical moments of non-overlapping returns at one horizon."""
-
-    horizon_days: int
-    mean: float
-    std: float
-    skewness: float
-    excess_kurtosis: float
-    theory: dict = field(default_factory=dict)
+# moment_table's model columns, sorted by name
+_THEORY_COLUMNS = ["gauss_excess_kurtosis", "gauss_mean", "gauss_skewness", "gauss_std",
+                   "levy_excess_kurtosis", "levy_mean", "levy_skewness", "levy_std"]
 
 
 def moment_table(price_series, horizons, triplet=None, r=0.0):
-    """Empirical mean/std/skew/kurtosis of log returns per horizon.
+    """(header, columns): moments.csv's table of log returns, one row per horizon.
 
-    Horizons are in series steps (days).  When a triplet (a jump model that
-    passed its triplet() check) is supplied each row also carries the
-    model-implied values and the matching Gaussian ones (same mean and std,
-    zero skewness and excess kurtosis).
+    Horizons are in series steps (days).  The columns are horizon_days and the
+    empirical mean, std, skewness and excess_kurtosis.  When a triplet (a jump
+    model that passed its triplet() check) is supplied, _THEORY_COLUMNS follow:
+    the model-implied values and the matching Gaussian ones (same mean and
+    std, zero skewness and excess kurtosis).
     """
     prices = np.asarray(price_series, dtype=float)
     if min(horizons) < 1:
@@ -302,19 +276,14 @@ def moment_table(price_series, horizons, triplet=None, r=0.0):
         else:
             skew = math.nan
             exkurt = math.nan
-        delta = h * (1.0 / TRADING_DAYS)
-        theory = {}
+        row = [h, mean, std, skew, exkurt]
         if triplet is not None:
+            delta = h * (1.0 / TRADING_DAYS)
             cum = cumulants(triplet, delta)
-            theory = {
-                "levy_mean": cum.mean + r * delta,
-                "levy_std": cum.std,
-                "levy_skewness": cum.skewness,
-                "levy_excess_kurtosis": cum.excess_kurtosis,
-                "gauss_mean": cum.mean + r * delta,
-                "gauss_std": cum.std,
-                "gauss_skewness": 0.0,
-                "gauss_excess_kurtosis": 0.0,
-            }
-        rows.append(MomentRow(h, mean, std, skew, exkurt, theory))
-    return rows
+            model_mean = cum.mean + r * delta
+            # in _THEORY_COLUMNS' order
+            row += [0.0, model_mean, 0.0, cum.std,
+                    cum.excess_kurtosis, model_mean, cum.skewness, cum.std]
+        rows.append(row)
+    header = ["horizon_days", "mean", "std", "skewness", "excess_kurtosis"]
+    return header + (_THEORY_COLUMNS if triplet is not None else []), list(zip(*rows))

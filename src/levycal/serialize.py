@@ -303,7 +303,12 @@ def save_report(report, path):
 def load_report(path):
     """A calibrate report.json, which must hold every key calibrate writes."""
     doc = load_object(path)
-    report = {"label": field(doc, "label", str, path)}
+    label = field(doc, "label", str, path)
+    # save_report_tables writes the label into a CSV cell as it is
+    if any(c in label for c in ',"\n\r'):
+        raise ValueError(f"{path}: 'label' must hold no comma, double quote or line break, "
+                         f"got {label!r}")
+    report = {"label": label}
     report |= {key: field(doc, key, float, path) for key in ("sigma", "lambda")}
     for key, columns, _ in _REPORT_TABLES:
         table = field(doc, key, dict, path)

@@ -566,12 +566,8 @@ def test_moments_command(tmp_path, model_file):
         argv = ["moments", "--prices", str(prices_file), "--horizons", "1,2,4",
                 "--out", str(tmp_path / "table")]
         assert main(argv + (["--model", str(model)] if model else [])) == 0
-        rows = moment_table(load_columns(prices_file)[1][:, -1], [1, 2, 4],
-                            triplet=load_model(model).triplet() if model else None)
-        theory = sorted(rows[0].theory)
-        header = ["horizon_days", "mean", "std", "skewness", "excess_kurtosis", *theory]
-        columns = [[getattr(r, c) for r in rows] for c in header[:5]]
-        columns += [[r.theory[c] for r in rows] for c in theory]
+        header, columns = moment_table(load_columns(prices_file)[1][:, -1], [1, 2, 4],
+                                       triplet=load_model(model).triplet() if model else None)
         oracles.save_columns_reference(tmp_path / "want.csv", header, columns)
         assert (tmp_path / "table" / "moments.csv").read_text() == \
             (tmp_path / "want.csv").read_text()
@@ -598,6 +594,30 @@ def test_report_merges_runs(tmp_path, model_file):
     lines = (merged / "report_z.csv").read_text().strip().splitlines()
     assert lines[0] == "label,ATM,ITM,OTM,sum"
     assert len(lines) == 3
+
+
+def test_report_labels_must_fit_a_csv_cell(tmp_path, model_file, capsys):
+    # report's tables write each label into a CSV cell as it is
+    run = tmp_path / "cal"
+    assert main(["calibrate", "--market", str(tiny_simulate(tmp_path, model_file)),
+                 "--out", str(run), *_TINY_ELNN]) == 0
+    path = run / "report.json"
+    report = json.loads(path.read_text())
+    argv = ["report", "--runs", str(run), "--out", str(tmp_path / "rep")]
+    for label in ("kou,\nfit", "a,b", 'say "kou"', "kou\nfit", "kou\rfit"):
+        path.write_text(json.dumps(report | {"label": label}))
+        capsys.readouterr()
+        assert main(argv) == 2, label
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: 'label'") and err.count("\n") == 1, err
+    assert not (tmp_path / "rep").exists()
+    # any other string names a run
+    label = "kou fit #2 (sigma 0.2; 'tail' run)\t\u00e9"
+    path.write_text(json.dumps(report | {"label": label}))
+    assert main(argv) == 0
+    for name in ("report_z.csv", "report_re.csv", "report_im.csv"):
+        rows = (tmp_path / "rep" / name).read_text().splitlines()
+        assert len(rows) == 2 and rows[1].startswith(label + ","), rows
 
 
 def test_rerun_is_byte_identical_beyond_simulate(tmp_path, model_file):
@@ -1140,6 +1160,25 @@ def test_simulate_of_an_overflowing_exponent_exits_3_with_one_stderr_line(tmp_pa
     assert proc.returncode == 3
     assert _only_numerical_failure(proc.stderr), proc.stderr
     assert not (tmp_path / "mkt").exists()
+
+
+@pytest.mark.parametrize("command", ["density", "calibrate"])
+def test_a_grid_too_large_to_allocate_exits_2_with_one_stderr_line(tmp_path, model_file, command):
+    # 2**57 float nodes take 1 EiB, beyond any process's address space, so the
+    # allocation fails whatever the machine's overcommit setting and touches no page
+    n = 2**57
+    if command == "density":
+        argv = ["density", "--params", str(model_file), "--grid-n", str(n), "--out", "dens"]
+    else:
+        market = tiny_simulate(tmp_path, model_file)
+        (market / "grid.json").write_text(json.dumps({"n": n, "dw": 0.2}))
+        argv = ["calibrate", "--market", str(market), "--out", "cal", *_TINY_ELNN]
+    proc = _fresh_python(["-m", "levycal.cli", *argv], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+    if command == "density":
+        assert not (tmp_path / "dens").exists()
 
 
 @pytest.mark.parametrize("doc, cause", [

@@ -56,30 +56,23 @@ def test_virtual_market_draws_each_day_when_read(merton_model, default_grid):
                                      noise=noise, grid=default_grid)
     want = oracles.virtual_market_days(merton_model, 6, 30, T, R, -0.3, 0.35, noise,
                                        default_grid)
-    # two passes, reads in any order and negative indices give the same days
-    got = [list(market), list(market), [market[i] for i in reversed(range(6))][::-1],
-           [market[i - 6] for i in range(6)]]
-    assert len(market) == 6
-    for days in got:
-        assert len(days) == 6
-        for day, ref in zip(days, want):
-            assert (day.label, day.T, day.r) == (ref.label, T, R)
-            np.testing.assert_array_equal(day.k, ref.k)
-            np.testing.assert_array_equal(day.z, ref.z)
-    for i in (6, -7):
-        with pytest.raises(IndexError):
-            market[i]
+    days = list(market)
+    assert len(days) == 6
+    for day, ref in zip(days, want):
+        assert (day.label, day.T, day.r) == (ref.label, T, R)
+        np.testing.assert_array_equal(day.k, ref.k)
+        np.testing.assert_array_equal(day.z, ref.z)
 
 
 def test_day_labels_sort_in_day_order(merton_model, default_grid):
     # cli reads a market's slice files in sorted name order, so from day 10,000 on every
     # label takes the last day's width; a market of up to 10,000 days keeps 4 digits
-    market = generate_virtual_market(merton_model, 10_001, 1, T, R, grid=default_grid)
-    labels = [market[i].label for i in range(len(market))]
-    assert labels == sorted(labels)
-    assert labels[0] == "day-00000" and labels[-1] == "day-10000"
-    assert generate_virtual_market(merton_model, 10_000, 1, T, R,
-                                   grid=default_grid)[-1].label == "day-9999"
+    for days, first, last in ((10_001, "day-00000", "day-10000"),
+                              (10_000, "day-0000", "day-9999")):
+        labels = [s.label for s in generate_virtual_market(merton_model, days, 1, T, R,
+                                                           grid=default_grid)]
+        assert labels == sorted(labels)
+        assert (len(labels), labels[0], labels[-1]) == (days, first, last)
 
 
 def test_day_stream_is_the_spawned_stream():
@@ -282,20 +275,43 @@ def test_simulator_matches_cumulant_theory(merton_model, merton_triplet):
 
 
 def test_moment_table_constant_series():
-    rows = moment_table(np.full(100, 42.0), [1, 2])
-    for row in rows:
-        assert row.std == 0.0
-        assert math.isnan(row.skewness)
-        assert math.isnan(row.excess_kurtosis)
+    header, columns = moment_table(np.full(100, 42.0), [1, 2])
+    table = dict(zip(header, columns))
+    for std, skewness, excess_kurtosis in zip(table["std"], table["skewness"],
+                                              table["excess_kurtosis"]):
+        assert std == 0.0
+        assert math.isnan(skewness)
+        assert math.isnan(excess_kurtosis)
 
 
 def test_moment_table_includes_theory(merton_model, merton_triplet):
     prices = 100.0 * np.exp(np.cumsum(oracles.simulate_terminal(merton_model, 1 / 252, 5000, 1)))
-    rows = moment_table(prices, [1, 4], triplet=merton_triplet)
-    assert rows[0].theory["gauss_skewness"] == 0.0
-    assert rows[0].theory["levy_skewness"] == pytest.approx(
+    table = dict(zip(*moment_table(prices, [1, 4], triplet=merton_triplet)))
+    assert table["gauss_skewness"][0] == 0.0
+    assert table["levy_skewness"][0] == pytest.approx(
         cumulants(merton_triplet, 1 / 252).skewness, rel=1e-12)
-    assert rows[1].horizon_days == 4
+    assert table["horizon_days"][1] == 4
+
+
+def test_moment_table_names_each_theory_column(kou_triplet):
+    # a nonzero rate moves the mean columns off k1, and Kou's skewness and excess
+    # kurtosis tell the shape columns apart
+    r = 0.03
+    header, columns = moment_table(np.linspace(100.0, 120.0, 40), [1, 3, 7],
+                                   triplet=kou_triplet, r=r)
+    assert header == ["horizon_days", "mean", "std", "skewness", "excess_kurtosis",
+                      "gauss_excess_kurtosis", "gauss_mean", "gauss_skewness", "gauss_std",
+                      "levy_excess_kurtosis", "levy_mean", "levy_skewness", "levy_std"]
+    table = dict(zip(header, columns))
+    assert table["horizon_days"] == (1, 3, 7)
+    for i, h in enumerate((1, 3, 7)):
+        delta = h / 252
+        cum = cumulants(kou_triplet, delta)
+        assert table["levy_mean"][i] == table["gauss_mean"][i] == cum.mean + r * delta
+        assert table["levy_std"][i] == table["gauss_std"][i] == cum.std
+        assert table["levy_skewness"][i] == cum.skewness
+        assert table["levy_excess_kurtosis"][i] == cum.excess_kurtosis
+        assert table["gauss_skewness"][i] == table["gauss_excess_kurtosis"][i] == 0.0
 
 
 def test_moment_table_rejects_short_series():
@@ -308,7 +324,7 @@ def test_moment_table_rejects_short_series():
         with pytest.raises(ValueError):
             moment_table(prices, horizons)
     # the shortest series a horizon takes: two returns, 2h + 1 prices
-    assert [row.horizon_days for row in moment_table(np.linspace(100.0, 110.0, 33), [1, 16])] \
-        == [1, 16]
+    header, columns = moment_table(np.linspace(100.0, 110.0, 33), [1, 16])
+    assert columns[header.index("horizon_days")] == (1, 16)
     with pytest.raises(ValueError, match="horizon 16 leaves 1 non-overlapping returns in 32"):
         moment_table(np.linspace(100.0, 110.0, 32), [1, 16])
