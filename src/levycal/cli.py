@@ -211,7 +211,6 @@ def _calibrate_one(market_dir, out, cfg, train_cfg):
     and the seconds it spent loading the market, fitting it and writing the outputs."""
     started = time.perf_counter()
     grid, market = _load_market(market_dir, cfg["m_cutoff"])
-    out.mkdir(parents=True, exist_ok=True)
     loaded = time.perf_counter()
     pooled = pooled_slice(market, grid, cfg["m_cutoff"], cfg["n_groups"], cfg["group_size"],
                           cfg["seed"])
@@ -222,6 +221,8 @@ def _calibrate_one(market_dir, out, cfg, train_cfg):
                                          seed=cfg["seed"])
     report = calibrate.evaluate_report(fit, pooled, grid, loss)
     fitted = time.perf_counter()
+    # made only now, so that a market that fails to load or to fit leaves no directory
+    out.mkdir(parents=True, exist_ok=True)
     if fit.kind == "elnn":
         serialize.save_params(fit, out / "params.json")
         serialize.save_loss_trace(out / "loss.csv", losses)
@@ -248,8 +249,8 @@ def cmd_calibrate(args):
     names = [Path(m).name for m in markets]
     if len(set(names)) < len(names):
         raise ValueError(f"market directories must have distinct names, got {names}")
-    # _calibrate_one makes each market's target once the market has loaded, so a market
-    # that fails to load makes no output directory
+    # _calibrate_one makes each market's target just before it writes the market's
+    # outputs, so a market that fails to load or to fit makes no output directory
     out = Path(args.out)
     targets = [out] if len(markets) == 1 else [out / name for name in names]
     workers = _max_workers(len(markets))  # checks ELNN_THREADS whatever the market count

@@ -11,7 +11,9 @@ e = sig(-|a|) = 1 / (1 + exp|a|), a = w * scale: exactly even in w, and free
 of the cancellation in 1 - sig(a) deep in the tails (where exp|a| overflows,
 e is 0 exactly).  Both networks share one block of bumps, one row per scale
 weight [wr1, wi1] and one column per frequency, so that each pass over it is
-a contiguous broadcast of |scale| against |w|.  The slope of a bump in its
+a contiguous broadcast of |scale| against |w|.  The pass walks the frequencies
+in blocks of a fixed number of floats, so its memory does not grow with the
+network nodes times the frequencies.  The slope of a bump in its
 scale weight is -sgn(scale) |w| (1 - 2e) e(1 - e); with PE = e(1 - e) e,
 (1 - 2e) e(1 - e) = e(1 - e) - 2 PE, so a sum of row * slope over w is two
 products of the row times |w| with the bump block and with PE.
@@ -35,9 +37,10 @@ parameter moves (about 1e-14 on noisy virtual-market targets).  The loss is
 measured on that fold (SpectralCurve.fold), over half the nodes.  Training
 minimizes it plus beta times the spectral regularizer Lambda, using
 full-batch ADAM with an analytic gradient (including the chain rule through
-c0 and c1).  The optimizer steps one flat parameter vector laid out as
-[s, wr0, wr1, wi0, wi1] (ElnnParams.vector); the gradient comes back in the
-same layout.
+c0 and c1); an epoch adds each block's share of the loss's and the
+gradient's sums over w.  The optimizer steps one flat parameter vector laid
+out as [s, wr0, wr1, wi0, wi1] (ElnnParams.vector); the gradient comes back
+in the same layout.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergedLoss, NonFinite
-from .spectral import _BLOCK, SpectralGrid, inverse_real
+from .spectral import SpectralGrid, inverse_real
 
 _GUARD = 1e-6  # lower bound kept on 1 + cos(weight) near the c1 pole
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8  # ADAM moment decays and denominator floor
@@ -143,77 +146,124 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
 
 
-# floats of one row block of the bump pass: 256 KiB per array, so that a block's
+# floats of one (2 n_nodes, nodes) array of the network pass, 1.25 MiB: the pass walks
+# w in blocks of this size, so that its memory does not grow with n_nodes times the
+# number of nodes of w
+_BLOCK_FLOATS = 163_840
+# floats of one row block of the bump pass: 256 KiB per array, so that a row block's
 # e and bump stay in cache from the first of its steps to the last
 _ROW_BLOCK = 32_768
 
 
-class _Nodes:
-    """The one network pass, over a fixed number of frequency nodes w: every
-    training epoch and every evaluation of the networks runs it.
+def _block_step(n_nodes):
+    """Nodes of w in one block of the network pass: _BLOCK_FLOATS // (2 n_nodes),
+    rounded down to a multiple of 8 and at least 8, so that a BLAS that splits a
+    block's nodes between 2 threads gives each thread a multiple of 4."""
+    return max(8, _BLOCK_FLOATS // (2 * n_nodes) // 8 * 8)
 
-    It holds |w|, the (2 n_nodes, nodes) bump block and e, one row per scale
-    weight [wr1, wi1] (r-group rows first), ann_r and ann_i, and the scale
-    magnitudes |[wr1, wi1]|.  blocks holds, for each cache-sized block of bump
-    rows, its views of the scale magnitudes, of e and of the bump block.
+
+def _block_bounds(size, n_nodes):
+    """(start, stop) of each block of the network pass over `size` nodes of w.
+
+    Every block but the last holds _block_step(n_nodes) nodes.  BLAS's gemv
+    sums a block shorter than 4 nodes in another order, so a remainder that
+    short joins the previous block rather than standing alone.
     """
+    start, step = 0, _block_step(n_nodes)
+    for stop in range(step, size - 3, step):
+        yield start, stop
+        start = stop
+    yield start, size
 
-    def __init__(self, size, n_nodes):
-        self.aw = np.empty(size)
-        self.e, self.bump = np.empty((2, 2 * n_nodes, size))
-        self.annr, self.anni = np.empty((2, size))
-        self.ascale = np.empty(2 * n_nodes)
-        step = max(1, _ROW_BLOCK // max(size, 1))
-        self.blocks = [(self.ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
-                       for i in range(0, 2 * n_nodes, step)]
+
+class _Block:
+    """The arrays of one length of block of the network pass, as views of the
+    pass's buffer: |w|, e and the bump block, one row per scale weight [wr1,
+    wi1] (r-group rows first), ann_r and ann_i, then `vectors`, more node-sized
+    rows.  row_blocks holds, for each row block of `step` rows of the bump pass,
+    its views of the scale magnitudes, of e and of the bump block."""
+
+    def __init__(self, buf, size, ascale, vectors, step):
+        rows = len(ascale)
+        self.e, self.bump = buf[:2 * rows * size].reshape(2, rows, size)
+        vecs = buf[2 * rows * size:(2 * rows + 3 + vectors) * size].reshape(3 + vectors, size)
+        (self.aw, self.annr, self.anni), self.vectors = vecs[:3], vecs[3:]
+        self.row_blocks = [(ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
+                           for i in range(0, rows, step)]
 
     def networks(self, w, params, pe=False):
-        """(ann_r(w), ann_i(w)) at the 1-D real nodes w, in this pass's own arrays.
+        """(ann_r(w), ann_i(w)) at a block's nodes w, in this block's own arrays.
 
-        The bump is e(1 - e) with e = 1 / (1 + exp|a|), built one row block
-        at a time; with pe, e then becomes PE = bump * e while the block is
-        still in cache.
+        The bump is e(1 - e) with e = 1 / (1 + exp|a|), built one row block at a
+        time; with pe, e then becomes PE = bump * e while the row block is still
+        in cache.  exp|a| = inf gives e = 0 exactly, so the caller runs the pass
+        under np.errstate(over="ignore").
         """
         n = params.n_nodes
         np.abs(w, out=self.aw)
-        np.abs(params.wr1, out=self.ascale[:n])
-        np.abs(params.wi1, out=self.ascale[n:])
-        with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
-            for ascale, e, bump in self.blocks:
-                np.multiply.outer(ascale, self.aw, out=e)
-                np.exp(e, out=e)
-                e += 1.0
-                np.reciprocal(e, out=e)
-                np.subtract(1.0, e, out=bump)
-                bump *= e
-                if pe:
-                    e *= bump
+        for ascale, e, bump in self.row_blocks:
+            np.multiply.outer(ascale, self.aw, out=e)
+            np.exp(e, out=e)
+            e += 1.0
+            np.reciprocal(e, out=e)
+            np.subtract(1.0, e, out=bump)
+            bump *= e
+            if pe:
+                e *= bump
         np.dot(params.wr0, self.bump[:n], out=self.annr)
         np.dot(params.wi0, self.bump[n:], out=self.anni)
         self.anni *= w
         return self.annr, self.anni
 
 
+class _Nodes:
+    """The one network pass, over a fixed number of frequency nodes w: every
+    training epoch and every evaluation of the networks runs it.
+
+    It walks w in the blocks of _block_bounds, which take at most two lengths:
+    the step and the last block's.  One _Block per length holds its arrays, as
+    views into one buffer sized for the longer, so the pass holds two
+    (2 n_nodes, block) arrays whatever the number of nodes; both take row blocks
+    of the rows that fit _ROW_BLOCK floats of the longer.  ascale holds the
+    scale magnitudes |[wr1, wi1]|, which scales() writes once per pass.
+    """
+
+    def __init__(self, size, n_nodes, vectors=0):
+        self.size, self.n_nodes = size, n_nodes
+        lengths = {stop - start for start, stop in _block_bounds(size, n_nodes)}
+        longest = max(lengths)
+        buf = np.empty((4 * n_nodes + 3 + vectors) * longest)
+        self.ascale = np.empty(2 * n_nodes)
+        step = max(1, _ROW_BLOCK // max(longest, 1))
+        self.by_length = {length: _Block(buf, length, self.ascale, vectors, step)
+                          for length in lengths}
+
+    def scales(self, params):
+        n = params.n_nodes
+        np.abs(params.wr1, out=self.ascale[:n])
+        np.abs(params.wi1, out=self.ascale[n:])
+
+    def blocks(self):
+        """(nodes, block) for each block in turn: its slice of w, and the _Block
+        whose arrays it writes."""
+        for start, stop in _block_bounds(self.size, self.n_nodes):
+            yield slice(start, stop), self.by_length[stop - start]
+
+
 def _networks(w, params):
     """(ann_r(w), ann_i(w)) at real w of any shape, scalar included.
 
-    The pass runs over blocks of _BLOCK nodes of w, and blocks of one length
-    share one _Nodes, so memory does not grow with n_nodes times the size of
-    w.  Each value is a sum over network nodes, not over w, so a block gives
-    the floats of one pass over all of w.  BLAS's gemv sums a block shorter
-    than 4 nodes in another order, so the last block takes up a remainder
-    that short rather than standing alone.
+    Each value is a sum over network nodes, not over w, so the blocks of the
+    pass give the floats of one pass over all of w.
     """
     w = np.asarray(w, dtype=float)
     flat = w.reshape(-1)
     annr, anni = np.empty((2, flat.size))
-    nodes, start = None, 0
-    for stop in [*range(_BLOCK, flat.size - 3, _BLOCK), flat.size]:
-        if nodes is None or len(nodes.aw) != stop - start:
-            del nodes  # the last length's arrays go before the next length's come
-            nodes = _Nodes(stop - start, params.n_nodes)
-        annr[start:stop], anni[start:stop] = nodes.networks(flat[start:stop], params)
-        start = stop
+    nodes = _Nodes(flat.size, params.n_nodes)
+    nodes.scales(params)
+    with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
+        for at, block in nodes.blocks():
+            annr[at], anni[at] = block.networks(flat[at], params)
     return annr.reshape(w.shape), anni.reshape(w.shape)
 
 
@@ -255,12 +305,17 @@ class _Workspace(_Nodes):
     """Every array that the epochs of one training run write, so that an epoch
     allocates no array the size of the quadrature nodes.
 
-    Beyond the network pass's arrays, whose e becomes bump * e when the epoch
-    takes a gradient: per run, w^2, the regularizer weights wrho, and 2 wts
-    and 2 beta wrho, the factors of the data and regularizer residuals; per
-    epoch, Phi's parts pr and pi and their residuals dr and di against the
-    target, three scratch vectors, and the backward pass's (2, 4, nodes)
-    rows, whose first column holds the coefficients GR of dR and GA w of dArg.
+    An epoch walks the nodes in the network pass's blocks, whose e becomes
+    bump * e when the epoch takes a gradient.  Beyond the pass's arrays, each
+    block length has node-sized rows for Phi's parts pr and pi, their residuals
+    dr and di against the target, the regularizer weights wrho and three
+    scratch vectors, and the backward pass's (2, 4, block) rows, whose first
+    column holds the coefficients GR of dR and GA w of dArg; and it has its
+    views of the bump block and of PE as (network, node of w, network node).
+    dots and pe_dots gather the blocks' backward matmuls, each block's written
+    first into dots_block and pe_block.  Every per-node factor, the regularizer
+    weights included, is computed per block in each epoch, so the workspace's
+    size depends on n_nodes and the block, not on the number of nodes.
 
     Node-sized temporaries would cost more than their arithmetic: glibc's
     free trims them off the heap top after each epoch, so the next epoch
@@ -268,14 +323,19 @@ class _Workspace(_Nodes):
     no two runs share an array.
     """
 
-    def __init__(self, w, wts, config, n_nodes):
-        super().__init__(len(w), n_nodes)
-        self.w2 = w * w
-        self.wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg  # regularizer weights
-        self.wts2 = 2.0 * wts
-        self.lrho = (2.0 * config.beta_reg) * self.wrho
-        self.pr, self.pi, self.dr, self.di, *self.scratch = np.empty((7, len(w)))
-        self.rows = np.empty((2, 4, len(w)))
+    def __init__(self, size, n_nodes):
+        super().__init__(size, n_nodes, vectors=16)
+        for block in self.by_length.values():
+            block.pr, block.pi, block.dr, block.di, block.wrho, *block.scratch = block.vectors[:8]
+            block.rows = block.vectors[8:].reshape(2, 4, -1)
+            # the rows times |w|, one 1-D product each: numpy copies a 2-D product's
+            # broadcast |w| into a buffer when the product fits its 8,192-float buffer
+            block.scaled_rows = [(rows[j], rows[j + 2]) for rows in block.rows for j in (0, 1)]
+            block.rows_w = block.rows[:, 2:]
+            block.bumps = block.bump.reshape(2, n_nodes, -1).transpose(0, 2, 1)
+            block.pe = block.e.reshape(2, n_nodes, -1).transpose(0, 2, 1)
+        self.dots, self.dots_block = np.empty((2, 2, 4, n_nodes))
+        self.pe_dots, self.pe_block = np.empty((2, 2, 2, n_nodes))
 
 
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, work, want_grad=True):
@@ -283,63 +343,83 @@ def _loss_and_grad(params, w, wts, target_re, target_im, T, config, work, want_g
 
     Returns the loss and its gradient as a flat vector laid out like
     ElnnParams.vector() (None when want_grad is False).  work is the
-    _Workspace of a training run over these nodes, and every node-sized
-    value is written into it.
+    _Workspace of a training run over these nodes.  The pass walks its
+    blocks, writes every node-sized value into the block's arrays and adds the
+    block's share of each sum over w.
     """
     n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
-    annr, anni = work.networks(w, params, pe=want_grad)
-    P, e = work.bump, work.e  # e holds PE = P e when want_grad
     c0, c1, ur, ui = _constants(params)
-    t0, t1, t2 = work.scratch
-    pr, pi = _phi_parts(w, annr, anni, sigma, c0, c1, T, (work.pr, work.pi, t0, t1, t2))
-    dr = np.subtract(pr, target_re, out=work.dr)
-    di = np.subtract(pi, target_im, out=work.di)
+    work.scales(params)
+    data = reg = sum_GR = sum_GA_w = sum_GR_w2 = 0.0
+    dots, pe_dots = work.dots, work.pe_dots
+    dots.fill(0.0)
+    pe_dots.fill(0.0)
+    with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
+        for nodes, block in work.blocks():
+            wb, wtsb = w[nodes], wts[nodes]
+            annr, anni = block.networks(wb, params, pe=want_grad)
+            t0, t1, t2 = block.scratch
+            pr, pi = _phi_parts(wb, annr, anni, sigma, c0, c1, T,
+                                (block.pr, block.pi, t0, t1, t2))
+            dr = np.subtract(pr, target_re[nodes], out=block.dr)
+            di = np.subtract(pi, target_im[nodes], out=block.di)
 
-    np.square(annr, out=t0)
-    t0 += np.square(anni, out=t1)
-    t0 *= work.wrho
-    reg = float(np.sum(t0))
-    np.square(dr, out=t0)
-    t0 += np.square(di, out=t1)
-    t0 *= wts
-    loss = float(np.sum(t0)) + config.beta_reg * reg
+            wrho = np.divide(wb, config.m_cutoff, out=block.wrho)  # regularizer weights
+            np.abs(wrho, out=wrho)
+            wrho **= config.alpha_reg
+            wrho *= wtsb
+            np.square(annr, out=t0)
+            t0 += np.square(anni, out=t1)
+            t0 *= wrho
+            reg += float(np.sum(t0))
+            np.square(dr, out=t0)
+            t0 += np.square(di, out=t1)
+            t0 *= wtsb
+            data += float(np.sum(t0))
+            if not want_grad:
+                continue
+
+            # Each network's [data, regularizer] rows, then the same rows times |w|,
+            # against that network's bump rows: (network, row, w) @ (network, w, node).
+            rows = block.rows
+            GR, GAw = rows[0, 0], rows[1, 0]
+            wts2 = np.multiply(2.0, wtsb, out=t2)
+            np.multiply(dr, pr, out=GR)               # coefficient of dR/dtheta
+            GR += np.multiply(di, pi, out=t0)
+            GR *= wts2
+            np.negative(dr, out=GAw)                  # coefficient of dArg/dtheta, then times w
+            GAw *= pi
+            GAw += np.multiply(di, pr, out=t0)
+            GAw *= wts2
+            GAw *= wb
+            sum_GA_w += float(np.sum(GAw))
+            sum_GR += float(np.sum(GR))
+            sum_GR_w2 += float(np.sum(np.multiply(GR, np.square(wb, out=t1), out=t0)))
+
+            # regularizer residuals
+            lrho = np.multiply(2.0 * config.beta_reg, wrho, out=wrho)
+            np.multiply(lrho, annr, out=rows[0, 1])
+            np.multiply(lrho, anni, out=rows[1, 1])
+            rows[1, 1] *= wb
+            for row, scaled in block.scaled_rows:
+                np.multiply(row, block.aw, out=scaled)
+            dots += np.matmul(rows, block.bumps, out=work.dots_block)
+            pe_dots += np.matmul(block.rows_w, block.pe, out=work.pe_block)
+
+    loss = data + config.beta_reg * reg
     if not want_grad:
         return loss, None
-
-    # Each network's [data, regularizer] rows, then the same rows times |w|,
-    # against that network's bump rows: (network, row, w) @ (network, w, node).
-    rows = work.rows
-    GR, GAw = rows[0, 0], rows[1, 0]
-    np.multiply(dr, pr, out=GR)               # coefficient of dR/dtheta
-    GR += np.multiply(di, pi, out=t0)
-    GR *= work.wts2
-    np.negative(dr, out=GAw)                  # coefficient of dArg/dtheta, then times w
-    GAw *= pi
-    GAw += np.multiply(di, pr, out=t0)
-    GAw *= work.wts2
-    GAw *= w
-    sum_GA_w = float(np.sum(GAw))
-    sum_GR = float(np.sum(GR))
 
     # d(1/(2(1+cos a)))/da, the pole-side derivative of the c1 closed form
     vr = np.sin(wr1) / (2.0 * (1.0 + np.cos(wr1)) ** 2)
     vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
 
-    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(np.multiply(GR, work.w2, out=t0)))
-                                           + sum_GA_w)
+    g_s = np.sign(params.s) * T * sigma * (-sum_GR_w2 + sum_GA_w)
 
-    # regularizer residuals
-    np.multiply(work.lrho, annr, out=rows[0, 1])
-    np.multiply(work.lrho, anni, out=rows[1, 1])
-    rows[1, 1] *= w
-    np.multiply(rows[:, :2], work.aw, out=rows[:, 2:])
-    bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
-    pe = e.reshape(2, n, -1).transpose(0, 2, 1)
-    dots = rows @ bumps
     # scale slopes: sum over w of row |w| (1 - 2e) bump = (row |w|) . bump
     # - 2 (row |w|) . PE, times the per-node sign -sgn(scale)
-    slopes = (dots[:, 2:] - 2.0 * (rows[:, 2:] @ pe)) * -np.sign((wr1, wi1))[:, None]
+    slopes = (dots[:, 2:] - 2.0 * pe_dots) * -np.sign((wr1, wi1))[:, None]
     (dot_P, dot_Q), (dot_PW, dot_QW) = dots[:, :2], slopes
 
     g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]
@@ -385,7 +465,7 @@ def train(market_slice, config):
     DivergedLoss as soon as the loss or its gradient stops being finite.
     """
     w, wts, tr, ti = market_slice.spectral.fold()
-    work = _Workspace(w, wts, config, config.n_nodes)
+    work = _Workspace(len(w), config.n_nodes)
     theta = ElnnParams.init_random(config.n_nodes, seed=config.seed).vector()
     scales = theta[1:].reshape(4, config.n_nodes)[1::2]  # wr1 and wi1 rows, views into theta
     _guard_pole(scales)

@@ -49,7 +49,7 @@ from levycal import (MarketSlice, SpectralGrid, amplify, bucketed_errors,
                      parametric_char_shifted, phi_from_time_values, regrid_time_values,
                      time_value_curve, time_values_from_phi)
 from levycal.calibrate import K_BUCKETS, K_EDGES, W_BUCKETS, W_EDGES
-from levycal.elnn import _constants, _loss_and_grad, _Workspace
+from levycal.elnn import _block_bounds, _constants, _loss_and_grad, _Workspace
 from levycal.spectral import _inverse_nodes, spline_on_grid, trapezoid_weights
 
 
@@ -294,7 +294,7 @@ def elnn_objective(params, market_slice, config):
     """The training loss on the slice's folded target: trapezoid L2 distance to
     its conjugate-symmetric part on w > 0, plus beta times the regularizer."""
     w, wts, tr, ti = market_slice.spectral.fold()
-    work = _Workspace(w, wts, config, params.n_nodes)
+    work = _Workspace(len(w), params.n_nodes)
     loss, _ = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, work, want_grad=False)
     return loss
 
@@ -302,7 +302,7 @@ def elnn_objective(params, market_slice, config):
 def elnn_gradient(params, market_slice, config):
     """Exact gradient of elnn_objective, laid out like ElnnParams.vector()."""
     w, wts, tr, ti = market_slice.spectral.fold()
-    work = _Workspace(w, wts, config, params.n_nodes)
+    work = _Workspace(len(w), params.n_nodes)
     _, grad = _loss_and_grad(params, w, wts, tr, ti, market_slice.T, config, work)
     return grad
 
@@ -365,11 +365,13 @@ def elnn_loss_and_grad(params, w, wts, target_re, target_im, T, config):
 
 
 # --- the allocating ELNN epoch ----------------------------------------------------
-# The epoch as it was before training's workspace held its temporaries: one pass
-# over the whole bump block, a new array for every per-node vector, and the
-# backward pass's own full-block bump * e.  Training's epoch keeps its ufuncs,
-# operands and order, so the two must agree bit for bit; so must the library's
-# blocked network evaluation and _allocating_forward, which ann_r and ann_i run.
+# The epoch as it was before training's workspace held its temporaries: a new array
+# for every per-node vector, and the backward pass's own bump * e.  Like training's
+# epoch it walks the nodes in the blocks of elnn._block_bounds and adds each block's
+# share of every sum over w, but it builds each block's arrays afresh.  Training's
+# epoch keeps its ufuncs, operands and order, so the two must agree bit for bit; so
+# must the library's blocked network evaluation and _allocating_forward, which ann_r
+# and ann_i run over all of w at once.
 
 
 def _allocating_bump(w, scale, e=None, bump=None):
@@ -402,47 +404,55 @@ def _allocating_phi_parts(w, annr, anni, sigma, c0, c1, T):
 
 def elnn_allocating_epoch(params, w, wts, target_re, target_im, T, config, work=None,
                           want_grad=True):
-    """elnn._loss_and_grad as the allocating epoch wrote it; work is ignored, so
-    that train can run on this epoch in its place."""
-    aw = np.abs(w)
-    w2 = w * w
-    wrho = wts * np.abs(w / config.m_cutoff) ** config.alpha_reg
-    e, bump = np.empty((2, 2 * params.n_nodes, len(w)))
-    rows = np.empty((2, 4, len(w)))
-
+    """elnn._loss_and_grad as the allocating epoch wrote it, over the same blocks of
+    nodes; work is ignored, so that train can run on this epoch in its place."""
     n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
-    annr, anni, P, e = _allocating_forward(w, params, e, bump)
     c0, c1, ur, ui = _constants(params)
-    pr, pi = _allocating_phi_parts(w, annr, anni, sigma, c0, c1, T)
-    dr = pr - target_re
-    di = pi - target_im
+    data = reg = sum_GR = sum_GA_w = sum_GR_w2 = 0.0
+    dots, pe_dots = np.zeros((2, 4, n)), np.zeros((2, 2, n))
+    for start, stop in _block_bounds(len(w), n):
+        wb, wtsb = w[start:stop], wts[start:stop]
+        e, bump = np.empty((2, 2 * n, len(wb)))
+        annr, anni, P, e = _allocating_forward(wb, params, e, bump)
+        pr, pi = _allocating_phi_parts(wb, annr, anni, sigma, c0, c1, T)
+        dr = pr - target_re[start:stop]
+        di = pi - target_im[start:stop]
 
-    reg = float(np.sum(wrho * (annr**2 + anni**2)))
-    loss = float(np.sum(wts * (dr**2 + di**2))) + config.beta_reg * reg
+        wrho = wtsb * np.abs(wb / config.m_cutoff) ** config.alpha_reg
+        reg += float(np.sum(wrho * (annr**2 + anni**2)))
+        data += float(np.sum(wtsb * (dr**2 + di**2)))
+        if not want_grad:
+            continue
+
+        GR = 2.0 * wtsb * (dr * pr + di * pi)
+        GA = 2.0 * wtsb * (-dr * pi + di * pr)
+        GAw = GA * wb
+        sum_GA_w += float(np.sum(GAw))
+        sum_GR += float(np.sum(GR))
+        sum_GR_w2 += float(np.sum(GR * (wb * wb)))
+
+        LR = (2.0 * config.beta_reg) * wrho * annr
+        LI = (2.0 * config.beta_reg) * wrho * anni
+
+        rows = np.empty((2, 4, len(wb)))
+        rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = GR, LR, GAw, LI * wb
+        np.multiply(rows[:, :2], np.abs(wb), out=rows[:, 2:])
+        bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
+        pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
+        dots += rows @ bumps
+        pe_dots += rows[:, 2:] @ pe
+
+    loss = data + config.beta_reg * reg
     if not want_grad:
         return loss, None
-
-    GR = 2.0 * wts * (dr * pr + di * pi)
-    GA = 2.0 * wts * (-dr * pi + di * pr)
-    GAw = GA * w
-    sum_GA_w = float(np.sum(GAw))
-    sum_GR = float(np.sum(GR))
 
     vr = np.sin(wr1) / (2.0 * (1.0 + np.cos(wr1)) ** 2)
     vi = np.sin(wi1) / (2.0 * (1.0 + np.cos(wi1)) ** 2)
 
-    LR = (2.0 * config.beta_reg) * wrho * annr
-    LI = (2.0 * config.beta_reg) * wrho * anni
+    g_s = np.sign(params.s) * T * sigma * (-sum_GR_w2 + sum_GA_w)
 
-    g_s = np.sign(params.s) * T * sigma * (-float(np.sum(GR * w2)) + sum_GA_w)
-
-    rows[0, 0], rows[0, 1], rows[1, 0], rows[1, 1] = GR, LR, GAw, LI * w
-    np.multiply(rows[:, :2], aw, out=rows[:, 2:])
-    bumps = P.reshape(2, n, -1).transpose(0, 2, 1)
-    pe = np.multiply(P, e, out=e).reshape(2, n, -1).transpose(0, 2, 1)
-    dots = rows @ bumps
-    slopes = (dots[:, 2:] - 2.0 * (rows[:, 2:] @ pe)) * -np.sign((wr1, wi1))[:, None]
+    slopes = (dots[:, 2:] - 2.0 * pe_dots) * -np.sign((wr1, wi1))[:, None]
     (dot_P, dot_Q), (dot_PW, dot_QW) = dots[:, :2], slopes
 
     g_wr0 = T * (dot_P[0] - 0.25 * sum_GR - (0.25 - ur) * sum_GA_w) + dot_P[1]

@@ -1125,6 +1125,8 @@ def test_exit_code_on_divergence(tmp_path, model_file):
     proc = _fresh_python(["-m", "levycal.cli", *argv], tmp_path)
     assert proc.returncode == 3
     assert _only_numerical_failure(proc.stderr), proc.stderr
+    # a numerical failure writes nothing into --out
+    assert not out.exists()
 
 
 def test_exit_code_on_merton_moment_overflow(tmp_path):
@@ -1177,8 +1179,7 @@ def test_a_grid_too_large_to_allocate_exits_2_with_one_stderr_line(tmp_path, mod
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: Unable to allocate") and proc.stderr.count("\n") == 1, \
         proc.stderr
-    if command == "density":
-        assert not (tmp_path / "dens").exists()
+    assert not (tmp_path / ("dens" if command == "density" else "cal")).exists()
 
 
 @pytest.mark.parametrize("doc, cause", [

@@ -14,9 +14,10 @@ from scipy import integrate
 
 from levycal import (ElnnParams, SpectralCurve, SpectralGrid, TrainConfig, calibrate_parametric,
                      elnn, implied_levy_density, train)
-from levycal.elnn import Adam, _constants, _guard_pole, _loss_and_grad, _Workspace
+from levycal.elnn import (_BLOCK_FLOATS, Adam, _block_bounds, _block_step, _constants,
+                         _guard_pole, _loss_and_grad, _Workspace)
 from levycal.errors import DivergedLoss
-from levycal.spectral import _BLOCK, _inverse_nodes, trapezoid_weights
+from levycal.spectral import _inverse_nodes, trapezoid_weights
 
 import oracles
 from oracles import ann_i, ann_r, elnn_gradient, elnn_objective
@@ -154,15 +155,20 @@ def assert_same_bits(got, want):
 # share is a multiple of 4 long: true for power-of-two grids on up to 64
 # threads.  With one BLAS thread they agree at every length; the next test
 # checks that.
-_LENGTHS = st.one_of(st.integers(1, _BLOCK + 3), st.integers(1, 40).map(lambda j: 256 * j))
+@st.composite
+def _nodes_and_length(draw):
+    n_nodes = draw(st.integers(1, 120))
+    length = draw(st.one_of(st.integers(1, _block_step(n_nodes) + 3),
+                            st.integers(1, 40).map(lambda j: 256 * j)))
+    return n_nodes, length
 
 
 @settings(max_examples=60, deadline=None)
-@given(n_nodes=st.integers(1, 120), length=_LENGTHS, two_d=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(n_nodes=1, length=1, two_d=False, seed=0)
-@example(n_nodes=120, length=5 * 256, two_d=True, seed=1)
-def test_blocked_evaluation_matches_full_block(n_nodes, length, two_d, seed):
+@given(nodes_and_length=_nodes_and_length(), two_d=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(nodes_and_length=(1, 1), two_d=False, seed=0)
+@example(nodes_and_length=(120, 5 * 256), two_d=True, seed=1)
+def test_blocked_evaluation_matches_full_block(nodes_and_length, two_d, seed):
+    n_nodes, length = nodes_and_length
     p = random_params(np.random.default_rng(seed), n=n_nodes)
     w = np.random.default_rng(seed).uniform(-400.0, 400.0, length)
     if two_d and length % 2 == 0:
@@ -189,13 +195,14 @@ def test_blocked_evaluation_where_exp_overflows():
 _ONE_THREAD_CHECK = """
 import numpy as np
 from levycal import SpectralGrid, implied_levy_density
-from levycal.spectral import _BLOCK
+from levycal.elnn import _block_step
 import test_elnn as t
 
 for n_nodes in (1, 3, 20, 57, 120):
     p = t.random_params(np.random.default_rng(n_nodes), n=n_nodes)
-    for length in (0, 1, 2, 3, 4, 5, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3,
-                   _BLOCK + 4, _BLOCK + 5, 2 * _BLOCK + 3, 3 * _BLOCK + 7, 5001):
+    step = _block_step(n_nodes)
+    for length in (0, 1, 2, 3, 4, 5, 7, step - 1, step, step + 1, step + 2, step + 3,
+                   step + 4, step + 5, 2 * step + 3, 3 * step + 7, 5001):
         print(n_nodes, length)
         w = np.random.default_rng(length).uniform(-400.0, 400.0, length)
         t.assert_same_bits(p.phi_shifted(w, t.T), t.full_block_phi(w, p))
@@ -233,25 +240,38 @@ def test_network_evaluation_memory_is_one_block():
         assert peak < full_block / 10
 
 
-def test_workspace_holds_two_blocks():
-    n_nodes, w = 7, np.linspace(0.025, 40.0, 1600)
-    config = TrainConfig(m_cutoff=20.0)
-    tracemalloc.start()
-    try:
-        work = _Workspace(w, np.ones_like(w), config, n_nodes)
-        allocated = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    blocks = 2 * (2 * n_nodes) * len(w) * 8
-    # |w|, w^2, the regularizer weights, 2 wts and 2 beta wrho; ann_r, ann_i, pr,
-    # pi, dr, di and three scratch vectors; the backward pass's eight rows
-    per_node = (5 + 9 + 8) * len(w) * 8
-    assert blocks + per_node <= allocated < blocks + per_node + 4096
-    assert work.e.shape == work.bump.shape == (2 * n_nodes, len(w))
-    assert work.rows.shape == (2, 4, len(w))
-    assert len(work.scratch) == 3
-    # 20 rows of 1,600 nodes fill 32,768 floats, so the 14 rows take one block
-    assert [len(scale) for scale, _, _ in work.blocks] == [2 * n_nodes]
+def test_workspace_size_does_not_grow_with_nodes():
+    # 8,000 and 64,000 folded nodes take 2 and 16 blocks of 4,096 nodes at 20 network
+    # nodes, and 10 and 79 blocks of 816 at 100; every block's arrays are views into
+    # one buffer sized for one block.  Two (2 n_nodes, nodes) arrays and 22
+    # node-sized vectors over all the nodes would take 45 MB more at 64,000 nodes
+    # than at 8,000, with 20 network nodes
+    def allocated(size, n_nodes):
+        """Bytes of array data that a new workspace holds, and the workspace."""
+        tracemalloc.start()
+        try:
+            work = _Workspace(size, n_nodes)
+            arrays = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        finally:
+            tracemalloc.stop()
+        return sum(stat.size for stat in arrays.statistics("filename")), work
+
+    for n_nodes in (20, 100):
+        step = _block_step(n_nodes)
+        small, work = allocated(8000, n_nodes)
+        assert allocated(64_000, n_nodes)[0] == small
+        # the bump block and e, |w|, ann_r, ann_i, pr, pi, dr, di, the regularizer
+        # weights, three scratch vectors and the backward pass's eight rows
+        buffer = (4 * n_nodes + 3 + 16) * step * 8
+        # beside it, two (2, 4, n) and two (2, 2, n) arrays for the backward matmuls,
+        # and |[wr1, wi1]|
+        assert small == buffer + (16 + 8 + 2) * n_nodes * 8
+        assert 2 * n_nodes * step <= _BLOCK_FLOATS
+        blocks = list(work.blocks())
+        assert [at for at, _ in blocks] == [slice(*b) for b in _block_bounds(8000, n_nodes)]
+        assert blocks[0][1].e.shape == blocks[0][1].bump.shape == (2 * n_nodes, step)
+        assert blocks[0][1].rows.shape == (2, 4, step)
 
 
 def test_property8_identity(rng):
@@ -400,7 +420,7 @@ def test_loss_and_grad_matches_reference_epoch(rng):
         p.wr0[3] = p.wi0[5] = 0.0
         p.wr1[1], p.wi1[2] = 900.0, -1000.0
         for nodes in (full_grid_nodes(slc), slc.spectral.fold()):
-            loss, grad = _loss_and_grad(p, *nodes, T, cfg, _Workspace(nodes[0], nodes[1], cfg, 8))
+            loss, grad = _loss_and_grad(p, *nodes, T, cfg, _Workspace(len(nodes[0]), 8))
             want_loss, want_grad = oracles.elnn_loss_and_grad(p, *nodes, T, cfg)
             assert loss == pytest.approx(want_loss, rel=1e-13, abs=0)
             np.testing.assert_allclose(grad, want_grad, rtol=1e-13, atol=0)
@@ -419,15 +439,25 @@ def allocating_epoch_cases(rng, n_w, dw, n_nodes):
         yield p, nodes
 
 
-# 512 nodes take one row block (64 rows) at 20 network nodes and two at 37; 8,000
-# nodes take blocks of 4 rows, which do not divide 2 * 7 rows
+# 512 nodes take one block and one row block (64 rows) at 20 network nodes, and one
+# block and two row blocks at 37; 8,000 nodes take one block at 7 network nodes, in
+# row blocks of 4 rows, which do not divide 2 * 7 rows; two blocks of 4,096 and 3,904
+# nodes at 20; and at 100, nine blocks of 816 nodes and a last block of 656.  1,635
+# nodes at 100 take a block of 816 and one of 819, which takes up a remainder of 3
+_EPOCH_BLOCKS = {(1024, 20): [512], (1024, 37): [512], (16_000, 7): [8000],
+                 (16_000, 20): [4096, 3904], (16_000, 100): [816] * 9 + [656],
+                 (3270, 100): [816, 819]}
+
+
 @pytest.mark.parametrize("n_w, dw, n_nodes", [(1024, 0.2, 20), (1024, 0.2, 37),
-                                              (16_000, 0.0125, 7), (16_000, 0.0125, 20)])
+                                              (16_000, 0.0125, 7), (16_000, 0.0125, 20),
+                                              (16_000, 0.0125, 100), (3270, 0.06, 100)])
 def test_epoch_matches_allocating_epoch(rng, n_w, dw, n_nodes):
     cfg = TrainConfig(m_cutoff=100.0)
     for p, nodes in allocating_epoch_cases(rng, n_w, dw, n_nodes):
-        work = _Workspace(nodes[0], nodes[1], cfg, n_nodes)
+        work = _Workspace(len(nodes[0]), n_nodes)
         assert len(nodes[0]) == n_w // 2
+        assert [len(block.aw) for _, block in work.blocks()] == _EPOCH_BLOCKS[n_w, n_nodes]
         for want_grad in (True, False, True):  # the workspace is reused across calls
             loss, grad = _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
             want_loss, want = oracles.elnn_allocating_epoch(p, *nodes, T, cfg,
@@ -456,7 +486,7 @@ def test_epoch_allocates_no_node_sized_array(rng):
     nodes = toy_slice(rng, n_w=16_000, dw=0.0125).spectral.fold()
     cfg = TrainConfig()
     p = ElnnParams.init_random(cfg.n_nodes, 0)
-    work = _Workspace(nodes[0], nodes[1], cfg, cfg.n_nodes)
+    work = _Workspace(len(nodes[0]), cfg.n_nodes)
     for want_grad in (True, False):
         _loss_and_grad(p, *nodes, T, cfg, want_grad=want_grad, work=work)
         tracemalloc.start()
