@@ -178,18 +178,26 @@ def _block_bounds(size, n_nodes):
 
 class _Block:
     """The arrays of one length of block of the network pass, as views of the
-    pass's buffer: |w|, e and the bump block, one row per scale weight [wr1,
-    wi1] (r-group rows first), ann_r and ann_i, then `vectors`, more node-sized
-    rows.  row_blocks holds, for each row block of `step` rows of the bump pass,
-    its views of the scale magnitudes, of e and of the bump block."""
+    workspace's buffer in the order __init__ names them: e and the bump block
+    (one row per scale weight [wr1, wi1], r-group rows first, and as pe and bumps
+    by network, node of w and network node), node-sized rows, and the backward
+    pass's rows, whose first column holds the coefficients GR of dR and GA w of
+    dArg.  row_blocks holds each row block's views of |scale|, e and bump."""
 
-    def __init__(self, buf, size, ascale, vectors, step):
-        rows = len(ascale)
-        self.e, self.bump = buf[:2 * rows * size].reshape(2, rows, size)
-        vecs = buf[2 * rows * size:(2 * rows + 3 + vectors) * size].reshape(3 + vectors, size)
-        (self.aw, self.annr, self.anni), self.vectors = vecs[:3], vecs[3:]
+    def __init__(self, buf, size, ascale, step):
+        n = len(ascale) // 2
+        bumps, vecs = np.split(buf[:(4 * n + 19) * size], [4 * n * size])
+        self.e, self.bump = bumps.reshape(2, 2 * n, size)
+        self.pe, self.bumps = np.swapaxes(bumps.reshape(2, 2, n, size), 2, 3)
+        (self.aw, self.annr, self.anni, self.pr, self.pi, self.dr, self.di, self.wrho,
+         *self.scratch) = vecs.reshape(19, size)[:11]
+        self.rows = vecs[11 * size:].reshape(2, 4, size)
+        # the rows times |w|, one 1-D product each: numpy copies a 2-D product's
+        # broadcast |w| into a buffer when the product fits its 8,192-float buffer
+        self.scaled_rows = [(row[j], row[j + 2]) for row in self.rows for j in (0, 1)]
+        self.rows_w = self.rows[:, 2:]
         self.row_blocks = [(ascale[i:i + step], self.e[i:i + step], self.bump[i:i + step])
-                           for i in range(0, rows, step)]
+                           for i in range(0, 2 * n, step)]
 
     def networks(self, w, params, pe=False):
         """(ann_r(w), ann_i(w)) at a block's nodes w, in this block's own arrays.
@@ -216,53 +224,56 @@ class _Block:
         return self.annr, self.anni
 
 
-class _Nodes:
-    """The one network pass, over a fixed number of frequency nodes w: every
-    training epoch and every evaluation of the networks runs it.
+class _Workspace:
+    """The one network pass over a fixed number of frequency nodes w, with every
+    array that a training epoch writes: every epoch and every evaluation of the
+    networks runs it, and an epoch allocates no node-sized array.
 
-    It walks w in the blocks of _block_bounds, which take at most two lengths:
-    the step and the last block's.  One _Block per length holds its arrays, as
-    views into one buffer sized for the longer, so the pass holds two
-    (2 n_nodes, block) arrays whatever the number of nodes; both take row blocks
-    of the rows that fit _ROW_BLOCK floats of the longer.  ascale holds the
-    scale magnitudes |[wr1, wi1]|, which scales() writes once per pass.
+    One _Block per length of block (at most two) holds its arrays as views into
+    one buffer sized for the longer, with row blocks of the rows that fit
+    _ROW_BLOCK floats of it.  Every per-node factor, the regularizer weights
+    included, is computed per block, so that the buffer does not grow with the
+    nodes.  dots and pe_dots gather the blocks' backward matmuls, each block's
+    written first into dots_block and pe_block.
+
+    Node-sized temporaries would cost more than their arithmetic: glibc's free
+    trims them off the heap top after each epoch, so the next epoch would fault
+    their pages in again.  Each run builds its own workspace, so no two runs
+    share an array.
     """
 
-    def __init__(self, size, n_nodes, vectors=0):
+    def __init__(self, size, n_nodes):
         self.size, self.n_nodes = size, n_nodes
         lengths = {stop - start for start, stop in _block_bounds(size, n_nodes)}
         longest = max(lengths)
-        buf = np.empty((4 * n_nodes + 3 + vectors) * longest)
+        buf = np.empty((4 * n_nodes + 19) * longest)
         self.ascale = np.empty(2 * n_nodes)
         step = max(1, _ROW_BLOCK // max(longest, 1))
-        self.by_length = {length: _Block(buf, length, self.ascale, vectors, step)
-                          for length in lengths}
+        self.by_length = {length: _Block(buf, length, self.ascale, step) for length in lengths}
+        self.dots, self.dots_block = np.empty((2, 2, 4, n_nodes))
+        self.pe_dots, self.pe_block = np.empty((2, 2, 2, n_nodes))
 
     def scales(self, params):
-        n = params.n_nodes
-        np.abs(params.wr1, out=self.ascale[:n])
-        np.abs(params.wi1, out=self.ascale[n:])
+        np.abs((params.wr1, params.wi1), out=self.ascale.reshape(2, -1))
 
     def blocks(self):
-        """(nodes, block) for each block in turn: its slice of w, and the _Block
-        whose arrays it writes."""
+        """(slice of w, _Block whose arrays it writes) for each block in turn."""
         for start, stop in _block_bounds(self.size, self.n_nodes):
             yield slice(start, stop), self.by_length[stop - start]
 
 
 def _networks(w, params):
-    """(ann_r(w), ann_i(w)) at real w of any shape, scalar included.
+    """(ann_r(w), ann_i(w)) at a float array w of any shape, 0-d included.
 
     Each value is a sum over network nodes, not over w, so the blocks of the
     pass give the floats of one pass over all of w.
     """
-    w = np.asarray(w, dtype=float)
     flat = w.reshape(-1)
     annr, anni = np.empty((2, flat.size))
-    nodes = _Nodes(flat.size, params.n_nodes)
-    nodes.scales(params)
+    work = _Workspace(flat.size, params.n_nodes)
+    work.scales(params)
     with np.errstate(over="ignore"):  # exp|a| = inf gives e = 0 exactly
-        for at, block in nodes.blocks():
+        for at, block in work.blocks():
             annr[at], anni[at] = block.networks(flat[at], params)
     return annr.reshape(w.shape), anni.reshape(w.shape)
 
@@ -301,53 +312,14 @@ def _phi_parts(w, annr, anni, sigma, c0, c1, T, out):
     return pr, pi
 
 
-class _Workspace(_Nodes):
-    """Every array that the epochs of one training run write, so that an epoch
-    allocates no array the size of the quadrature nodes.
-
-    An epoch walks the nodes in the network pass's blocks, whose e becomes
-    bump * e when the epoch takes a gradient.  Beyond the pass's arrays, each
-    block length has node-sized rows for Phi's parts pr and pi, their residuals
-    dr and di against the target, the regularizer weights wrho and three
-    scratch vectors, and the backward pass's (2, 4, block) rows, whose first
-    column holds the coefficients GR of dR and GA w of dArg; and it has its
-    views of the bump block and of PE as (network, node of w, network node).
-    dots and pe_dots gather the blocks' backward matmuls, each block's written
-    first into dots_block and pe_block.  Every per-node factor, the regularizer
-    weights included, is computed per block in each epoch, so the workspace's
-    size depends on n_nodes and the block, not on the number of nodes.
-
-    Node-sized temporaries would cost more than their arithmetic: glibc's
-    free trims them off the heap top after each epoch, so the next epoch
-    would fault their pages in again.  Each run builds its own workspace, so
-    no two runs share an array.
-    """
-
-    def __init__(self, size, n_nodes):
-        super().__init__(size, n_nodes, vectors=16)
-        for block in self.by_length.values():
-            block.pr, block.pi, block.dr, block.di, block.wrho, *block.scratch = block.vectors[:8]
-            block.rows = block.vectors[8:].reshape(2, 4, -1)
-            # the rows times |w|, one 1-D product each: numpy copies a 2-D product's
-            # broadcast |w| into a buffer when the product fits its 8,192-float buffer
-            block.scaled_rows = [(rows[j], rows[j + 2]) for rows in block.rows for j in (0, 1)]
-            block.rows_w = block.rows[:, 2:]
-            block.bumps = block.bump.reshape(2, n_nodes, -1).transpose(0, 2, 1)
-            block.pe = block.e.reshape(2, n_nodes, -1).transpose(0, 2, 1)
-        self.dots, self.dots_block = np.empty((2, 2, 4, n_nodes))
-        self.pe_dots, self.pe_block = np.empty((2, 2, 2, n_nodes))
-
-
 def _loss_and_grad(params, w, wts, target_re, target_im, T, config, work, want_grad=True):
     """Fused forward/backward pass over the given quadrature nodes.
 
     Returns the loss and its gradient as a flat vector laid out like
-    ElnnParams.vector() (None when want_grad is False).  work is the
-    _Workspace of a training run over these nodes.  The pass walks its
-    blocks, writes every node-sized value into the block's arrays and adds the
-    block's share of each sum over w.
+    ElnnParams.vector() (None when want_grad is False).  work is a _Workspace
+    over these nodes.  The pass walks its blocks, writes every node-sized value
+    into the block's arrays and adds the block's share of each sum over w.
     """
-    n = params.n_nodes
     wr0, wr1, wi0, wi1, sigma = params.wr0, params.wr1, params.wi0, params.wi1, params.sigma
     c0, c1, ur, ui = _constants(params)
     work.scales(params)

@@ -136,9 +136,10 @@ def load_fit(path):
         return model_from_dict(doc, path)
     sigma = field(doc, "sigma", float, path)
     weights = {k: field(doc, k, list, path) for k in _WEIGHTS}
-    if len({len(v) for v in weights.values()}) > 1:
+    lengths = {len(v) for v in weights.values()}
+    if len(lengths) > 1 or 0 in lengths:
         raise ValueError(f"{path}: {', '.join(_WEIGHTS[:-1])} and {_WEIGHTS[-1]} must have the "
-                         "same length")
+                         "same length, at least 1")
     return ElnnParams(s=sigma, **weights)
 
 

@@ -31,8 +31,8 @@ DEFAULT_N = 2**14
 DEFAULT_DW = 0.05
 
 _RESIDUE_LIMIT = 1e-6
-# nodes or query points per block of a step whose temporaries would otherwise
-# grow with its input: the networks' bumps and the spline's terms
+# query points per block of the spline's reads, whose terms would otherwise
+# grow with the number of points
 _BLOCK = 2048
 
 

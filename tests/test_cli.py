@@ -940,6 +940,8 @@ def test_exit_code_on_non_object_model_and_params(tmp_path, model_file, capsys):
          params | {"wr0": None}, "'wr0'"),
         (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
          params | {"wr0": [0.0] * 2}, "wr0, wr1, wi0 and wi1"),
+        (["density", "--params", str(doc), "--out", str(tmp_path / "dens")], doc,
+         params | {k: [] for k in ("wr0", "wr1", "wi0", "wi1")}, "wr0, wr1, wi0 and wi1"),
         (calibrate, market / "grid.json", grid | {"n": None}, "'n'"),
         (calibrate, market / "grid.json", grid | {"n": 1000}, "'n'"),
         (calibrate, market / "grid.json", grid | {"dw": -0.2}, "'dw'"),

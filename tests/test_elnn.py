@@ -469,6 +469,19 @@ def test_epoch_matches_allocating_epoch(rng, n_w, dw, n_nodes):
                 assert grad is None and want is None
 
 
+@pytest.mark.parametrize("n_w, dw, n_nodes", [(1024, 0.2, 20), (1024, 0.2, 37),
+                                              (16_000, 0.0125, 7)])
+def test_evaluation_equals_the_epoch_forward(rng, n_w, dw, n_nodes):
+    # one block holds every node, so its Phi parts after the epoch are Phi on all of
+    # w; pr + 1j * pi turns -0.0 into +0.0, so the assembled values are compared
+    cfg = TrainConfig(m_cutoff=100.0)
+    for p, nodes in allocating_epoch_cases(rng, n_w, dw, n_nodes):
+        work = _Workspace(len(nodes[0]), n_nodes)
+        (_, block), = work.blocks()
+        _loss_and_grad(p, *nodes, T, cfg, work, want_grad=False)
+        assert (block.pr + 1j * block.pi).tobytes() == p.phi_shifted(nodes[0], T).tobytes()
+
+
 def test_training_matches_allocating_epoch(rng, monkeypatch):
     slc = toy_slice(rng, n_w=16_000, dw=0.0125)
     cfg = TrainConfig(m_cutoff=100.0, epochs=50, seed=3)
