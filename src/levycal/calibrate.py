@@ -33,14 +33,11 @@ from .spectral import (phi_from_time_values, regrid_time_values, spline_on_grid,
                        time_values_from_phi)
 
 
-# Error-table buckets.  A coordinate lies in bin np.searchsorted(edges, c, side="right"):
-# moneyness k below -0.05 is ITM, below 0.03 ATM and otherwise OTM; frequencies
-# are bucketed on |w|, and |w| >= 60 (bin 3) is in no bucket.  Each dict maps a
-# bucket name to its bin, in the order the tables list them.
-K_EDGES = (-0.05, 0.03)
-K_BUCKETS = {"ATM": 1, "ITM": 0, "OTM": 2}
-W_EDGES = (20.0, 40.0, 60.0)
-W_BUCKETS = {"Low": 0, "Mid": 1, "High": 2}
+# Error-table buckets, in the order the tables list them.  Each dict maps a bucket
+# name to the half-open interval [lo, hi) of its coordinates: moneyness k for time
+# values, |w| for frequencies, so |w| >= 60 is in no bucket.
+K_BUCKETS = {"ATM": (-0.05, 0.03), "ITM": (-math.inf, -0.05), "OTM": (0.03, math.inf)}
+W_BUCKETS = {"Low": (-math.inf, 20.0), "Mid": (20.0, 40.0), "High": (40.0, 60.0)}
 
 
 # coords per block of bucketed_errors' residuals
@@ -57,7 +54,8 @@ def bucketed_errors(coords, predicted, target, kind="time_value"):
     `predicted` holds the predictions aligned with coords, or is a function
     that gives them at an array of coords.  The coords must be finite.  A
     bucket's squared errors are formed over blocks of _BLOCK coords, so
-    beyond them only block-sized temporaries are held.
+    beyond them and the bucket's membership mask only block-sized temporaries
+    are held.
     """
     coords = np.asarray(coords, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -66,33 +64,32 @@ def bucketed_errors(coords, predicted, target, kind="time_value"):
     if len(target) != len(coords) or not callable(predicted) and len(predicted) != len(coords):
         raise LengthMismatch("coords, predicted and target must be aligned")
     if kind == "time_value":
-        edges, buckets, binned = K_EDGES, K_BUCKETS, coords
+        buckets, binned = K_BUCKETS, coords
     elif kind == "spectral":
-        edges, buckets, binned = W_EDGES, W_BUCKETS, np.abs(coords)
+        buckets, binned = W_BUCKETS, np.abs(coords)
     else:
         raise ValueError(f"unknown bucket kind {kind!r}")
 
     table = {}
-    for name, bin_ in buckets.items():
-        # the coords in bin np.searchsorted(edges, c, side="right")
-        lo = edges[bin_ - 1] if bin_ else -math.inf
-        hi = edges[bin_] if bin_ < len(edges) else math.inf
-        squares = np.empty(np.count_nonzero((binned >= lo) & (binned < hi)))
+    for name, (lo, hi) in buckets.items():
+        member = (binned >= lo) & (binned < hi)
+        squares = np.empty(np.count_nonzero(member))
         if not squares.size:
             table[name] = None
             continue
         n = 0
         for start in range(0, len(coords), _BLOCK):
             block = slice(start, start + _BLOCK)
-            mask = (binned[block] >= lo) & (binned[block] < hi)
+            mask = member[block]
             pred = predicted(coords[block][mask]) if callable(predicted) else predicted[block][mask]
             squares[n:n + pred.size] = (pred - target[block][mask]) ** 2
             n += pred.size
         rmse = math.sqrt(float(np.mean(squares)))
+        del squares  # so the next bucket's mask is not built beside it
         if kind == "time_value":
             table[name] = 1e4 * rmse
         else:
-            std = float(np.std(target[(binned >= lo) & (binned < hi)]))
+            std = float(np.std(target[member]))
             table[name] = 100.0 * rmse / std if std > 0 else None
     vals = [v for v in table.values() if v is not None]
     table["sum"] = sum(vals) if vals else None
@@ -354,7 +351,7 @@ def evaluate_report(fit, pooled, grid, final_loss):
     z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
 
     # the target's nodes are a contiguous central block of the grid's w lattice; those
-    # with |w| >= W_EDGES[-1] fall in no bucket
+    # with |w| >= 60 fall in no bucket
     w, target = pooled.spectral.w, pooled.spectral.values
     start = int(np.searchsorted(grid.w, w[0] - 0.25 * grid.dw))
     phi_rep = phi_on_grid[start:start + len(w)]

@@ -246,7 +246,11 @@ def cmd_calibrate(args):
         if cfg[key] < 1:
             raise ValueError(f"{key!r} must be at least 1, got {cfg[key]}")
     markets = args.market
-    names = [Path(m).name for m in markets]
+    # the last component of the absolute path, so that ".." or "." names a directory too;
+    # abspath follows no symlink
+    names = [os.path.basename(os.path.abspath(m)) for m in markets]
+    if not all(names):
+        raise ValueError(f"a market directory must have a name, got {markets}")
     if len(set(names)) < len(names):
         raise ValueError(f"market directories must have distinct names, got {names}")
     # _calibrate_one makes each market's target just before it writes the market's

@@ -18,12 +18,13 @@ virtual_market_days is generate_virtual_market's loop before it drew each day
 when read: it spawns every day's stream up front and holds every day, and
 the lazy market must give its days bit for bit.  bucketed_errors_whole is
 bucketed_errors before it formed a bucket's errors block by block: it bins
-every coordinate at once with np.searchsorted, and the blocked table must
-equal it.  parametric_loss is the Merton and Kou fits' loss before it skipped
-the nodes where a model cannot move it: it evaluates the library's Phi(w - i)
-on every folded node (parametric_loss_terms), and the skipping loss must equal
-it bit for bit.  elnn_report and parametric_report are the two per-kind report
-paths from before every fit reported through one: each gathers its kind's
+every coordinate at once with np.searchsorted, on its own copy of the bucket
+edges, and the blocked table must equal it.  parametric_loss is the Merton and
+Kou fits' loss before it skipped the nodes where a model cannot move it: it
+evaluates the library's Phi(w - i) on every folded node
+(parametric_loss_terms), and the skipping loss must equal it bit for bit.
+elnn_report and parametric_report are the two per-kind report paths from
+before every fit reported through one: each gathers its kind's
 label, sigma, lambda and Phi(w - i) on the grid itself (the network's Phi from
 the full-block pass, lambda as c0 - c1) and hands them to the report body of
 that time, which reuses the library's spline and buckets; the report of any
@@ -48,7 +49,6 @@ from scipy.stats import norm
 from levycal import (MarketSlice, SpectralGrid, amplify, bucketed_errors,
                      parametric_char_shifted, phi_from_time_values, regrid_time_values,
                      time_value_curve, time_values_from_phi)
-from levycal.calibrate import K_BUCKETS, K_EDGES, W_BUCKETS, W_EDGES
 from levycal.elnn import _block_bounds, _constants, _loss_and_grad, _Workspace
 from levycal.spectral import _inverse_nodes, spline_on_grid, trapezoid_weights
 
@@ -227,13 +227,20 @@ def virtual_market_days(model, days, per_day, T, r, k_lo, k_hi, noise, grid):
     return slices
 
 
+# the report's buckets as bins of np.searchsorted(edges, c, side="right"): k below -0.05
+# is ITM, below 0.03 ATM and otherwise OTM; |w| below 20 is Low, below 40 Mid, below
+# 60 High, and from 60 on (bin 3) in no bucket
+_K_EDGES, _K_BINS = (-0.05, 0.03), {"ATM": 1, "ITM": 0, "OTM": 2}
+_W_EDGES, _W_BINS = (20.0, 40.0, 60.0), {"Low": 0, "Mid": 1, "High": 2}
+
+
 def bucketed_errors_whole(coords, predicted, target, kind="time_value"):
     """bucketed_errors' table, every coordinate binned at once by np.searchsorted."""
     coords, predicted, target = (np.asarray(a, dtype=float) for a in (coords, predicted, target))
     if kind == "time_value":
-        which, buckets = np.searchsorted(K_EDGES, coords, side="right"), K_BUCKETS
+        which, buckets = np.searchsorted(_K_EDGES, coords, side="right"), _K_BINS
     else:
-        which, buckets = np.searchsorted(W_EDGES, np.abs(coords), side="right"), W_BUCKETS
+        which, buckets = np.searchsorted(_W_EDGES, np.abs(coords), side="right"), _W_BINS
     table = {}
     for name, bin_ in buckets.items():
         mask = which == bin_
@@ -468,7 +475,7 @@ def _report(label, sigma, lam, phi_on_grid, pooled, grid, final_loss):
     Phi(w - i) one by one."""
     z_spline = spline_on_grid(grid, time_values_from_phi(phi_on_grid, pooled.r, pooled.T, grid))
     target_curve = pooled.spectral
-    keep = np.abs(target_curve.w) < W_EDGES[-1]
+    keep = np.abs(target_curve.w) < _W_EDGES[-1]
     w_rep = target_curve.w[keep]
     tgt_rep = target_curve.values[keep]
     start = int(np.searchsorted(grid.w, w_rep[0] - 0.25 * grid.dw))

@@ -11,7 +11,7 @@ from hypothesis import event, example, given, settings, strategies as st
 from levycal import (CustomModel, KouModel, MarketSlice, MertonModel, NoiseSpec, SpectralCurve,
                      SpectralGrid, TrainConfig, amplify, bucketed_errors, calibrate_parametric,
                      generate_virtual_market, parametric_char_shifted, run_elnn,
-                     spectral_target, stability_summary)
+                     spectral_target, stability_summary, time_value_curve)
 from levycal import calibrate
 from levycal.calibrate import _BOXES, _DEFAULT_STARTS, _START_RANGES, PeriodEstimate
 from levycal.errors import LengthMismatch
@@ -125,6 +125,28 @@ def test_bucketed_by_block_matches_whole_array_table(rng, monkeypatch):
             monkeypatch.setattr(calibrate, "_BLOCK", block)
             assert bucketed_errors(coords, predict(coords), target, kind) == want, block
             assert bucketed_errors(coords, predict, target, kind) == want, block
+
+
+def test_bucketed_errors_hold_one_bucket_and_its_mask(merton_model):
+    # a pool of 10^6 quotes read through the spline: beyond the largest bucket's squared
+    # errors and its membership mask, only temporaries of a few blocks are held.  Reading
+    # a bucket whole would hold its strikes, its predictions and the spline's terms
+    grid = SpectralGrid(2**14, 0.05)
+    _, z_nodes = time_value_curve(merton_model.triplet(), T, R, grid)
+    spline = calibrate.spline_on_grid(grid, z_nodes)
+    rng = np.random.default_rng(3)
+    k = rng.uniform(-0.5, 0.5, 10**6)
+    z = spline(k) + rng.normal(0.0, 1e-4, k.size)
+    largest = max(np.count_nonzero((k >= lo) & (k < hi))
+                  for lo, hi in calibrate.K_BUCKETS.values())
+    tracemalloc.start()
+    try:
+        bucketed_errors(k, spline, z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    allowance = 16 * calibrate._BLOCK * 8  # sixteen blocks of floats, whatever the pool
+    assert peak < 8 * largest + k.size + allowance, peak
 
 
 def test_report_reads_the_spline_by_bucket(merton_model, monkeypatch):

@@ -287,16 +287,58 @@ def test_calibrate_settings_keep_the_paper_defaults(tmp_path, monkeypatch):
         "51a012fcc9236678d3c65c183247d870c382b7c826c28fc16b2ddddf30f23cf3")
 
 
-def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file):
-    # fan-out outputs go to out/<market name>, so two markets named alike would clash
+def test_calibrate_rejects_markets_sharing_a_name(tmp_path, model_file, capsys):
+    # fan-out outputs go to out/<market name>, so two markets named alike would clash;
+    # b/mkt/slices/.. is b/mkt, named mkt as a/mkt is
     m1 = tiny_simulate(tmp_path, model_file, "a/mkt", seed=1)
     m2 = tiny_simulate(tmp_path, model_file, "b/mkt", seed=2)
     out = tmp_path / "clash"
-    code = main(["calibrate", "--market", str(m1), str(m2), "--out", str(out),
-                 "--method", "elnn", "--epochs", "5", "--m-cutoff", "60",
-                 "--n-groups", "2", "--group-size", "100"])
-    assert code == 2
-    assert not out.exists()
+    for other in (m2, m2 / "slices" / ".."):
+        capsys.readouterr()
+        assert main(["calibrate", "--market", str(m1), str(other), "--out", str(out),
+                     *_TINY_ELNN]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: market directories must have distinct names")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
+def _files_outside(root, out):
+    return {p for p in root.rglob("*") if out not in p.parents and p != out}
+
+
+def test_calibrate_names_each_market_after_its_absolute_path(tmp_path, model_file,
+                                                             monkeypatch):
+    # a market given as "ma/slices/.." or as "." while in ma is named ma, so its outputs
+    # go to out/ma, as those of a market given as ma do, and nothing is written elsewhere
+    ma = tiny_simulate(tmp_path, model_file, "ma", seed=1)
+    mb = tiny_simulate(tmp_path, model_file, "mb", seed=2)
+    alone = tmp_path / "alone"
+    assert main(["calibrate", "--market", str(ma), str(mb), "--out", str(alone),
+                 *_TINY_ELNN]) == 0
+    assert sorted(p.name for p in alone.iterdir()) == ["ma", "manifest.json", "mb"]
+    want = _digests(alone)
+    monkeypatch.chdir(ma)
+    for case, market in (("dotdot", ma / "slices" / ".."), ("dot", ".")):
+        out = tmp_path / case
+        before = _files_outside(tmp_path, out)
+        assert main(["calibrate", "--market", str(market), str(mb), "--out", str(out),
+                     *_TINY_ELNN]) == 0
+        assert _files_outside(tmp_path, out) == before
+        assert _digests(out) == want
+
+
+def test_calibrate_rejects_a_market_without_a_name(tmp_path, model_file, capsys):
+    # the root directory has no last component to name its outputs after
+    market = tiny_simulate(tmp_path, model_file)
+    out = tmp_path / "cal"
+    for markets in (["/"], ["/", str(market)]):
+        capsys.readouterr()
+        assert main(["calibrate", "--market", *markets, "--out", str(out), *_TINY_ELNN]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: a market directory must have a name"), err
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 def _refuse_to_read(monkeypatch):

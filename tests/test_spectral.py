@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from levycal import (CustomModel, ElnnParams, MertonModel, SpectralCurve, SpectralGrid,
-                     phi_from_time_values, regrid_time_values, spectral, time_value_curve,
+                     phi_from_time_values, regrid_time_values, time_value_curve,
                      time_values_from_phi)
 from levycal.errors import InsufficientSupport, LengthMismatch, ResidueTooLarge
 from levycal.levy_models import _char_in_strip
-from levycal.spectral import _BLOCK, inverse_real, spline_on_grid
+from levycal.spectral import inverse_real, spline_on_grid
 
 import oracles
 from oracles import call_price, plancherel_gap, zeta
@@ -254,46 +254,36 @@ def _custom_model():
     return CustomModel(0.2, x, np.exp(-0.5 * ((x + 0.05) / 0.08) ** 2) / 0.2)
 
 
-def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng, monkeypatch):
+def test_grid_spline_matches_scipy_cubic_spline(merton_model, kou_model, rng):
     from scipy.interpolate import CubicSpline
 
-    # the spline evaluates its query points over blocks of _BLOCK points; blocks of 3
-    # and 5 points put thousands of block edges among the strikes, the knots and the
-    # points beyond both ends, and leave partial last blocks.  Where the edges fall
-    # depends only on the number of query points, so the small blocks run on one grid
-    # and one model, every grid and model at _BLOCK
-    every = ((SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)),
-             (merton_model, kou_model, _custom_model()))
-    small = ((SpectralGrid(1024, 0.1),), (kou_model,))
-    for block, (grids, models) in ((_BLOCK, every), (3, small), (5, small)):
-        monkeypatch.setattr(spectral, "_BLOCK", block)
-        for grid in grids:
-            # random strikes, every knot, and points just and far beyond both ends
-            beyond = np.array([1e-12, 1e-3, 0.5, 10.0])
-            q = np.concatenate([rng.uniform(-0.4, 0.4, 20_000), grid.k,
-                                grid.k[0] - beyond, grid.k[-1] + beyond])
-            for model in models:
-                k, z = time_value_curve(model.triplet(), T, R, grid)
-                np.testing.assert_array_equal(spline_on_grid(grid, z)(q), CubicSpline(k, z)(q))
-        # signed zeros too: the same bits, not only equal values.  The first curve falls
-        # away on both sides of a -0.0 knot, where every term of the cubic is -0.0
-        grid = SpectralGrid(1024, 0.1)
-        q = np.concatenate([grid.k, rng.uniform(grid.k[0] - 1.0, grid.k[-1] + 1.0, 5000)])
-        x = grid.k - grid.k[500]
-        dip = -x**3 - x**2
-        dip[500] = -0.0
-        for z in [dip] + [rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], grid.n)
-                          for _ in range(20)]:
-            np.testing.assert_array_equal(spline_on_grid(grid, z)(q).view(np.int64),
-                                          CubicSpline(grid.k, z)(q).view(np.int64))
+    for grid in (SpectralGrid(2**14, 0.05), SpectralGrid(4096, 0.2), SpectralGrid(1024, 0.1)):
+        # random strikes, every knot, and points just and far beyond both ends
+        beyond = np.array([1e-12, 1e-3, 0.5, 10.0])
+        q = np.concatenate([rng.uniform(-0.4, 0.4, 20_000), grid.k,
+                            grid.k[0] - beyond, grid.k[-1] + beyond])
+        for model in (merton_model, kou_model, _custom_model()):
+            k, z = time_value_curve(model.triplet(), T, R, grid)
+            np.testing.assert_array_equal(spline_on_grid(grid, z)(q), CubicSpline(k, z)(q))
+    # signed zeros too: the same bits, not only equal values.  The first curve falls
+    # away on both sides of a -0.0 knot, where every term of the cubic is -0.0
+    grid = SpectralGrid(1024, 0.1)
+    q = np.concatenate([grid.k, rng.uniform(grid.k[0] - 1.0, grid.k[-1] + 1.0, 5000)])
+    x = grid.k - grid.k[500]
+    dip = -x**3 - x**2
+    dip[500] = -0.0
+    for z in [dip] + [rng.choice([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0], grid.n)
+                      for _ in range(20)]:
+        np.testing.assert_array_equal(spline_on_grid(grid, z)(q).view(np.int64),
+                                      CubicSpline(grid.k, z)(q).view(np.int64))
 
 
 def test_grid_spline_blocks_match_point_by_point(merton_model, rng):
-    # a 2-D q of several blocks and a partial one, points beyond both grid ends included
+    # a 2-D q of thousands of points, points beyond both grid ends included
     grid = SpectralGrid(1024, 0.1)
     k, z = time_value_curve(merton_model.triplet(), T, R, grid)
     spline = spline_on_grid(grid, z)
-    q = rng.uniform(k[0] - 2.0, k[-1] + 2.0, 3 * (_BLOCK + 7)).reshape(3, -1)
+    q = rng.uniform(k[0] - 2.0, k[-1] + 2.0, 3 * 2055).reshape(3, -1)
     q[0, :4] = k[0] - 1e-12, k[0] - 5.0, k[-1] + 1e-12, k[-1] + 5.0
     got = spline(q)
     want = np.array([spline(x) for x in q.ravel()]).reshape(q.shape)
@@ -301,20 +291,6 @@ def test_grid_spline_blocks_match_point_by_point(merton_model, rng):
     np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
     assert spline(q[0, 0]).shape == ()
     assert spline(np.empty((0, 3))).shape == (0, 3)
-
-
-def test_grid_spline_memory_is_its_output_plus_one_block(merton_model):
-    grid = SpectralGrid(2**14, 0.05)
-    _, z = time_value_curve(merton_model.triplet(), T, R, grid)
-    spline = spline_on_grid(grid, z)
-    q = np.random.default_rng(3).uniform(-0.5, 0.5, 10**6)
-    tracemalloc.start()
-    try:
-        spline(q)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 3 * q.nbytes  # the output is as large as q
 
 
 def test_grid_spline_build_holds_no_grid_sized_list(merton_model):
